@@ -5,9 +5,9 @@ Möbius-signed squarefree divisor enumeration, Legendre-style coprime
 counting, Chebyshev and Mertens evaluations, and base-2 logarithms of
 arbitrary-precision integers.
 
-Everything here is a pure function of immutable inputs; a PrimeTable is
-never mutated after construction and may be shared freely between
-threads.
+Everything here is a pure function of immutable inputs. A PrimeTable's
+flags are never mutated after construction, and its derived views are
+pure functions of them, so a table may be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -24,6 +25,8 @@ from .errors import CapacityError
 __all__ = [
     "PrimeTable",
     "ChebyshevCheck",
+    "SIEVE_LIMIT_BITS",
+    "check_sieve_limit",
     "sieve_primes",
     "sieve_covering_odd",
     "is_prime",
@@ -39,13 +42,23 @@ __all__ = [
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
+# Every sieve and every scan that sieves stays below 2^SIEVE_LIMIT_BITS.
+SIEVE_LIMIT_BITS = 34
+
 
 @dataclass(frozen=True, eq=False)
 class PrimeTable:
-    """All primes up to ``limit`` plus running log sums over the odd primes.
+    """The primes up to ``limit``, held as one flag per odd number.
 
     Attributes:
         limit: Inclusive sieve bound (>= 2).
+        odd_flags: Boolean array of length (limit + 1) // 2;
+            odd_flags[i] is True iff 2*i + 1 is prime. The even prime 2
+            is implied.
+
+    The views below are computed from the flags on first read and kept,
+    so a caller that reads none of them pays only for the flags:
+
         primes: Ascending int64 array of all primes <= limit.
         is_prime: Boolean lookup array of length limit + 1.
         theta_prefix: float64 array; theta_prefix[i] = sum of log p over
@@ -54,17 +67,48 @@ class PrimeTable:
     """
 
     limit: int
-    primes: np.ndarray
-    is_prime: np.ndarray
-    theta_prefix: np.ndarray
+    odd_flags: np.ndarray
+
+    @cached_property
+    def primes(self) -> np.ndarray:
+        primes = np.empty(self.odd_count + 1, dtype=np.int64)
+        primes[0] = 2
+        primes[1:] = 2 * np.flatnonzero(self.odd_flags) + 1
+        return primes
+
+    @cached_property
+    def is_prime(self) -> np.ndarray:
+        flags = np.zeros(self.limit + 1, dtype=bool)
+        flags[1::2] = self.odd_flags
+        flags[2] = True
+        return flags
+
+    @cached_property
+    def theta_prefix(self) -> np.ndarray:
+        # Sequential accumulation keeps consecutive differences within one
+        # rounding of log(p_i), which the table invariant relies on.
+        return np.cumsum(np.log(self.odd_primes.astype(np.float64)))
 
     @property
     def odd_primes(self) -> np.ndarray:
         return self.primes[1:]
 
-    @property
+    @cached_property
     def odd_count(self) -> int:
-        return int(self.odd_primes.size)
+        return int(np.count_nonzero(self.odd_flags))
+
+    @property
+    def largest_prime(self) -> int:
+        """The largest prime <= limit, found by scanning the flags from the top."""
+        end = self.odd_flags.size
+        while end > 0:
+            # 4096 odd slots span more than any prime gap below the cap
+            start = max(end - 4096, 0)
+            hits = np.flatnonzero(self.odd_flags[start:end])
+            if hits.size:
+                return 2 * (start + int(hits[-1])) + 1
+            end = start
+        return 2
 
     def odd_prime(self, i: int) -> int:
         """The i-th odd prime (1-based: odd_prime(1) == 3)."""
@@ -78,30 +122,46 @@ class PrimeTable:
         return int(self.odd_primes[i - 1])
 
 
+def check_sieve_limit(limit: int, what: str = "sieve") -> None:
+    """Refuse a sieve or scan limit at or past 2^SIEVE_LIMIT_BITS.
+
+    Raises:
+        CapacityError: limit >= 2^SIEVE_LIMIT_BITS.
+    """
+    if int(limit).bit_length() > SIEVE_LIMIT_BITS:
+        raise CapacityError(
+            f"{what} limit {limit} is beyond the supported range (below 2^{SIEVE_LIMIT_BITS})"
+        )
+
+
 def sieve_primes(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes up to ``limit`` with odd-prime log prefix sums.
+    """Odd-only sieve of Eratosthenes up to ``limit``.
+
+    Keeps one byte per odd number, (limit + 1) // 2 bytes in all; the
+    prime list, the full lookup array and the log prefix are derived on
+    first read (see PrimeTable).
 
     Args:
-        limit: Inclusive upper bound, must be >= 2.
+        limit: Inclusive upper bound, 2 <= limit < 2^SIEVE_LIMIT_BITS.
 
     Returns:
         A PrimeTable covering [2, limit].
 
     Raises:
         ValueError: limit < 2 (the table would be empty).
+        CapacityError: limit >= 2^SIEVE_LIMIT_BITS; raised before any
+            allocation.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    primes = np.flatnonzero(flags).astype(np.int64)
-    # Sequential accumulation keeps consecutive differences within one
-    # rounding of log(p_i), which the table invariant relies on.
-    theta = np.cumsum(np.log(primes[1:].astype(np.float64)))
-    return PrimeTable(limit=limit, primes=primes, is_prime=flags, theta_prefix=theta)
+    check_sieve_limit(limit)
+    odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[i] stands for 2*i + 1
+    odd[0] = False
+    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    return PrimeTable(limit=limit, odd_flags=odd)
 
 
 def sieve_covering_odd(count: int) -> PrimeTable:

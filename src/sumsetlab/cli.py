@@ -3,7 +3,8 @@
 Every run emits a result record with a deterministic ``payload`` section
 (stable key order, no timestamps); timing sits outside it. Exit codes:
 0 success, 1 usage error, 2 malformed input or configuration, 3 capacity
-or budget violation. The enumeration budget can be overridden with the
+or budget violation, including a scan limit at or past 2^34 and running
+out of memory. The enumeration budget can be overridden with the
 SUMSETLAB_ENUM_CAP environment variable or a --budget flag.
 """
 
@@ -185,13 +186,11 @@ def _cmd_ratio_scan(args) -> dict:
 def _cmd_sieve_count(args) -> dict:
     started = time.perf_counter()
     limit = parse_power_expr(args.limit)
-    if limit.bit_length() > 34:
-        raise CapacityError(f"sieve limit {limit} is beyond the supported range")
     table = sieve_primes(limit)
     payload = {
         "limit": limit,
-        "prime_count": int(table.primes.size),
-        "largest_prime": int(table.primes[-1]),
+        "prime_count": table.odd_count + 1,
+        "largest_prime": table.largest_prime,
         "odd_count": table.odd_count,
     }
     return _record("sieve-count", {"limit": limit}, payload, started)
@@ -265,8 +264,6 @@ def _cmd_depolignac_scan(args) -> dict:
 def _cmd_romanov_density(args) -> dict:
     started = time.perf_counter()
     limit = parse_power_expr(args.limit)
-    if limit.bit_length() > 34:
-        raise CapacityError(f"density scan limit {limit} is beyond the supported range")
     scan = romanov_density_scan(limit, args.k_min)
     payload = {"scan": scan_payload(scan), "k_min": args.k_min}
     config = {"limit": limit, "k_min": args.k_min}
@@ -410,6 +407,10 @@ def run_command(argv: Sequence[str]) -> int:
         record = args.handler(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError:
+        command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
+        print(f"capacity error: {command} ran out of memory", file=sys.stderr)
         return EXIT_CAPACITY
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

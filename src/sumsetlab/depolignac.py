@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import PrimeTable, is_prime, sieve_primes
+from .arith import PrimeTable, check_sieve_limit, is_prime, sieve_primes
 from .errors import CRTError, MalformedSystemError, NotCoveringError
 
 __all__ = [
@@ -209,30 +209,35 @@ def ap_scan(
     """Test every progression member n <= limit for n = p + 2^k.
 
     For each member, every exponent k >= k_min with 2^k < n is tried
-    against a sieve; any representable member is recorded with its
-    smallest-k witness rather than assumed away (n - 2^k can equal a
-    system prime, which IS prime).
+    against a sieve that reaches the last member and no further (no
+    sieve at all below the first member); any representable member is
+    recorded with its smallest-k witness rather than assumed away
+    (n - 2^k can equal a system prime, which IS prime).
+
+    Raises:
+        ValueError: limit < 1 or k_min < 0.
+        CapacityError: limit >= 2^SIEVE_LIMIT_BITS.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if k_min < 0:
         raise ValueError(f"k_min must be >= 0, got {k_min}")
-    table = _table_for(limit, table)
-    isp = table.is_prime
+    check_sieve_limit(limit, "scan")
+    if limit < cert.residue:
+        return ScanReport(limit=limit, members_scanned=0)
+    members = range(cert.residue, limit + 1, cert.modulus)
+    # a memoryview reads single flags faster than numpy indexing
+    odd = memoryview(_table_for(members[-1], table).odd_flags)
     exceptions = []
-    scanned = 0
-    n = cert.residue
-    while n <= limit:
-        scanned += 1
+    for n in members:
         k = k_min
         while (1 << k) < n:
             p = n - (1 << k)
-            if isp[p]:
+            if odd[p >> 1] if p & 1 else p == 2:
                 exceptions.append((n, p, k))
                 break
             k += 1
-        n += cert.modulus
-    return ScanReport(limit=limit, members_scanned=scanned, exceptions=tuple(exceptions))
+    return ScanReport(limit=limit, members_scanned=len(members), exceptions=tuple(exceptions))
 
 
 def romanov_density_scan(
@@ -242,24 +247,29 @@ def romanov_density_scan(
 ) -> ScanReport:
     """Fraction of odd n <= limit representable as prime + 2^k, k >= k_min.
 
-    Marks p + 2^k over the whole range for every prime p and admissible k,
-    then counts marked odd values; even sums (p = 2) fall outside the odd
-    count automatically.
+    Works on the sieve's odd flags: for k >= 1, odd n = p + 2^k has p odd
+    and sits 2^(k-1) odd slots above it, so each k is one in-place OR of
+    the flags shifted by 2^(k-1). With k = 0 the only odd sum is
+    3 = 2 + 2^0. Memory is two bytes per odd number up to the limit.
+
+    Raises:
+        ValueError: limit < 3 or k_min < 0.
+        CapacityError: limit >= 2^SIEVE_LIMIT_BITS.
     """
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
     if k_min < 0:
         raise ValueError(f"k_min must be >= 0, got {k_min}")
-    table = _table_for(limit, table)
-    marked = np.zeros(limit + 1, dtype=bool)
-    k = k_min
-    while (1 << k) + 2 <= limit:
-        power = 1 << k
-        ps = table.primes[table.primes <= limit - power]
-        marked[ps + power] = True
-        k += 1
-    odd_total = (limit + 1) // 2
-    odd_hits = int(np.count_nonzero(marked[1::2]))
+    odd = _table_for(limit, table).odd_flags
+    odd_total = (limit + 1) // 2  # odd numbers 1, 3, ..., <= limit
+    hit = np.zeros(odd_total, dtype=bool)
+    if k_min == 0:
+        hit[1] = True
+    shift = 1 << (max(k_min, 1) - 1)
+    while shift < odd_total:
+        hit[shift:] |= odd[: odd_total - shift]
+        shift <<= 1
+    odd_hits = int(np.count_nonzero(hit))
     return ScanReport(
         limit=limit,
         members_scanned=odd_total,

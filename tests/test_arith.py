@@ -5,9 +5,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sumsetlab import (
     CapacityError,
+    PrimeTable,
     big_log2,
     check_chebyshev,
     is_prime,
@@ -18,6 +21,10 @@ from sumsetlab import (
     sieve_primes,
     squarefree_divisors_signed,
 )
+from sumsetlab.arith import SIEVE_LIMIT_BITS, check_sieve_limit
+
+# Per-candidate Miller-Rabin verdicts, the oracle for the sieve properties.
+MR_PRIME = [is_prime(n) for n in range(5001)]
 
 
 def _independent_odd_sieve_count(limit):
@@ -65,6 +72,38 @@ class TestSievePrimes:
         flat = np.flatnonzero(~table.is_prime[2:]) + 2
         for c in rng.sample(flat.tolist(), 500):
             assert not is_prime(int(c))
+
+    @given(st.integers(min_value=2, max_value=5000))
+    @example(2)
+    @example(3)
+    @example(4)
+    def test_matches_per_candidate_primality(self, limit):
+        table = sieve_primes(limit)
+        expected = [n for n in range(limit + 1) if MR_PRIME[n]]
+        assert table.primes.dtype == np.int64
+        assert table.primes.tolist() == expected
+        assert table.is_prime.tolist() == MR_PRIME[: limit + 1]
+        assert table.odd_count == len(expected) - 1
+        assert table.theta_prefix.size == len(expected) - 1
+        assert table.largest_prime == expected[-1]
+        assert table.odd_flags.size == (limit + 1) // 2
+
+    def test_largest_prime_scans_past_empty_windows(self):
+        assert sieve_primes(2**21).largest_prime == 2097143
+        # no gap this long exists below the cap, so build the flags by hand
+        flags = np.zeros(10**5, dtype=bool)
+        flags[[1, 2]] = True
+        table = PrimeTable(limit=2 * 10**5 - 1, odd_flags=flags)
+        assert table.largest_prime == 5
+        assert table.primes.tolist() == [2, 3, 5]
+        assert PrimeTable(limit=2, odd_flags=np.zeros(1, dtype=bool)).largest_prime == 2
+
+    def test_limit_cap_fires_before_allocating(self):
+        check_sieve_limit(2**SIEVE_LIMIT_BITS - 1)
+        with pytest.raises(CapacityError):
+            check_sieve_limit(2**SIEVE_LIMIT_BITS)
+        with pytest.raises(CapacityError):
+            sieve_primes(2**SIEVE_LIMIT_BITS)
 
     def test_theta_prefix_tracks_logs(self, table_cheb):
         theta = table_cheb.theta_prefix

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sumsetlab import cli
 from sumsetlab.cli import EXIT_CAPACITY, EXIT_CONFIG, EXIT_OK, EXIT_USAGE, run_command
 from sumsetlab.errors import CapacityError, ConfigError
 from sumsetlab.experiments import (
@@ -143,6 +144,42 @@ class TestExitCodes:
         assert run_command(["experiment", "run", str(bad)]) == EXIT_CONFIG
         bad.write_text("{not json")
         assert run_command(["experiment", "run", str(bad)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sieve-count", "--limit", "2^34"],
+            ["romanov-density", "--limit", "2^34"],
+            ["depolignac", "scan", "--limit", "2^34"],
+            ["depolignac", "scan", "--residue", "1", "--modulus", "2", "--limit", "2^40"],
+        ],
+    )
+    def test_scan_limit_cap_is_capacity_error(self, capsys, argv):
+        # the cap fires before anything is allocated
+        assert run_command(argv) == EXIT_CAPACITY
+        assert "capacity error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["depolignac", "romanov"])
+    def test_experiment_scan_limit_cap_is_capacity_error(self, capsys, tmp_path, kind):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"name": "big", "kind": kind, "limit": "2^34"}))
+        assert run_command(["experiment", "run", str(path)]) == EXIT_CAPACITY
+
+    @pytest.mark.parametrize(
+        "handler,argv,command",
+        [
+            ("_cmd_sieve_count", ["sieve-count", "--limit", "2^33"], "sieve-count"),
+            ("_cmd_depolignac_scan", ["depolignac", "scan", "--limit", "2^33"],
+             "depolignac scan"),
+        ],
+    )
+    def test_out_of_memory_is_capacity_error(self, capsys, monkeypatch, handler, argv, command):
+        def out_of_memory(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, handler, out_of_memory)
+        assert run_command(argv) == EXIT_CAPACITY
+        assert capsys.readouterr().err == f"capacity error: {command} ran out of memory\n"
 
     def test_inapplicable_x_is_config_error(self, capsys):
         # block index 1: the s2 side of the chain does not exist yet

@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import sumsetlab.depolignac as depolignac
 from sumsetlab import (
     APCertificate,
     CoveringSystem,
@@ -16,6 +19,20 @@ from sumsetlab import (
     romanov_density_scan,
 )
 from sumsetlab.depolignac import _crt
+
+# Per-candidate Miller-Rabin verdicts, the oracle for the scan properties.
+MR_PRIME = [is_prime(n) for n in range(3001)]
+
+
+def _smallest_witness(n, k_min):
+    """The smallest k >= k_min with n - 2^k prime, or None."""
+    k = k_min
+    while 2**k < n:
+        if MR_PRIME[n - 2**k]:
+            return k
+        k += 1
+    return None
+
 
 ERDOS_TRIPLES = [(0, 2, 3), (0, 3, 7), (1, 4, 5), (3, 8, 17), (7, 12, 13), (23, 24, 241)]
 
@@ -143,7 +160,50 @@ class TestApScan:
             assert p + 2**k == n
 
 
+    @given(
+        st.integers(min_value=1, max_value=49).map(lambda h: 2 * h + 1),
+        st.data(),
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=0, max_value=2),
+    )
+    def test_odd_moduli_match_per_member_primality(self, modulus, data, limit, k_min):
+        # an odd modulus puts members of both parities in the progression
+        residue = data.draw(st.integers(min_value=0, max_value=modulus // 2 - 1)) * 2 + 1
+        report = ap_scan(APCertificate(residue=residue, modulus=modulus), limit, k_min)
+        members = range(residue, limit + 1, modulus)
+        expected = []
+        for n in members:
+            k = _smallest_witness(n, k_min)
+            if k is not None:
+                expected.append((n, n - 2**k, k))
+        assert report.members_scanned == len(members)
+        assert report.exceptions == tuple(expected)
+
+    def test_sieve_reaches_the_last_member_only(self, erdos, monkeypatch):
+        limits = []
+        real_sieve = depolignac.sieve_primes
+
+        def recording_sieve(limit):
+            limits.append(limit)
+            return real_sieve(limit)
+
+        monkeypatch.setattr(depolignac, "sieve_primes", recording_sieve)
+        cert = crt_combine(erdos)
+        ap_scan(cert, 10**6)
+        assert max(limits, default=2) <= 2
+        ap_scan(cert, 30_000_000)
+        assert max(limits) <= 29_998_837
+
+
 class TestRomanovScan:
+    @given(st.integers(min_value=3, max_value=3000), st.integers(min_value=0, max_value=3))
+    def test_matches_per_member_primality(self, limit, k_min):
+        odd = range(1, limit + 1, 2)
+        hits = sum(1 for n in odd if _smallest_witness(n, k_min) is not None)
+        report = romanov_density_scan(limit, k_min)
+        assert report.members_scanned == len(odd)
+        assert report.representable_fraction == hits / len(odd)
+
     def test_limit_ten(self):
         report = romanov_density_scan(10)
         assert report.members_scanned == 5
