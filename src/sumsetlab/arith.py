@@ -45,10 +45,18 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 # Every sieve and every scan that sieves stays below 2^SIEVE_LIMIT_BITS.
 SIEVE_LIMIT_BITS = 34
 
+# Odd slots per sieve segment: 1 MiB of flags, the fastest size measured
+# from 2^16 to 2^21 on a 4 MiB L2. The first segment must hold every base
+# prime, so 2 * SEGMENT > isqrt(2^SIEVE_LIMIT_BITS - 1).
+SEGMENT = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class PrimeTable:
     """The primes up to ``limit``, held as one flag per odd number.
+
+    sieve_primes fills the flags segment by segment, but they live in one
+    array, so readers see a single table.
 
     Attributes:
         limit: Inclusive sieve bound (>= 2).
@@ -135,11 +143,15 @@ def check_sieve_limit(limit: int, what: str = "sieve") -> None:
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """Odd-only sieve of Eratosthenes up to ``limit``.
+    """Segmented odd-only sieve of Eratosthenes up to ``limit``.
 
-    Keeps one byte per odd number, (limit + 1) // 2 bytes in all; the
-    prime list, the full lookup array and the log prefix are derived on
-    first read (see PrimeTable).
+    Keeps one byte per odd number, (limit + 1) // 2 bytes in all, and
+    fills them in cache-sized segments of SEGMENT odd slots (Bays and
+    Hudson, 1977). The first segment is sieved by its own primes and
+    holds every base prime up to sqrt(limit); each later segment clears
+    the multiples of those base primes with one strided slice per prime.
+    The prime list, the full lookup array and the log prefix are derived
+    on first read (see PrimeTable).
 
     Args:
         limit: Inclusive upper bound, 2 <= limit < 2^SIEVE_LIMIT_BITS.
@@ -155,12 +167,27 @@ def sieve_primes(limit: int) -> PrimeTable:
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     check_sieve_limit(limit)
-    odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[i] stands for 2*i + 1
+    size = (limit + 1) // 2
+    odd = np.ones(size, dtype=bool)  # odd[i] stands for 2*i + 1
     odd[0] = False
-    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
-        if odd[i]:
+    first = odd[:SEGMENT]  # a view: odd numbers below 2 * SEGMENT
+    for i in range(1, (math.isqrt(2 * first.size - 1) - 1) // 2 + 1):
+        if first[i]:
             p = 2 * i + 1
-            odd[p * p // 2 :: p] = False
+            first[p * p // 2 :: p] = False
+    # 2 * SEGMENT > sqrt(limit) below the cap, so the first segment holds
+    # every base prime; the odd multiples of p sit at slots p // 2 (mod p).
+    base = (2 * np.flatnonzero(first[: (math.isqrt(limit) + 1) // 2]) + 1).tolist()
+    next_slot = [max(p * p // 2, SEGMENT + (p // 2 - SEGMENT) % p) for p in base]
+    for lo in range(SEGMENT, size, SEGMENT):
+        hi = min(lo + SEGMENT, size)
+        for n, p in enumerate(base):
+            # no early exit: on a short last segment a small prime's next
+            # multiple can lie past hi while a larger prime's does not
+            j = next_slot[n]
+            if j < hi:
+                odd[j:hi:p] = False
+                next_slot[n] = j + (hi - j + p - 1) // p * p
     return PrimeTable(limit=limit, odd_flags=odd)
 
 

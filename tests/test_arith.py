@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from sumsetlab import (
     sieve_primes,
     squarefree_divisors_signed,
 )
+from sumsetlab import arith
 from sumsetlab.arith import SIEVE_LIMIT_BITS, check_sieve_limit
 
 # Per-candidate Miller-Rabin verdicts, the oracle for the sieve properties.
@@ -73,12 +75,18 @@ class TestSievePrimes:
         for c in rng.sample(flat.tolist(), 500):
             assert not is_prime(int(c))
 
-    @given(st.integers(min_value=2, max_value=5000))
-    @example(2)
-    @example(3)
-    @example(4)
-    def test_matches_per_candidate_primality(self, limit):
-        table = sieve_primes(limit)
+    @given(st.integers(min_value=2, max_value=5000), st.integers(min_value=1, max_value=64))
+    @example(2, 1)
+    @example(3, 1)
+    @example(4, 1)
+    @example(9, 2)
+    @example(2 * 64 * 39 - 1, 64)  # ends exactly on a segment boundary
+    def test_matches_per_candidate_primality(self, limit, segment):
+        # a tiny segment makes the limit cross many segments and usually end
+        # on a short one; the first segment must still hold the base primes
+        segment = max(segment, math.isqrt(limit) // 2 + 1)
+        with mock.patch.object(arith, "SEGMENT", segment):
+            table = sieve_primes(limit)
         expected = [n for n in range(limit + 1) if MR_PRIME[n]]
         assert table.primes.dtype == np.int64
         assert table.primes.tolist() == expected
@@ -97,6 +105,9 @@ class TestSievePrimes:
         assert table.largest_prime == 5
         assert table.primes.tolist() == [2, 3, 5]
         assert PrimeTable(limit=2, odd_flags=np.zeros(1, dtype=bool)).largest_prime == 2
+
+    def test_first_segment_holds_every_base_prime_below_the_cap(self):
+        assert 2 * arith.SEGMENT > math.isqrt(2**SIEVE_LIMIT_BITS - 1)
 
     def test_limit_cap_fires_before_allocating(self):
         check_sieve_limit(2**SIEVE_LIMIT_BITS - 1)

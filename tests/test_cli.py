@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import sympy
 
 from sumsetlab import cli
 from sumsetlab.cli import EXIT_CAPACITY, EXIT_CONFIG, EXIT_OK, EXIT_USAGE, run_command
@@ -65,6 +66,14 @@ class TestCommands:
     def test_sieve_count(self, capsys):
         record = run_json(capsys, ["sieve-count", "--limit", "100"])
         assert record["payload"]["prime_count"] == 25
+
+    @pytest.mark.parametrize("limit", [2_098_826, 41_951_777])
+    def test_sieve_count_ending_on_a_short_segment(self, capsys, limit):
+        # both limits end a short way (837 and 4369 odd slots) into their last segment
+        payload = run_json(capsys, ["sieve-count", "--limit", str(limit)])["payload"]
+        assert payload["prime_count"] == sympy.primepi(limit)
+        assert payload["largest_prime"] == sympy.prevprime(limit + 1)
+        assert payload["odd_count"] == sympy.primepi(limit) - 1
 
     def test_bounds_at_paper_scale(self, capsys):
         record = run_json(capsys, ["bounds", "--schedule", "paper", "--x", "2^600"])

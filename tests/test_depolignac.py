@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sumsetlab.arith as arith
 import sumsetlab.depolignac as depolignac
 from sumsetlab import (
     APCertificate,
@@ -165,11 +167,15 @@ class TestApScan:
         st.data(),
         st.integers(min_value=1, max_value=3000),
         st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=64),
     )
-    def test_odd_moduli_match_per_member_primality(self, modulus, data, limit, k_min):
+    def test_odd_moduli_match_per_member_primality(self, modulus, data, limit, k_min, segment):
         # an odd modulus puts members of both parities in the progression
         residue = data.draw(st.integers(min_value=0, max_value=modulus // 2 - 1)) * 2 + 1
-        report = ap_scan(APCertificate(residue=residue, modulus=modulus), limit, k_min)
+        # small sieve segments so the table crosses several of them
+        segment = max(segment, math.isqrt(limit) // 2 + 1)
+        with mock.patch.object(arith, "SEGMENT", segment):
+            report = ap_scan(APCertificate(residue=residue, modulus=modulus), limit, k_min)
         members = range(residue, limit + 1, modulus)
         expected = []
         for n in members:
@@ -196,11 +202,20 @@ class TestApScan:
 
 
 class TestRomanovScan:
-    @given(st.integers(min_value=3, max_value=3000), st.integers(min_value=0, max_value=3))
-    def test_matches_per_member_primality(self, limit, k_min):
+    @given(
+        st.integers(min_value=3, max_value=3000),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=1, max_value=64),
+    )
+    def test_matches_per_member_primality(self, limit, k_min, segment, mark_segment):
         odd = range(1, limit + 1, 2)
         hits = sum(1 for n in odd if _smallest_witness(n, k_min) is not None)
-        report = romanov_density_scan(limit, k_min)
+        # small sieve and marking segments so both passes cross several
+        segment = max(segment, math.isqrt(limit) // 2 + 1)
+        with mock.patch.object(arith, "SEGMENT", segment), \
+                mock.patch.object(depolignac, "MARK_SEGMENT", mark_segment):
+            report = romanov_density_scan(limit, k_min)
         assert report.members_scanned == len(odd)
         assert report.representable_fraction == hits / len(odd)
 
