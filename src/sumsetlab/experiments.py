@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ._version import __version__
@@ -34,16 +34,7 @@ from .depolignac import (
     romanov_density_scan,
 )
 from .errors import CapacityError, ConfigError
-from .serialize import (
-    block_count_payload,
-    certificate_payload,
-    covering_payload,
-    fraction_payload,
-    ratio_payload,
-    scan_payload,
-    sumset_payload,
-    window_payload,
-)
+from .serialize import covering_payload, fraction_payload, report_payload
 from .sumset import (
     DEFAULT_ENUM_BUDGET,
     c_upper_report,
@@ -173,17 +164,32 @@ class ExperimentConfig:
         )
 
 
+def result_record(name: str, config: dict, payload, timing: dict | None = None) -> dict:
+    """The record every run emits; only ``payload`` must be byte-identical across runs."""
+    return {
+        "name": name,
+        "config": config,
+        "payload": payload,
+        "timing": {} if timing is None else timing,
+        "versions": {"sumsetlab": __version__},
+    }
+
+
+def covering_blocks(
+    schedule: GrowthSchedule, x: int, bit_budget: int = DEFAULT_BIT_BUDGET
+) -> tuple[BlockSet, PrimeTable]:
+    """Blocks deep enough to answer queries up to x, with the prime table they use."""
+    table = sieve_covering_odd(max(block_index(x, schedule), 1))
+    return BlockSet.covering(schedule, x, table, bit_budget), table
+
+
 def _blocks_for_grid(config: ExperimentConfig) -> tuple[BlockSet, PrimeTable]:
     if config.schedule is None:
         raise ConfigError(f"experiment {config.name!r} needs a schedule")
     if not config.x_grid:
         raise ConfigError(f"experiment {config.name!r} needs a non-empty x_grid")
-    max_j = max(block_index(x, config.schedule) for x in config.x_grid)
-    table = sieve_covering_odd(max(max_j, 1))
-    blocks = BlockSet.materialize(
-        config.schedule, max(max_j, 1), table, config.bit_budget
-    )
-    return blocks, table
+    # the grid ascends and block_index is monotone, so its last x needs the deepest blocks
+    return covering_blocks(config.schedule, config.x_grid[-1], config.bit_budget)
 
 
 def bound_chain_point(x: int, blocks: BlockSet, table: PrimeTable) -> dict:
@@ -196,7 +202,7 @@ def bound_chain_point(x: int, blocks: BlockSet, table: PrimeTable) -> dict:
     point: dict = {
         "x": x,
         "j": j,
-        "count": block_count_payload(report),
+        "count": report_payload(report),
         "b_lower_holds": (
             None
             if report.b_lower_bound is None
@@ -210,14 +216,9 @@ def bound_chain_point(x: int, blocks: BlockSet, table: PrimeTable) -> dict:
         "sqrt_check": (1 << (2 * j)) <= x,
     }
     if blocks.schedule.kind == "paper" and x >= 4:
-        point["window"] = window_payload(j_window_check(x, blocks.schedule))
+        point["window"] = report_payload(j_window_check(x, blocks.schedule))
     if j >= 1:
-        cheb = check_chebyshev(j, table)
-        point["chebyshev"] = {
-            "theta": cheb.theta,
-            "bound": cheb.bound,
-            "holds": cheb.holds,
-        }
+        point["chebyshev"] = report_payload(check_chebyshev(j, table))
         s1 = s1_bound(x, blocks, table, j=j)
         point["s1_bound"] = fraction_payload(s1)
         if j >= 2:
@@ -242,7 +243,7 @@ def _run_sumset(config: ExperimentConfig, timing: dict) -> dict:
     points = []
     for x in config.x_grid:
         start = time.perf_counter()
-        points.append(sumset_payload(c_upper_report(x, blocks, table, config.enum_budget)))
+        points.append(report_payload(c_upper_report(x, blocks, table, config.enum_budget)))
         timing[f"x={x}"] = time.perf_counter() - start
     return {"schedule": config.schedule.to_json(), "points": points}
 
@@ -252,7 +253,7 @@ def _run_ratio_scan(config: ExperimentConfig, timing: dict) -> dict:
     start = time.perf_counter()
     points = ratio_scan(config.x_grid, blocks, config.enum_budget)
     timing["scan"] = time.perf_counter() - start
-    return {"schedule": config.schedule.to_json(), "points": ratio_payload(points)}
+    return {"schedule": config.schedule.to_json(), "points": report_payload(points)}
 
 
 def _run_depolignac(config: ExperimentConfig, timing: dict) -> dict:
@@ -268,8 +269,8 @@ def _run_depolignac(config: ExperimentConfig, timing: dict) -> dict:
     timing["scan"] = time.perf_counter() - start
     return {
         "covering": covering_payload(system, check),
-        "certificate": certificate_payload(cert),
-        "scan": scan_payload(scan),
+        "certificate": cert.to_json(),
+        "scan": report_payload(scan),
         "k_min": config.k_min,
     }
 
@@ -280,7 +281,7 @@ def _run_romanov(config: ExperimentConfig, timing: dict) -> dict:
     start = time.perf_counter()
     scan = romanov_density_scan(config.limit, config.k_min)
     timing["scan"] = time.perf_counter() - start
-    return {"scan": scan_payload(scan), "k_min": config.k_min}
+    return {"scan": report_payload(scan), "k_min": config.k_min}
 
 
 _RUNNERS: dict[str, Callable[[ExperimentConfig, dict], dict]] = {
@@ -302,13 +303,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     start = time.perf_counter()
     payload = _RUNNERS[config.kind](config, timing)
     timing["total"] = time.perf_counter() - start
-    return {
-        "name": config.name,
-        "config": config.to_json(),
-        "payload": payload,
-        "timing": timing,
-        "versions": {"sumsetlab": __version__},
-    }
+    return result_record(config.name, config.to_json(), payload, timing)
 
 
 def _paper_chain() -> ExperimentConfig:

@@ -9,29 +9,23 @@ column saying whether anything in the row was rounded.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .blocks import BlockCountReport, WindowCheck
-from .depolignac import APCertificate, CoverCheck, CoveringSystem, ScanReport
+from .depolignac import CoverCheck, CoveringSystem
 from .errors import ConfigError
-from .sumset import RatioPoint, SumsetReport
 
 __all__ = [
     "fraction_payload",
     "fraction_from_payload",
     "decimal15",
     "payload_json",
-    "block_count_payload",
-    "window_payload",
-    "sumset_payload",
-    "ratio_payload",
-    "scan_payload",
+    "report_payload",
     "covering_payload",
-    "certificate_payload",
     "rows_to_csv",
     "payload_csv",
 ]
@@ -64,80 +58,26 @@ def payload_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _maybe_fraction(value: Fraction | None) -> dict | None:
-    return None if value is None else fraction_payload(value)
+def report_payload(obj: Any) -> Any:
+    """Encode a report for JSON, recursing into its fields.
 
-
-def block_count_payload(report: BlockCountReport) -> dict:
-    return {
-        "x": report.x,
-        "j": report.j,
-        "b_count": report.b_count,
-        "a_count": report.a_count,
-        "b_lower_bound": _maybe_fraction(report.b_lower_bound),
-        "ratio_exact": fraction_payload(report.ratio_exact),
-        "conjecture_ratio": report.conjecture_ratio,
-    }
-
-
-def window_payload(check: WindowCheck) -> dict:
-    return {
-        "j": check.j,
-        "lower": check.lower,
-        "upper": check.upper,
-        "holds": check.holds,
-    }
-
-
-def sumset_payload(report: SumsetReport) -> dict:
-    return {
-        "x": report.x,
-        "j": report.j,
-        "c_count": report.c_count,
-        "s1_count": report.s1_count,
-        "s2_count": report.s2_count,
-        "s1_overlap": report.s1_overlap,
-        "density": report.density,
-        "sqrt_check": report.sqrt_check,
-        "s1_bound": _maybe_fraction(report.s1_bound),
-        "s2_bound": _maybe_fraction(report.s2_bound),
-        "c_bound": _maybe_fraction(report.c_bound),
-        "s1_legendre": report.s1_legendre,
-    }
-
-
-def ratio_payload(points: Sequence[RatioPoint]) -> list[dict]:
-    return [
-        {
-            "x": p.x,
-            "b_count": p.b_count,
-            "c_count": p.c_count,
-            "ratio": _maybe_fraction(p.ratio),
-        }
-        for p in points
-    ]
-
-
-def scan_payload(report: ScanReport) -> dict:
-    return {
-        "limit": report.limit,
-        "members_scanned": report.members_scanned,
-        "exceptions": [list(e) for e in report.exceptions],
-        "representable_fraction": report.representable_fraction,
-    }
+    Dataclass and named-tuple fields keep their declaration order, which
+    sets the CSV column order; a Fraction becomes ``fraction_payload`` and
+    a tuple or list becomes a list. Other values pass through unchanged.
+    """
+    if isinstance(obj, Fraction):
+        return fraction_payload(obj)
+    if dataclasses.is_dataclass(obj):
+        return {f.name: report_payload(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        return {name: report_payload(value) for name, value in zip(obj._fields, obj)}
+    if isinstance(obj, (tuple, list)):
+        return [report_payload(value) for value in obj]
+    return obj
 
 
 def covering_payload(system: CoveringSystem, check: CoverCheck) -> dict:
-    return {
-        "system": system.to_json(),
-        "lcm": system.lcm,
-        "covers": check.covers,
-        "uncovered": list(check.uncovered),
-    }
-
-
-def certificate_payload(cert: APCertificate) -> dict:
-    return cert.to_json()
+    return {"system": system.to_json(), "lcm": system.lcm, **report_payload(check)}
 
 
 def rows_to_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:

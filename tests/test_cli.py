@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -20,6 +21,18 @@ def run_json(capsys, argv):
     out = capsys.readouterr().out
     assert code == EXIT_OK, out
     return json.loads(out)
+
+
+def leaf_parsers(parser, path=()):
+    """(command path, parser) for every leaf subcommand under ``parser``."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not actions:
+        return [(" ".join(path), parser)]
+    choices = actions[0].choices.items()
+    return [leaf for name, sub in choices for leaf in leaf_parsers(sub, (*path, name))]
+
+
+LEAVES = leaf_parsers(cli.build_parser())
 
 
 class TestParsePowerExpr:
@@ -122,6 +135,24 @@ class TestCommands:
         record = run_json(capsys, ["experiment", "list"])
         assert set(record["payload"]["experiments"]) == set(BUILTIN_EXPERIMENTS)
 
+    @pytest.mark.parametrize(
+        "command,experiment,x,index",
+        [("bounds", "paper-chain", "2^100", 1), ("sumset", "desk-density", "10000", 1)],
+    )
+    def test_point_matches_experiment_point(self, capsys, command, experiment, x, index):
+        # the experiment's grid goes past x, so its blocks are built deeper than the CLI's
+        config = builtin_experiment(experiment)
+        assert config.x_grid[index] == parse_power_expr(x)
+        argv = [command, "--schedule", config.schedule.kind, "--x", x]
+        payload = run_json(capsys, argv)["payload"]
+        assert payload == run_experiment(config)["payload"]["points"][index]
+
+    def test_romanov_density_matches_experiment(self, capsys):
+        argv = ["romanov-density", "--limit", "100000", "--k-min", "0"]
+        payload = run_json(capsys, argv)["payload"]
+        config = ExperimentConfig(name="romanov", kind="romanov", limit=100000, k_min=0)
+        assert payload == run_experiment(config)["payload"]
+
 
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):
@@ -194,6 +225,38 @@ class TestExitCodes:
         # block index 1: the s2 side of the chain does not exist yet
         assert run_command(["sumset", "--schedule", "polynomial", "--x", "10"]) == EXIT_CONFIG
 
+    def test_out_write_failure_is_config_error(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "record.json"
+        argv = ["count-b", "--schedule", "paper", "--x", "100000", "--out", str(out)]
+        assert run_command(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sumset", "--schedule", "polynomial", "--x", "1000"],
+            ["ratio-scan", "--schedule", "polynomial", "--grid", "1000"],
+            ["experiment", "run", "open-question"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_non_positive_budget_is_config_error(self, capsys, monkeypatch, argv, via_env, budget):
+        if via_env:
+            monkeypatch.setenv("SUMSETLAB_ENUM_CAP", budget)
+        else:
+            argv = [*argv, "--budget", budget]
+        assert run_command(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: budgets must be positive\n"
+
+    def test_system_with_explicit_progression_is_config_error(self, capsys, tmp_path):
+        # rejected before the file is read, so a missing file is not silently ignored
+        argv = ["depolignac", "scan", "--system", str(tmp_path / "missing.json"),
+                "--residue", "1", "--modulus", "2", "--limit", "50"]
+        assert run_command(argv) == EXIT_CONFIG
+        assert "--system" in capsys.readouterr().err
+
 
 class TestOutputContract:
     def test_out_file_and_round_trip(self, capsys, tmp_path):
@@ -228,6 +291,32 @@ class TestOutputContract:
         assert code == EXIT_OK
         lines = out.strip().splitlines()
         assert len(lines) == 3  # header + two grid points
+
+    @pytest.mark.parametrize(
+        "argv,header",
+        [
+            (["count-b", "--schedule", "paper", "--x", "100000"],
+             "x,j,b_count,a_count,b_lower_bound,ratio_exact,conjecture_ratio,lossy"),
+            (["sumset", "--schedule", "polynomial", "--x", "1000"],
+             "x,j,c_count,s1_count,s2_count,s1_overlap,density,sqrt_check,"
+             "s1_bound,s2_bound,c_bound,s1_legendre,lossy"),
+        ],
+        ids=["count-b", "sumset"],
+    )
+    def test_csv_columns_follow_report_fields(self, capsys, argv, header):
+        assert run_command([*argv, "--format", "csv"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == header
+
+    @pytest.mark.parametrize(
+        "command,parser", LEAVES, ids=[command.replace(" ", "-") for command, _ in LEAVES]
+    )
+    def test_every_subcommand_has_a_handler_and_output_flags(self, command, parser):
+        assert callable(cli._handler(command))
+        assert parser._option_string_actions["--out"].default is None
+        assert parser._option_string_actions["--format"].choices == ("json", "csv")
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
 
     def test_rationals_serialize_as_string_pairs(self, capsys):
         record = run_json(capsys, ["count-b", "--schedule", "paper", "--x", "100000"])
