@@ -107,17 +107,17 @@ class GrowthSchedule:
         return cls(kind)
 
 
-def grow(schedule: GrowthSchedule, t: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> int:
+def grow(schedule: GrowthSchedule, t: int) -> int:
     """Window boundary G(t) = 2^e(t) as an exact integer.
 
     Raises:
-        CapacityError: e(t) exceeds the bit budget, or a custom schedule
-            is exhausted.
+        CapacityError: e(t) reaches DEFAULT_BIT_BUDGET, or a custom
+            schedule is exhausted.
     """
     e = schedule.exponent(t)
-    if e >= bit_budget:
+    if e >= DEFAULT_BIT_BUDGET:
         raise CapacityError(
-            f"G({t}) needs {e + 1} bits, over the {bit_budget}-bit budget"
+            f"G({t}) needs {e + 1} bits, over the {DEFAULT_BIT_BUDGET}-bit budget"
         )
     return 1 << e
 
@@ -149,12 +149,11 @@ def block_index(x: int, schedule: GrowthSchedule) -> int:
 
 @dataclass(frozen=True)
 class Block:
-    """One window [lo, hi) holding the multiples of ``modulus``."""
+    """One window [lo, next block's lo) holding the multiples of ``modulus``."""
 
     t: int
     modulus: int
     lo: int
-    hi: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,39 +166,31 @@ class BlockSet:
 
     @classmethod
     def materialize(
-        cls,
-        schedule: GrowthSchedule,
-        max_t: int,
-        table: PrimeTable | None = None,
-        bit_budget: int = DEFAULT_BIT_BUDGET,
+        cls, schedule: GrowthSchedule, max_t: int, table: PrimeTable | None = None
     ) -> "BlockSet":
-        """Build blocks 1..max_t; needs boundaries up to G(max_t + 1)."""
+        """Build blocks 1..max_t from boundaries G(1)..G(max_t).
+
+        The top window must have a defined end e(max_t + 1), but counting
+        truncates it at x, so G(max_t + 1) itself is never built.
+        """
         if max_t < 1:
             raise ValueError(f"max_t must be >= 1, got {max_t}")
+        schedule.exponent(max_t + 1)
         if table is None:
             table = sieve_covering_odd(max_t)
         blocks = []
-        lo = grow(schedule, 1, bit_budget)
         modulus = 1
         for t in range(1, max_t + 1):
             modulus *= table.odd_prime(t)
-            hi = grow(schedule, t + 1, bit_budget)
-            blocks.append(Block(t=t, modulus=modulus, lo=lo, hi=hi))
-            lo = hi
+            blocks.append(Block(t=t, modulus=modulus, lo=grow(schedule, t)))
         return cls(schedule=schedule, blocks=tuple(blocks), max_t=max_t)
 
     @classmethod
     def covering(
-        cls,
-        schedule: GrowthSchedule,
-        x: int,
-        table: PrimeTable | None = None,
-        bit_budget: int = DEFAULT_BIT_BUDGET,
+        cls, schedule: GrowthSchedule, x: int, table: PrimeTable | None = None
     ) -> "BlockSet":
         """Materialize just deep enough that queries up to x are answerable."""
-        return cls.materialize(
-            schedule, max(block_index(x, schedule), 1), table, bit_budget
-        )
+        return cls.materialize(schedule, max(block_index(x, schedule), 1), table)
 
     def _require_depth(self, j: int) -> None:
         if j > self.max_t:
@@ -229,8 +220,9 @@ def b_member(n: int, blocks: BlockSet) -> bool:
 def count_b(x: int, blocks: BlockSet) -> int:
     """Exact number of block-set members in [1, x].
 
-    Sums floor(upper/d) - floor((lo-1)/d) per block; the top block is
-    truncated at x. Pure integer arithmetic at any bit length.
+    Sums floor(upper/d) - floor((lo-1)/d) per block, where a lower block
+    ends one below the next block's lo and the top block is truncated at
+    x. Pure integer arithmetic at any bit length.
     """
     x = int(x)
     if x < 0:
@@ -241,7 +233,7 @@ def count_b(x: int, blocks: BlockSet) -> int:
     blocks._require_depth(j)
     total = 0
     for blk in blocks.blocks[:j]:
-        upper = x if blk.t == j else blk.hi - 1
+        upper = x if blk.t == j else blocks.blocks[blk.t].lo - 1
         total += upper // blk.modulus - (blk.lo - 1) // blk.modulus
     return total
 

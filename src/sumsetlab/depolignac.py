@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import PrimeTable, check_sieve_limit, is_prime, sieve_primes
+from .arith import check_sieve_limit, is_prime, sieve_primes
 from .errors import CRTError, MalformedSystemError, NotCoveringError
 
 __all__ = [
@@ -199,18 +199,7 @@ class ScanReport:
     representable_fraction: float | None = None
 
 
-def _table_for(limit: int, table: PrimeTable | None) -> PrimeTable:
-    if table is None or table.limit < limit:
-        return sieve_primes(max(limit, 2))
-    return table
-
-
-def ap_scan(
-    cert: APCertificate,
-    limit: int,
-    k_min: int = 1,
-    table: PrimeTable | None = None,
-) -> ScanReport:
+def ap_scan(cert: APCertificate, limit: int, k_min: int = 1) -> ScanReport:
     """Test every progression member n <= limit for n = p + 2^k.
 
     For each member, every exponent k >= k_min with 2^k < n is tried
@@ -232,7 +221,7 @@ def ap_scan(
         return ScanReport(limit=limit, members_scanned=0)
     members = range(cert.residue, limit + 1, cert.modulus)
     # a memoryview reads single flags faster than numpy indexing
-    odd = memoryview(_table_for(members[-1], table).odd_flags)
+    odd = memoryview(sieve_primes(max(members[-1], 2)).odd_flags)
     exceptions = []
     for n in members:
         k = k_min
@@ -245,11 +234,7 @@ def ap_scan(
     return ScanReport(limit=limit, members_scanned=len(members), exceptions=tuple(exceptions))
 
 
-def romanov_density_scan(
-    limit: int,
-    k_min: int = 1,
-    table: PrimeTable | None = None,
-) -> ScanReport:
+def romanov_density_scan(limit: int, k_min: int = 1) -> ScanReport:
     """Fraction of odd n <= limit representable as prime + 2^k, k >= k_min.
 
     Works on the sieve's odd flags: for k >= 1, odd n = p + 2^k has p odd
@@ -267,7 +252,7 @@ def romanov_density_scan(
         raise ValueError(f"limit must be >= 3, got {limit}")
     if k_min < 0:
         raise ValueError(f"k_min must be >= 0, got {k_min}")
-    odd = _table_for(limit, table).odd_flags
+    odd = sieve_primes(limit).odd_flags
     odd_total = (limit + 1) // 2  # odd numbers 1, 3, ..., <= limit
     # no k >= 1 reaches 3 (3 - 2 = 1), so k = 0 adds it exactly once
     odd_hits = int(k_min == 0)

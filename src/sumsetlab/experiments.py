@@ -56,36 +56,37 @@ _KINDS = ("bounds", "sumset", "ratio-scan", "depolignac", "romanov")
 _EXPR_RE = re.compile(r"^\s*(?:(\d+)|2\^(\d+)|2\^\(2\^(\d+)\))\s*$")
 
 
-def parse_power_expr(text: str | int, max_bits: int = DEFAULT_BIT_BUDGET) -> int:
+def parse_power_expr(text: str | int) -> int:
     """Parse "12345", "2^k", or "2^(2^k)" into an exact integer.
 
     Raises:
         ConfigError: the text matches none of the three forms.
-        CapacityError: the value would exceed the bit budget.
+        CapacityError: the value would exceed DEFAULT_BIT_BUDGET bits.
     """
+    over = f"exceeds the {DEFAULT_BIT_BUDGET}-bit budget"
     if isinstance(text, int):
-        if text.bit_length() > max_bits:
-            raise CapacityError(f"integer exceeds the {max_bits}-bit budget")
+        if text.bit_length() > DEFAULT_BIT_BUDGET:
+            raise CapacityError(f"integer {over}")
         return text
     match = _EXPR_RE.match(str(text))
     if not match:
         raise ConfigError(f"cannot parse integer expression {text!r}")
     decimal, single, tower = match.groups()
     if decimal is not None:
-        if len(decimal) > max_bits // 3 + 2:
-            raise CapacityError(f"decimal literal exceeds the {max_bits}-bit budget")
+        if len(decimal) > DEFAULT_BIT_BUDGET // 3 + 2:
+            raise CapacityError(f"decimal literal {over}")
         value = int(decimal)
-        if value.bit_length() > max_bits:
-            raise CapacityError(f"decimal literal exceeds the {max_bits}-bit budget")
+        if value.bit_length() > DEFAULT_BIT_BUDGET:
+            raise CapacityError(f"decimal literal {over}")
         return value
     if single is not None:
         e = int(single)
-        if e >= max_bits:
-            raise CapacityError(f"2^{e} exceeds the {max_bits}-bit budget")
+        if e >= DEFAULT_BIT_BUDGET:
+            raise CapacityError(f"2^{e} {over}")
         return 1 << e
     e = int(tower)
-    if e > 60 or (1 << e) >= max_bits:
-        raise CapacityError(f"2^(2^{e}) exceeds the {max_bits}-bit budget")
+    if e > 60 or (1 << e) >= DEFAULT_BIT_BUDGET:
+        raise CapacityError(f"2^(2^{e}) {over}")
     return 1 << (1 << e)
 
 
@@ -105,19 +106,14 @@ class ExperimentConfig:
     k_min: int = 1
     system: CoveringSystem | None = None
     enum_budget: int = DEFAULT_ENUM_BUDGET
-    bit_budget: int = DEFAULT_BIT_BUDGET
-    output_format: str = "json"
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if any(b <= a for a, b in zip(self.x_grid, self.x_grid[1:])):
             raise ConfigError("x_grid must be strictly ascending")
-        if self.enum_budget < 1 or self.bit_budget < 1:
+        if self.enum_budget < 1:
             raise ConfigError("budgets must be positive")
-        if self.output_format not in ("json", "csv"):
-            raise ConfigError(f"unknown output format {self.output_format!r}")
 
     def to_json(self) -> dict:
         return {
@@ -128,8 +124,7 @@ class ExperimentConfig:
             "limit": self.limit,
             "k_min": self.k_min,
             "system": None if self.system is None else self.system.to_json(),
-            "budgets": {"enumeration": self.enum_budget, "bits": self.bit_budget},
-            "output": {"format": self.output_format, "path": self.output_path},
+            "budgets": {"enumeration": self.enum_budget},
         }
 
     @classmethod
@@ -142,25 +137,18 @@ class ExperimentConfig:
         except KeyError as exc:
             raise ConfigError(f"experiment config missing {exc}") from exc
         budgets = obj.get("budgets", {})
-        bit_budget = int(budgets.get("bits", DEFAULT_BIT_BUDGET))
         schedule = obj.get("schedule")
         system = obj.get("system")
-        output = obj.get("output", {})
         limit = obj.get("limit")
         return cls(
             name=name,
             kind=kind,
             schedule=None if schedule is None else GrowthSchedule.from_json(schedule),
-            x_grid=tuple(
-                parse_power_expr(x, bit_budget) for x in obj.get("x_grid", ())
-            ),
-            limit=None if limit is None else parse_power_expr(limit, bit_budget),
+            x_grid=tuple(parse_power_expr(x) for x in obj.get("x_grid", ())),
+            limit=None if limit is None else parse_power_expr(limit),
             k_min=int(obj.get("k_min", 1)),
             system=None if system is None else CoveringSystem.from_json(system),
             enum_budget=int(budgets.get("enumeration", DEFAULT_ENUM_BUDGET)),
-            bit_budget=bit_budget,
-            output_format=output.get("format", "json"),
-            output_path=output.get("path"),
         )
 
 
@@ -175,12 +163,10 @@ def result_record(name: str, config: dict, payload, timing: dict | None = None) 
     }
 
 
-def covering_blocks(
-    schedule: GrowthSchedule, x: int, bit_budget: int = DEFAULT_BIT_BUDGET
-) -> tuple[BlockSet, PrimeTable]:
+def covering_blocks(schedule: GrowthSchedule, x: int) -> tuple[BlockSet, PrimeTable]:
     """Blocks deep enough to answer queries up to x, with the prime table they use."""
     table = sieve_covering_odd(max(block_index(x, schedule), 1))
-    return BlockSet.covering(schedule, x, table, bit_budget), table
+    return BlockSet.covering(schedule, x, table), table
 
 
 def _blocks_for_grid(config: ExperimentConfig) -> tuple[BlockSet, PrimeTable]:
@@ -189,7 +175,7 @@ def _blocks_for_grid(config: ExperimentConfig) -> tuple[BlockSet, PrimeTable]:
     if not config.x_grid:
         raise ConfigError(f"experiment {config.name!r} needs a non-empty x_grid")
     # the grid ascends and block_index is monotone, so its last x needs the deepest blocks
-    return covering_blocks(config.schedule, config.x_grid[-1], config.bit_budget)
+    return covering_blocks(config.schedule, config.x_grid[-1])
 
 
 def bound_chain_point(x: int, blocks: BlockSet, table: PrimeTable) -> dict:

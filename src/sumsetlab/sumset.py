@@ -112,7 +112,8 @@ def _mark_sums(x: int, blocks: BlockSet, split: bool) -> tuple[int, np.ndarray, 
             target = top if blk.t == j else rest
             d = blk.modulus
             b_first = ((blk.lo + d - 1) // d) * d
-            b_last = min(blk.hi - 1, x - power)
+            end = x if blk.t == j else blocks.blocks[blk.t].lo - 1
+            b_last = min(end, x - power)
             if b_first > b_last:
                 continue
             target[power + b_first : power + b_last + 1 : d] = True

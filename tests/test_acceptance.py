@@ -78,7 +78,7 @@ def test_criterion_02_count_oracle(paper_blocks, poly_blocks):
     top = 10**6
     ns = np.arange(0, top + 1, dtype=np.int64)
     boundaries = np.array(
-        [blk.lo for blk in poly_blocks.blocks] + [poly_blocks.blocks[-1].hi],
+        [blk.lo for blk in poly_blocks.blocks] + [sl.grow(POLY, poly_blocks.max_t + 1)],
         dtype=np.int64,
     )
     moduli = np.array([blk.modulus for blk in poly_blocks.blocks], dtype=np.int64)
@@ -227,10 +227,9 @@ def test_criterion_09_depolignac_audit():
 def test_criterion_10_romanov_density():
     """Pinned representable fractions at 1e5 and 1e6; both >= 0.2, close together."""
     start = time.perf_counter()
-    table = sl.sieve_primes(10**6)
     fractions = {}
     for limit, pinned in ROMANOV_PINNED.items():
-        report = sl.romanov_density_scan(limit, table=table)
+        report = sl.romanov_density_scan(limit)
         fractions[limit] = report.representable_fraction
         assert report.representable_fraction == pytest.approx(float(pinned), abs=1e-12)
         assert report.representable_fraction >= 0.2

@@ -16,6 +16,9 @@ from sumsetlab import (
     count_b_lower_bound,
     grow,
     j_window_check,
+    s1_bound,
+    s2_bound,
+    sieve_covering_odd,
 )
 
 PAPER = GrowthSchedule.paper()
@@ -49,7 +52,11 @@ class TestGrowthSchedule:
 
     def test_bit_budget(self):
         with pytest.raises(CapacityError):
-            grow(PAPER, 5, bit_budget=1000)
+            grow(PAPER, 5)
+        edge = GrowthSchedule.custom([999_999, 1_000_000])
+        assert grow(edge, 1) == 1 << 999_999
+        with pytest.raises(CapacityError):
+            grow(edge, 2)
 
     def test_json_round_trip(self):
         for schedule in (PAPER, POLY, GrowthSchedule.custom([2, 5, 11])):
@@ -133,14 +140,14 @@ class TestMembership:
             containing = [
                 blk
                 for blk in poly_blocks.blocks
-                if blk.lo <= n < blk.hi and n % blk.modulus == 0
+                if blk.lo <= n < grow(POLY, blk.t + 1) and n % blk.modulus == 0
             ]
             assert len(containing) == (1 if b_member(n, poly_blocks) else 0)
 
     def test_windows_tile_without_gaps(self, poly_blocks):
         for prev, nxt in zip(poly_blocks.blocks, poly_blocks.blocks[1:]):
-            assert prev.hi == nxt.lo
-            assert prev.lo < prev.hi
+            assert nxt.lo == grow(POLY, prev.t + 1)
+            assert prev.lo < nxt.lo
 
     def test_block_moduli_are_odd_primorials(self, poly_blocks, table_small):
         from sumsetlab import odd_primorial
@@ -148,7 +155,6 @@ class TestMembership:
         for blk in poly_blocks.blocks:
             assert blk.modulus == odd_primorial(blk.t, table_small)
             assert blk.lo == grow(POLY, blk.t)
-            assert blk.hi == grow(POLY, blk.t + 1)
 
 
 class TestCountB:
@@ -182,6 +188,11 @@ class TestCountB:
             increment = count_b(hi - 1, poly_blocks) - count_b(lo - 1, poly_blocks)
             multiples = (hi - 1) // d - (lo - 1) // d
             assert increment == multiples
+
+    def test_custom_schedule_exhausted_at_its_last_boundary(self):
+        # 512 = G(3) opens a window whose end e(4) the schedule never defines
+        with pytest.raises(CapacityError):
+            count_b(512, BlockSet.covering(GrowthSchedule.custom([1, 4, 9]), 512))
 
     def test_huge_x_pure_floor_arithmetic(self, paper_blocks):
         x = 2**1000 + 7
@@ -246,3 +257,59 @@ class TestConjectureRatio:
             report = conjecture_ratio(x, paper_blocks)
             assert report.j in (2, 3)
             assert report.ratio_exact > 1
+
+
+# Paper-schedule oracle with nothing from the library: boundaries G(t) = 1 << 2**(t*t)
+# and the odd primorials d_1..d_4. Every x below is under G(5) = 2^(2^25).
+PAPER_G = [1 << 2 ** (t * t) for t in (1, 2, 3, 4)]
+PAPER_D = [3, 15, 105, 1155]
+
+
+def paper_oracle(x):
+    """(j, count, lower bound) at x; window t holds the multiples of d_t in [G(t), G(t+1))."""
+    j = sum(1 for g in PAPER_G if g <= x)
+    count = 0
+    for t in range(j):
+        last = x if t == j - 1 else PAPER_G[t + 1] - 1
+        count += last // PAPER_D[t] - (PAPER_G[t] - 1) // PAPER_D[t]
+    lower = (
+        Fraction(x - PAPER_G[j - 1], PAPER_D[j - 1])
+        + Fraction(PAPER_G[j - 1] - PAPER_G[j - 2], PAPER_D[j - 2])
+        - 2
+    )
+    return j, count, lower
+
+
+class TestPaperScale:
+    """Counts and bounds past 2^65536, where the top window's end G(5) is never built."""
+
+    @pytest.mark.parametrize(
+        "x,j",
+        [(2**20000, 3), (2**70000, 4), (2**999999 - 1, 4)],
+        ids=["2^20000", "2^70000", "2^999999-1"],
+    )
+    def test_counts_match_oracle(self, x, j):
+        table = sieve_covering_odd(4)
+        blocks = BlockSet.covering(PAPER, x, table)
+        expected_j, count, lower = paper_oracle(x)
+        assert block_index(x, PAPER) == expected_j == j
+        assert count_b(x, blocks) == count
+        assert count_b_lower_bound(x, blocks) == lower <= count
+
+        report = conjecture_ratio(x, blocks)
+        assert (report.j, report.b_count, report.b_lower_bound) == (j, count, lower)
+        assert report.ratio_exact == Fraction((x.bit_length() - 1) * count, x) > 1
+
+        sieve = [Fraction(1)]
+        for p in (3, 5, 7, 11):
+            sieve.append(sieve[-1] * Fraction(p - 1, p))
+        assert s1_bound(x, blocks, table) == x * sieve[j] + 2**j
+        small_b_pairs = PAPER_G[j - 2] * (x.bit_length() - 1)
+        assert s2_bound(x, blocks, table) == x * sieve[j - 1] + 2 ** (j - 1) + small_b_pairs
+
+    def test_materialize_depth(self):
+        blocks = BlockSet.materialize(PAPER, 4)
+        assert [blk.lo for blk in blocks.blocks] == PAPER_G
+        assert [blk.modulus for blk in blocks.blocks] == PAPER_D
+        with pytest.raises(CapacityError):
+            BlockSet.materialize(PAPER, 5)  # G(5) has 2^25 + 1 bits

@@ -3,6 +3,8 @@ import json
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sumsetlab import cli
 from sumsetlab.cli import EXIT_CAPACITY, EXIT_CONFIG, EXIT_OK, EXIT_USAGE, run_command
@@ -49,13 +51,24 @@ class TestParsePowerExpr:
             parse_power_expr(text)
 
     def test_bit_budget(self):
-        with pytest.raises(CapacityError):
-            parse_power_expr("2^100", max_bits=50)
-        with pytest.raises(CapacityError):
-            parse_power_expr("2^(2^30)")
-        with pytest.raises(CapacityError):
-            parse_power_expr("2^(2^99999999999999)")
+        for text in ("2^1000000", "2^(2^20)", "2^(2^30)", "2^(2^99999999999999)"):
+            with pytest.raises(CapacityError):
+                parse_power_expr(text)
+        assert parse_power_expr("2^999999") == 1 << 999999
+        assert parse_power_expr("2^(2^19)") == 1 << 2**19
         assert parse_power_expr("2^(2^9)") == 2**512
+
+    @given(st.integers(0, 10**1000))
+    def test_decimal_round_trip(self, n):
+        assert parse_power_expr(str(n)) == n
+
+    @given(st.integers(0, 999_999))
+    def test_power_round_trip(self, k):
+        assert parse_power_expr(f"2^{k}") == 1 << k
+
+    @given(st.integers(0, 19))
+    def test_tower_round_trip(self, k):
+        assert parse_power_expr(f"2^(2^{k})") == 1 << (1 << k)
 
 
 class TestCommands:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumsetlab import (
     BlockSet,
@@ -14,6 +16,7 @@ from sumsetlab import (
     c_upper_report,
     count_b,
     enumerate_c,
+    grow,
     legendre_count,
     ratio_scan,
     s1_bound,
@@ -41,15 +44,16 @@ def brute_sums(x, blocks):
 def brute_split(x, blocks):
     """Oracle partition: track top-block and lower-block witnesses separately."""
     j = block_index(x, blocks.schedule)
-    blk = blocks.blocks[j - 1] if j >= 1 else None
+    top = range(blocks.blocks[j - 1].lo, grow(blocks.schedule, j + 1)) if j >= 1 else range(0)
+    members = [b for b in range(1, x) if b_member(b, blocks)]
     with_top, with_rest = set(), set()
     a = 1
     while 2**a < x:
-        for b in range(1, x - 2**a + 1):
-            if not b_member(b, blocks):
-                continue
+        for b in members:
+            if b > x - 2**a:
+                break
             c = 2**a + b
-            if blk is not None and blk.lo <= b < blk.hi:
+            if b in top:
                 with_top.add(c)
             else:
                 with_rest.add(c)
@@ -82,7 +86,7 @@ class TestEnumerate:
                 if blk.lo > x - 2**a:
                     break
                 b = ((blk.lo + blk.modulus - 1) // blk.modulus) * blk.modulus
-                while b < blk.hi and b <= x - 2**a:
+                while b < grow(POLY, blk.t + 1) and b <= x - 2**a:
                     raw.append(2**a + b)
                     b += blk.modulus
             a += 1
@@ -214,3 +218,49 @@ class TestConsistencyWithCounts:
         for x in (50, 700, 12000):
             points = ratio_scan([x], poly_blocks)
             assert points[0].b_count == count_b(x, poly_blocks)
+
+
+ODD_PRIMES = (3, 5, 7, 11, 13)
+
+
+@st.composite
+def custom_windows(draw):
+    """A custom schedule of 2..6 exponents <= 14 and an x <= 2^12 below its last boundary.
+
+    Windows 1..n-1 of an n-exponent schedule have defined ends, so x < 2^e(n)
+    keeps x's window and the one above the block set's top defined. x is
+    drawn inside a drawn window (0 is the stretch below G(1)).
+    """
+    first = draw(st.integers(1, 3))
+    rest = draw(st.sets(st.integers(first + 1, 14), min_size=1, max_size=5))
+    exponents = [first, *sorted(rest)]
+    windows = [t for t in range(1, len(exponents)) if exponents[t - 1] <= 12]
+    t = draw(st.sampled_from([0, *windows]))
+    lo = 1 if t == 0 else 2 ** exponents[t - 1]
+    x = draw(st.integers(lo, min(2**12, 2 ** exponents[t] - 1)))
+    return exponents, x
+
+
+def custom_member(n, exponents):
+    """Membership read off the exponents: n in window t is a multiple of d_t."""
+    for t in range(1, len(exponents)):
+        if 2 ** exponents[t - 1] <= n < 2 ** exponents[t]:
+            return n % math.prod(ODD_PRIMES[:t]) == 0
+    return False
+
+
+class TestCustomScheduleWindows:
+    @settings(max_examples=60, deadline=None)
+    @given(custom_windows())
+    def test_count_and_split_match_scans(self, case):
+        exponents, x = case
+        blocks = BlockSet.covering(GrowthSchedule.custom(exponents), x)
+        running = 0
+        for n in range(1, x + 1):
+            running += custom_member(n, exponents)
+            assert count_b(n, blocks) == running
+        report = split_s1_s2(x, blocks)
+        with_top, with_rest = brute_split(x, blocks)
+        assert report.s1_count == len(with_top)
+        assert report.s2_count == len(with_rest - with_top)
+        assert report.s1_overlap == len(with_top & with_rest)
