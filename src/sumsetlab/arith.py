@@ -38,8 +38,11 @@ __all__ = [
     "big_log2",
 ]
 
-# Deterministic Miller-Rabin witness set; sound for every n below this bound.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 prime bases: a deterministic Miller-Rabin witness set for
+# every n below psi_13, this bound (Sorenson and Webster, 2017). The first
+# 12 are proven only below psi_12 = 318665857834031151167461, itself a
+# strong pseudoprime to bases 2..37.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 # Every sieve and every scan that sieves stays below 2^SIEVE_LIMIT_BITS.

@@ -85,7 +85,11 @@ def _check_scale(x: int, budget: int | None) -> int:
         raise ValueError(f"x must be >= 1, got {x}")
     cap = DEFAULT_ENUM_BUDGET if budget is None else int(budget)
     if x > cap:
-        raise CapacityError(f"x={x} exceeds the enumeration budget {cap}")
+        try:
+            name = f"x={x}"
+        except ValueError:  # past CPython's int->str digit limit
+            name = f"x of {x.bit_length()} bits"
+        raise CapacityError(f"{name} exceeds the enumeration budget {cap}")
     return x
 
 

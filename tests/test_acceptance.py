@@ -2,8 +2,9 @@
 
 Every expected value here was computed by an independent oracle (gcd
 scans, membership scans, sort-unique enumeration, per-candidate
-Miller-Rabin) before being frozen; the criteria compare the library
-against those oracles at the stated tolerances and runtime budgets.
+Miller-Rabin, prime sieves) before being frozen; the criteria compare
+the library against those oracles at the stated tolerances and runtime
+budgets.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines.
 """
@@ -205,13 +206,15 @@ def test_criterion_09_depolignac_audit():
     limit = 30_000_000
     report = sl.ap_scan(cert, limit)
 
-    # independent oracle: per-candidate Miller-Rabin, no sieve involved
+    # independent oracle: the sieve's flags, where the sparse scan asks
+    # Miller-Rabin per candidate
+    prime = sl.sieve_primes(limit).is_prime
     oracle_exceptions = []
     n = cert.residue
     while n <= limit:
         k = 1
         while 2**k < n:
-            if sl.is_prime(n - 2**k):
+            if prime[n - 2**k]:
                 oracle_exceptions.append((n, n - 2**k, k))
                 break
             k += 1

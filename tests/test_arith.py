@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -27,6 +28,33 @@ from sumsetlab.arith import SIEVE_LIMIT_BITS, check_sieve_limit
 
 # Per-candidate Miller-Rabin verdicts, the oracle for the sieve properties.
 MR_PRIME = [is_prime(n) for n in range(5001)]
+
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_k, the smallest strong pseudoprime to the first k prime bases, for
+# k = 1..11, with the largest k each is known to fool (psi_7 = psi_8 and
+# psi_9 = psi_10 = psi_11).
+STRONG_PSEUDOPRIMES = {
+    2047: 1,
+    1_373_653: 2,
+    25_326_001: 3,
+    3_215_031_751: 4,
+    2_152_302_898_747: 5,
+    3_474_749_660_383: 6,
+    341_550_071_728_321: 8,
+    3_825_123_056_546_413_051: 11,
+}
+
+
+def _strong_probable_prime(n, bases):
+    """Textbook strong probable-prime test of odd n > 2 to every base."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x not in (1, n - 1) and all(pow(x, 2**i, n) != n - 1 for i in range(1, r)):
+            return False
+    return True
 
 
 def _independent_odd_sieve_count(limit):
@@ -234,6 +262,16 @@ class TestLegendreCount:
                 for x in range(0, 2001, 7):
                     assert legendre_count(x, subset) == int(scan[x])
 
+    @given(
+        st.sets(st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23, 29, 31))),
+        st.integers(min_value=0, max_value=5000),
+    )
+    def test_matches_gcd_scan_on_random_subsets(self, primes, x):
+        modulus = math.prod(primes)
+        assert legendre_count(x, primes) == sum(
+            1 for c in range(1, x + 1) if math.gcd(c, modulus) == 1
+        )
+
     def test_huge_x(self):
         # floor arithmetic stays exact at 1000-bit x
         x = 2**1000 + 12345
@@ -276,6 +314,33 @@ class TestIsPrime:
     def test_beyond_deterministic_bound(self):
         with pytest.raises(ValueError):
             is_prime(10**25)
+
+    def test_psi12_is_composite(self):
+        # the first 12 prime bases call psi_12 prime; base 41 does not
+        psi12 = 318_665_857_834_031_151_167_461
+        assert psi12 == 399_165_290_221 * 798_330_580_441
+        assert _strong_probable_prime(psi12, PRIME_BASES[:12])
+        assert not is_prime(psi12)
+
+    @pytest.mark.parametrize("n,count", STRONG_PSEUDOPRIMES.items())
+    def test_strong_pseudoprimes(self, n, count):
+        # each fools the first `count` prime bases and must still be rejected
+        assert not sympy.isprime(n)
+        assert _strong_probable_prime(n, PRIME_BASES[:count])
+        assert not _strong_probable_prime(n, PRIME_BASES[: count + 1])
+        assert not is_prime(n)
+
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=2**10, max_value=2**32),
+        st.integers(min_value=2**10, max_value=2**32),
+    )
+    def test_matches_sympy_below_2_to_64(self, n, a, b):
+        assert is_prime(n) == sympy.isprime(n)
+        # primes and products of two primes, which no small factor gives away
+        p, q = sympy.nextprime(a), sympy.nextprime(b)
+        assert is_prime(p)
+        assert not is_prime(p * q)
 
 
 class TestSieveCoveringOdd:

@@ -186,6 +186,26 @@ class TestExitCodes:
         )
         assert code == EXIT_CAPACITY
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sumset", "--schedule", "paper", "--x", "2^20000"],
+            ["ratio-scan", "--schedule", "paper", "--grid", "1000,2^20000"],
+        ],
+    )
+    def test_unprintable_x_over_budget_is_capacity_error(self, capsys, argv):
+        # x has more decimal digits than CPython prints, so the message names its size
+        assert run_command(argv) == EXIT_CAPACITY
+        assert capsys.readouterr().err == (
+            "capacity error: x of 20001 bits exceeds the enumeration budget 100000000\n"
+        )
+
+    def test_printable_x_over_budget_message(self, capsys):
+        assert run_command(["sumset", "--schedule", "paper", "--x", "2^40"]) == EXIT_CAPACITY
+        assert capsys.readouterr().err == (
+            "capacity error: x=1099511627776 exceeds the enumeration budget 100000000\n"
+        )
+
     def test_env_budget_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SUMSETLAB_ENUM_CAP", "100")
         code = run_command(["sumset", "--schedule", "polynomial", "--x", "100000"])

@@ -1,7 +1,9 @@
 import math
+import random
 from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,8 +24,11 @@ from sumsetlab import (
 )
 from sumsetlab.depolignac import _crt
 
-# Per-candidate Miller-Rabin verdicts, the oracle for the scan properties.
-MR_PRIME = [is_prime(n) for n in range(3001)]
+# Per-candidate primality from sympy, the oracle for the scan properties;
+# it shares no code with either of ap_scan's primality sources.
+MR_PRIME = [sympy.isprime(n) for n in range(3001)]
+# MR_TEST_SLOTS values that force ap_scan onto one primality source
+FORCE_MILLER_RABIN, FORCE_SIEVE = 0, 1 << 64
 
 
 def _smallest_witness(n, k_min):
@@ -118,6 +123,22 @@ class TestCrtCombine:
         with pytest.raises(ValueError):
             APCertificate(residue=1, modulus=11_184_810, source=erdos)
 
+    @given(st.integers(min_value=-1000, max_value=1000))
+    def test_shifted_system_certificate_invariants(self, shift):
+        # shifting every class by s keeps the system covering
+        system = CoveringSystem.from_entries(
+            ((a + shift) % m, m, q) for a, m, q in ERDOS_TRIPLES
+        )
+        cert = crt_combine(system)
+        primes = [q for _, _, q in ERDOS_TRIPLES]
+        assert cert.modulus == 2 * math.prod(primes)
+        assert 0 < cert.residue < cert.modulus and cert.residue % 2 == 1
+        for a, _, q in ERDOS_TRIPLES:
+            # a negative exponent inverts 2 mod q
+            assert cert.residue % q == pow(2, a + shift, q)
+        for k in range(system.lcm + 1):
+            assert any((cert.residue - 2**k) % q == 0 for q in primes)
+
     def test_members_are_never_prime_plus_power(self, erdos):
         # structural soundness, independent of any primality testing:
         # every member minus every power of two has a system prime divisor
@@ -172,18 +193,21 @@ class TestApScan:
     def test_odd_moduli_match_per_member_primality(self, modulus, data, limit, k_min, segment):
         # an odd modulus puts members of both parities in the progression
         residue = data.draw(st.integers(min_value=0, max_value=modulus // 2 - 1)) * 2 + 1
-        # small sieve segments so the table crosses several of them
-        segment = max(segment, math.isqrt(limit) // 2 + 1)
-        with mock.patch.object(arith, "SEGMENT", segment):
-            report = ap_scan(APCertificate(residue=residue, modulus=modulus), limit, k_min)
+        cert = APCertificate(residue=residue, modulus=modulus)
         members = range(residue, limit + 1, modulus)
         expected = []
         for n in members:
             k = _smallest_witness(n, k_min)
             if k is not None:
                 expected.append((n, n - 2**k, k))
-        assert report.members_scanned == len(members)
-        assert report.exceptions == tuple(expected)
+        # small sieve segments so the table crosses several of them
+        segment = max(segment, math.isqrt(limit) // 2 + 1)
+        for slots in (FORCE_MILLER_RABIN, FORCE_SIEVE):
+            with mock.patch.object(arith, "SEGMENT", segment), \
+                    mock.patch.object(depolignac, "MR_TEST_SLOTS", slots):
+                report = ap_scan(cert, limit, k_min)
+            assert report.members_scanned == len(members)
+            assert report.exceptions == tuple(expected)
 
     def test_sieve_reaches_the_last_member_only(self, erdos, monkeypatch):
         limits = []
@@ -194,11 +218,32 @@ class TestApScan:
             return real_sieve(limit)
 
         monkeypatch.setattr(depolignac, "sieve_primes", recording_sieve)
+        # sparse progressions ask Miller-Rabin and build no sieve: members *
+        # last.bit_length() * MR_TEST_SLOTS < (last + 1) // 2
         cert = crt_combine(erdos)
         ap_scan(cert, 10**6)
-        assert max(limits, default=2) <= 2
-        ap_scan(cert, 30_000_000)
-        assert max(limits) <= 29_998_837
+        assert ap_scan(cert, 30_000_000).members_scanned == 3
+        assert ap_scan(APCertificate(residue=1, modulus=10**6), 10**7).members_scanned == 10
+        assert limits == []
+        # dense ones sieve to their last member and no further
+        assert ap_scan(APCertificate(residue=1, modulus=10**4), 10**7).members_scanned == 1_000
+        assert ap_scan(APCertificate(residue=1, modulus=2), 100_000).members_scanned == 50_000
+        assert ap_scan(APCertificate(residue=3, modulus=4), 10_000).members_scanned == 2_500
+        assert limits == [9_990_001, 99_999, 9_999]
+
+    def test_both_sources_agree_on_wide_even_moduli(self):
+        # the certificate's modulus with other odd residues: most members
+        # are representable, with witnesses from k = 1 to k = 17
+        rng = random.Random(20)
+        for residue in [1, 3, 11_184_809] + [2 * rng.randrange(5_592_405) + 1 for _ in range(5)]:
+            cert = APCertificate(residue=residue, modulus=11_184_810)
+            reports = []
+            for slots in (FORCE_MILLER_RABIN, FORCE_SIEVE):
+                with mock.patch.object(depolignac, "MR_TEST_SLOTS", slots):
+                    reports.append(ap_scan(cert, 20_000_000, k_min=1))
+            assert reports[0] == reports[1]
+            for n, p, k in reports[0].exceptions:
+                assert p + 2**k == n and sympy.isprime(p)
 
 
 class TestRomanovScan:
