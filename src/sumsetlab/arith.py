@@ -16,11 +16,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import CapacityError
+
+# numpy is imported where an array is allocated or read, so a process
+# that never sieves (a sparse scan, a covering check) never loads it.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PrimeTable",
@@ -82,6 +85,8 @@ class PrimeTable:
 
     @cached_property
     def primes(self) -> np.ndarray:
+        import numpy as np
+
         primes = np.empty(self.odd_count + 1, dtype=np.int64)
         primes[0] = 2
         primes[1:] = 2 * np.flatnonzero(self.odd_flags) + 1
@@ -89,6 +94,8 @@ class PrimeTable:
 
     @cached_property
     def is_prime(self) -> np.ndarray:
+        import numpy as np
+
         flags = np.zeros(self.limit + 1, dtype=bool)
         flags[1::2] = self.odd_flags
         flags[2] = True
@@ -96,6 +103,8 @@ class PrimeTable:
 
     @cached_property
     def theta_prefix(self) -> np.ndarray:
+        import numpy as np
+
         # Sequential accumulation keeps consecutive differences within one
         # rounding of log(p_i), which the table invariant relies on.
         return np.cumsum(np.log(self.odd_primes.astype(np.float64)))
@@ -106,11 +115,15 @@ class PrimeTable:
 
     @cached_property
     def odd_count(self) -> int:
+        import numpy as np
+
         return int(np.count_nonzero(self.odd_flags))
 
     @property
     def largest_prime(self) -> int:
         """The largest prime <= limit, found by scanning the flags from the top."""
+        import numpy as np
+
         end = self.odd_flags.size
         while end > 0:
             # 4096 odd slots span more than any prime gap below the cap
@@ -170,6 +183,8 @@ def sieve_primes(limit: int) -> PrimeTable:
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     check_sieve_limit(limit)
+    import numpy as np
+
     size = (limit + 1) // 2
     odd = np.ones(size, dtype=bool)  # odd[i] stands for 2*i + 1
     odd[0] = False

@@ -103,7 +103,15 @@ class GrowthSchedule:
             raise ConfigError(f"schedule spec must be an object with a 'kind': {obj!r}")
         kind = obj["kind"]
         if kind == "custom":
-            return cls.custom(obj.get("exponents", ()))
+            exponents = obj.get("exponents", [])
+            if isinstance(exponents, list):
+                try:
+                    return cls.custom(exponents)
+                except TypeError:  # int() of a list, an object or null
+                    pass
+            raise ConfigError(
+                f"custom schedule exponents must be a list of integers, got {exponents!r}"
+            )
         return cls(kind)
 
 

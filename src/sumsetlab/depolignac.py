@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import NamedTuple
 
-import numpy as np
-
 from .arith import check_sieve_limit, is_prime, sieve_primes
 from .errors import CRTError, MalformedSystemError, NotCoveringError
 
@@ -102,9 +100,23 @@ class CoveringSystem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CoveringSystem":
-        return cls.from_entries(
-            (e["residue"], e["modulus"], e["prime"]) for e in obj["entries"]
-        )
+        """Read ``{"entries": [{"residue", "modulus", "prime"}, ...]}``.
+
+        Raises:
+            MalformedSystemError: any other shape, or an entry field that
+                is not a number.
+        """
+        entries = obj.get("entries") if isinstance(obj, dict) else None
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise MalformedSystemError(
+                "covering system must be an object whose 'entries' is a list of objects"
+            )
+        try:
+            return cls.from_entries((e["residue"], e["modulus"], e["prime"]) for e in entries)
+        except KeyError as exc:
+            raise MalformedSystemError(f"covering entry missing {exc}") from None
+        except TypeError as exc:  # int() of a list, an object or null
+            raise MalformedSystemError(f"covering entry field is not a number: {exc}") from None
 
 
 class CoverCheck(NamedTuple):
@@ -281,6 +293,8 @@ def romanov_density_scan(limit: int, k_min: int = 1) -> ScanReport:
         raise ValueError(f"limit must be >= 3, got {limit}")
     if k_min < 0:
         raise ValueError(f"k_min must be >= 0, got {k_min}")
+    import numpy as np
+
     odd = sieve_primes(limit).odd_flags
     odd_total = (limit + 1) // 2  # odd numbers 1, 3, ..., <= limit
     # no k >= 1 reaches 3 (3 - 2 = 1), so k = 0 adds it exactly once

@@ -137,6 +137,11 @@ class ExperimentConfig:
         except KeyError as exc:
             raise ConfigError(f"experiment config missing {exc}") from exc
         budgets = obj.get("budgets", {})
+        if not isinstance(budgets, dict):
+            raise ConfigError(f"budgets must be an object, got {budgets!r}")
+        x_grid = obj.get("x_grid", [])
+        if not isinstance(x_grid, list):
+            raise ConfigError(f"x_grid must be a list, got {x_grid!r}")
         schedule = obj.get("schedule")
         system = obj.get("system")
         limit = obj.get("limit")
@@ -144,12 +149,20 @@ class ExperimentConfig:
             name=name,
             kind=kind,
             schedule=None if schedule is None else GrowthSchedule.from_json(schedule),
-            x_grid=tuple(parse_power_expr(x) for x in obj.get("x_grid", ())),
+            x_grid=tuple(parse_power_expr(x) for x in x_grid),
             limit=None if limit is None else parse_power_expr(limit),
-            k_min=int(obj.get("k_min", 1)),
+            k_min=_int_field(obj, "k_min", 1),
             system=None if system is None else CoveringSystem.from_json(system),
-            enum_budget=int(budgets.get("enumeration", DEFAULT_ENUM_BUDGET)),
+            enum_budget=_int_field(budgets, "enumeration", DEFAULT_ENUM_BUDGET),
         )
+
+
+def _int_field(obj: dict, key: str, default: int) -> int:
+    value = obj.get(key, default)
+    try:
+        return int(value)
+    except TypeError:  # a list, an object or null
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
 
 
 def result_record(name: str, config: dict, payload, timing: dict | None = None) -> dict:

@@ -16,13 +16,16 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .arith import PrimeTable, legendre_count, mertens_product
 from .blocks import BlockSet, block_index, count_b
 from .errors import CapacityError, InapplicableError
+
+# numpy is imported where an array is allocated, so a process that
+# counts nothing by bitmap never loads it.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
@@ -104,6 +107,8 @@ def _mark_sums(x: int, blocks: BlockSet, split: bool) -> tuple[int, np.ndarray, 
     slice assignment, so the work is O(x / d) per (power, block) pair with
     no per-element division.
     """
+    import numpy as np
+
     j = block_index(x, blocks.schedule)
     blocks._require_depth(j)
     top = np.zeros(x + 1, dtype=bool)
@@ -139,6 +144,8 @@ def enumerate_c(
             is too shallow.
     """
     x = _check_scale(x, budget)
+    import numpy as np
+
     _, members, _ = _mark_sums(x, blocks, split=False)
     return int(np.count_nonzero(members)), members
 
@@ -151,6 +158,8 @@ def split_s1_s2(x: int, blocks: BlockSet, budget: int | None = None) -> SumsetRe
     lower-block witness. Bound fields are left unset.
     """
     x = _check_scale(x, budget)
+    import numpy as np
+
     j, top, rest = _mark_sums(x, blocks, split=True)
     s1 = int(np.count_nonzero(top))
     overlap = int(np.count_nonzero(top & rest))

@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
@@ -283,6 +287,42 @@ class TestExitCodes:
         assert run_command(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == "config error: budgets must be positive\n"
 
+    @pytest.mark.parametrize(
+        "flag,document",
+        [
+            pytest.param("config", {"name": "x", "kind": "sumset", "x_grid": [1000],
+                                    "budgets": 5}, id="budgets-number"),
+            pytest.param("config", {"name": "x", "kind": "sumset", "x_grid": 5},
+                         id="x_grid-number"),
+            pytest.param("config", {"name": "x", "kind": "depolignac", "limit": 1000,
+                                    "k_min": [1]}, id="k_min-list"),
+            pytest.param("config", {"name": "x", "kind": "sumset", "x_grid": [1000],
+                                    "budgets": {"enumeration": None}}, id="enumeration-null"),
+            pytest.param("config", {"name": "x", "kind": "depolignac", "limit": 1000,
+                                    "system": {"entries": [[1, 2, 3]]}}, id="config-system"),
+            pytest.param("system", {"entries": [[1, 2, 3]]}, id="entry-list"),
+            pytest.param("system", [], id="system-list"),
+            pytest.param("system", {"entries": [{"residue": 0, "modulus": 2}]},
+                         id="entry-without-prime"),
+            pytest.param("system", {"entries": [{"residue": [0], "modulus": 2, "prime": 3}]},
+                         id="residue-list"),
+            pytest.param("schedule", {"kind": "custom", "exponents": 5}, id="exponents-number"),
+            pytest.param("schedule", {"kind": "custom", "exponents": [[1]]},
+                         id="exponent-list"),
+        ],
+    )
+    def test_malformed_json_shape_is_config_error(self, capsys, tmp_path, flag, document):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+        argv = {
+            "config": ["experiment", "run", str(path)],
+            "system": ["covering", "verify", "--system", str(path)],
+            "schedule": ["count-b", "--schedule", str(path), "--x", "1000"],
+        }[flag]
+        assert run_command(argv) == EXIT_CONFIG  # returns: nothing escapes as a traceback
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+
     def test_system_with_explicit_progression_is_config_error(self, capsys, tmp_path):
         # rejected before the file is read, so a missing file is not silently ignored
         argv = ["depolignac", "scan", "--system", str(tmp_path / "missing.json"),
@@ -397,3 +437,45 @@ class TestExperimentConfigs:
         # rationals survive as exact string pairs even at 1000-bit scale
         last = record["payload"]["points"][-1]
         assert int(last["count"]["b_lower_bound"]["num"]) > 2**900
+
+
+# Commands that must run without loading numpy; sieve-count must load it.
+_NUMPY_FREE = [
+    ["--version"],
+    ["experiment", "list"],
+    ["covering", "verify"],
+    ["covering", "crt"],
+    ["depolignac", "scan", "--limit", "50000000"],
+    ["depolignac", "scan", "--residue", "7629217", "--modulus", "11184810",
+     "--limit", "300000000"],
+    ["experiment", "run", "depolignac-audit"],
+]
+
+_STARTUP_PROBE = """
+import contextlib, io, json, sys
+import sumsetlab
+steps = [["import sumsetlab", 0, "numpy" in sys.modules]]
+import sumsetlab.cli
+steps.append(["import sumsetlab.cli", 0, "numpy" in sys.modules])
+for argv in json.loads(sys.argv[1]) + [["sieve-count", "--limit", "1000"]]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = sumsetlab.cli.run_command(argv)
+    steps.append([" ".join(argv), code, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_startup_and_sparse_commands_load_no_numpy():
+    # this process already holds numpy, so the probe runs in a fresh one
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(_NUMPY_FREE)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    steps = json.loads(done.stdout)
+    loads_none = ["import sumsetlab", "import sumsetlab.cli", *map(" ".join, _NUMPY_FREE)]
+    # sieve-count shows that the probe can tell the two cases apart
+    assert steps == [*([name, 0, False] for name in loads_none),
+                     ["sieve-count --limit 1000", 0, True]]
