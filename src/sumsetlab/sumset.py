@@ -1,11 +1,14 @@
 """Exact deduplicated counting of sums 2^a + b with b in a block set.
 
 Enumeration walks powers of two on the outside and block progressions on
-the inside, marking each sum in a value-indexed boolean array so that
-collisions count once. Every sum value at enumeration scale is classified
-by whether it has a witness b inside the top block (s1) or only witnesses
-in lower blocks (s2); the s1/s2 split is a true partition (s1 wins on
-overlap) and the overlap is reported separately.
+the inside, marking each sum in one value-indexed boolean array so that
+collisions count once: one byte per value up to x, 100 MB at x = 10^8.
+Every sum value at enumeration scale is classified by whether it has a
+witness b inside the top block (s1) or only witnesses in lower blocks
+(s2); the s1/s2 split is a true partition (s1 wins on overlap) and the
+overlap is reported separately. s1 needs no array: the top block's sums
+for one power form a single residue class mod its modulus, so they are
+counted in closed form, and the bitmap yields the other two classes.
 
 The analytic bounds need no enumeration: they are pure floor/rational
 arithmetic, so they stay checkable at x far beyond any budget.
@@ -19,7 +22,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .arith import PrimeTable, legendre_count, mertens_product
-from .blocks import BlockSet, block_index, count_b
+from .blocks import Block, BlockSet, block_index, count_b
 from .errors import CapacityError, InapplicableError
 
 # numpy is imported where an array is allocated, so a process that
@@ -39,7 +42,7 @@ __all__ = [
     "ratio_scan",
 ]
 
-# Enumeration allocates one byte per candidate value.
+# Enumeration and the s1/s2 split hold one bitmap of x + 1 bytes, no more.
 DEFAULT_ENUM_BUDGET = 10**8
 
 
@@ -82,52 +85,82 @@ class RatioPoint:
     ratio: Fraction | None  # None when the block set is empty below x
 
 
-def _check_scale(x: int, budget: int | None) -> int:
+def _x_name(x: int) -> str:
+    try:
+        return f"x={x}"
+    except ValueError:  # past CPython's int->str digit limit
+        return f"x of {x.bit_length()} bits"
+
+
+def _check_x(x: int) -> int:
     x = int(x)
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    cap = DEFAULT_ENUM_BUDGET if budget is None else int(budget)
-    if x > cap:
-        try:
-            name = f"x={x}"
-        except ValueError:  # past CPython's int->str digit limit
-            name = f"x of {x.bit_length()} bits"
-        raise CapacityError(f"{name} exceeds the enumeration budget {cap}")
     return x
 
 
-def _mark_sums(x: int, blocks: BlockSet, split: bool) -> tuple[int, np.ndarray, np.ndarray]:
-    """Mark every 2^a + b <= x (a >= 1, b a block member) in boolean arrays.
+def _check_scale(x: int, budget: int | None) -> int:
+    x = _check_x(x)
+    cap = DEFAULT_ENUM_BUDGET if budget is None else int(budget)
+    if x > cap:
+        raise CapacityError(f"{_x_name(x)} exceeds the enumeration budget {cap}")
+    return x
 
-    Returns (j, top, rest): ``top`` marks values with a witness in block j,
-    ``rest`` those with a witness in a lower block. With split=False both
-    names alias one array.
 
-    Each inner progression b = d*k spanning a window becomes a strided
-    slice assignment, so the work is O(x / d) per (power, block) pair with
-    no per-element division.
-    """
-    import numpy as np
-
+def _top_index(x: int, blocks: BlockSet) -> int:
     j = block_index(x, blocks.schedule)
     blocks._require_depth(j)
-    top = np.zeros(x + 1, dtype=bool)
-    rest = top if not split else np.zeros(x + 1, dtype=bool)
+    return j
+
+
+def _mark_sums(members: np.ndarray, blocks: BlockSet, j: int, marked: Sequence[Block]) -> None:
+    """Mark every 2^a + b <= x (a >= 1, b a member of a ``marked`` block) in ``members``.
+
+    ``members`` is a boolean array over [0, x]; j = block_index(x) decides
+    where each block's window ends (the top block j runs up to x). Each
+    inner progression b = d*k spanning a window becomes a strided slice
+    assignment, so the work is O(x / d) per (power, block) pair with no
+    per-element division.
+    """
+    x = members.size - 1
     power = 2
     while power < x:
-        for blk in blocks.blocks[:j]:
+        for blk in marked:
             if blk.lo > x - power:
                 break
-            target = top if blk.t == j else rest
             d = blk.modulus
             b_first = ((blk.lo + d - 1) // d) * d
             end = x if blk.t == j else blocks.blocks[blk.t].lo - 1
             b_last = min(end, x - power)
             if b_first > b_last:
                 continue
-            target[power + b_first : power + b_last + 1 : d] = True
+            members[power + b_first : power + b_last + 1 : d] = True
         power <<= 1
-    return j, top, rest
+
+
+def _count_top_sums(x: int, blocks: BlockSet, j: int) -> int:
+    """Number of distinct sums 2^a + b <= x with b in the top block j.
+
+    For one power p the top-block sums are the values congruent to p mod
+    d_j from p + b_first up to x (b_first is the block's first multiple of
+    d_j, itself 0 mod d_j). Two powers with equal residues give nested
+    runs and different residues give disjoint ones, so the smallest power
+    of each residue counts its whole class: O(log x) steps, no array.
+    """
+    if j == 0:
+        return 0
+    blk = blocks.blocks[j - 1]
+    d = blk.modulus
+    b_first = ((blk.lo + d - 1) // d) * d
+    seen = set()
+    count = 0
+    power = 2
+    while power + b_first <= x:
+        if power % d not in seen:
+            seen.add(power % d)
+            count += (x - power - b_first) // d + 1
+        power <<= 1
+    return count
 
 
 def enumerate_c(
@@ -146,7 +179,9 @@ def enumerate_c(
     x = _check_scale(x, budget)
     import numpy as np
 
-    _, members, _ = _mark_sums(x, blocks, split=False)
+    j = _top_index(x, blocks)
+    members = np.zeros(x + 1, dtype=bool)
+    _mark_sums(members, blocks, j, blocks.blocks[:j])
     return int(np.count_nonzero(members)), members
 
 
@@ -155,23 +190,29 @@ def split_s1_s2(x: int, blocks: BlockSet, budget: int | None = None) -> SumsetRe
 
     A value lands in s1 when some witness pair (a, b) has b in block
     j(x), in s2 otherwise; s1_overlap counts values that also have a
-    lower-block witness. Bound fields are left unset.
+    lower-block witness. s1 comes from the closed form of
+    _count_top_sums; one bitmap, counted before and after the top block
+    is marked into it, gives the lower-block and total counts, and
+    inclusion-exclusion gives the rest. Bound fields are left unset.
     """
     x = _check_scale(x, budget)
     import numpy as np
 
-    j, top, rest = _mark_sums(x, blocks, split=True)
-    s1 = int(np.count_nonzero(top))
-    overlap = int(np.count_nonzero(top & rest))
-    s2 = int(np.count_nonzero(rest)) - overlap
-    c = s1 + s2
+    j = _top_index(x, blocks)
+    marked = blocks.blocks[:j]
+    members = np.zeros(x + 1, dtype=bool)
+    _mark_sums(members, blocks, j, marked[:-1])
+    lower = int(np.count_nonzero(members))
+    _mark_sums(members, blocks, j, marked[-1:])
+    c = int(np.count_nonzero(members))
+    s1 = _count_top_sums(x, blocks, j)
     return SumsetReport(
         x=x,
         j=j,
         c_count=c,
         s1_count=s1,
-        s2_count=s2,
-        s1_overlap=overlap,
+        s2_count=c - s1,
+        s1_overlap=s1 + lower - c,
         density=c / x,
         sqrt_check=(1 << (2 * j)) <= x,
     )
@@ -229,14 +270,14 @@ def c_upper_report(
     condition that lets the 2^j error term be absorbed at paper scale.
     s1_legendre is the exact coprime count the s1 sieve bound dominates.
     """
+    x = _check_x(x)
+    j = block_index(x, blocks.schedule)
+    if j < 2:
+        raise InapplicableError(f"bound chain needs block index >= 2, got {j} at {_x_name(x)}")
     report = split_s1_s2(x, blocks, budget)
-    if report.j < 2:
-        raise InapplicableError(
-            f"bound chain needs block index >= 2, got {report.j} at x={x}"
-        )
-    s1b = s1_bound(x, blocks, table, j=report.j)
-    s2b = s2_bound(x, blocks, table, j=report.j)
-    legendre = legendre_count(x, (table.odd_prime(i) for i in range(1, report.j + 1)))
+    s1b = s1_bound(x, blocks, table, j=j)
+    s2b = s2_bound(x, blocks, table, j=j)
+    legendre = legendre_count(x, (table.odd_prime(i) for i in range(1, j + 1)))
     return dataclasses.replace(
         report,
         s1_bound=s1b,

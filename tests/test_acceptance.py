@@ -20,7 +20,6 @@ import pytest
 
 import sumsetlab as sl
 from sumsetlab.experiments import BUILTIN_EXPERIMENTS, builtin_experiment, run_experiment
-from sumsetlab.sumset import _mark_sums
 
 PAPER = sl.GrowthSchedule.paper()
 POLY = sl.GrowthSchedule.polynomial()
@@ -135,7 +134,7 @@ def test_criterion_04_ratio_predicate(paper_blocks):
     _report(4, "ratio predicate > 1 at paper scale, pinned 1.66664 at 2^20", elapsed, 5)
 
 
-def test_criterion_05_split_and_sieve_bounds(poly_blocks, table_small):
+def test_criterion_05_split_and_sieve_bounds(poly_blocks, table_small, split_oracle):
     """Partition identity, witness coprimality, and sieve bounds at desk scale."""
     start = time.perf_counter()
     for x in (10**3, 10**4, 10**5, 10**6):
@@ -145,7 +144,7 @@ def test_criterion_05_split_and_sieve_bounds(poly_blocks, table_small):
         assert Fraction(report.s2_count) <= report.s2_bound
         assert Fraction(report.c_count) <= report.c_bound
 
-        j, top_mask, _ = _mark_sums(x, poly_blocks, split=True)
+        j, top_mask, _ = split_oracle(x, poly_blocks)
         d_j = poly_blocks.blocks[j - 1].modulus
         values = np.flatnonzero(top_mask)
         assert values.size == report.s1_count

@@ -262,6 +262,20 @@ class TestExitCodes:
         # block index 1: the s2 side of the chain does not exist yet
         assert run_command(["sumset", "--schedule", "polynomial", "--x", "10"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "exponents,x,name",
+        [([20, 40], "200000000", "x=200000000"), ([20, 200000], "2^70000", "x of 70001 bits")],
+    )
+    def test_inapplicable_x_over_budget_is_config_error(self, capsys, tmp_path, exponents, x,
+                                                         name):
+        # block index 1 is refused before the enumeration budget is consulted
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps({"kind": "custom", "exponents": exponents}))
+        assert run_command(["sumset", "--schedule", str(path), "--x", x]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: bound chain needs block index >= 2, got 1 at {name}\n"
+        )
+
     def test_out_write_failure_is_config_error(self, capsys, tmp_path):
         out = tmp_path / "missing" / "record.json"
         argv = ["count-b", "--schedule", "paper", "--x", "100000", "--out", str(out)]

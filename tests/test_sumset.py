@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -124,11 +125,9 @@ class TestSplit:
             assert report.s2_count == len(with_rest - with_top)
             assert report.s1_overlap == len(with_top & with_rest)
 
-    def test_top_witness_values_coprime_to_top_modulus(self, poly_blocks):
-        from sumsetlab.sumset import _mark_sums
-
+    def test_top_witness_values_coprime_to_top_modulus(self, poly_blocks, split_oracle):
         for x in (600, 2000, 20000):
-            j, top, _ = _mark_sums(x, poly_blocks, split=True)
+            j, top, _ = split_oracle(x, poly_blocks)
             d = poly_blocks.blocks[j - 1].modulus
             values = np.flatnonzero(top)
             assert values.size == split_s1_s2(x, poly_blocks).s1_count
@@ -136,6 +135,41 @@ class TestSplit:
 
     def test_sqrt_check_at_20(self, poly_blocks):
         assert split_s1_s2(20, poly_blocks).sqrt_check is True
+
+    # [1, 4, 30] keeps block 2 (d = 15, where 2^a repeats mod d every 4 powers)
+    # on top up to 2^30, so many powers share a residue class there
+    @pytest.mark.parametrize(
+        "schedule",
+        [PAPER, POLY, GrowthSchedule.custom([1, 4, 30]), GrowthSchedule.custom([20, 40]),
+         GrowthSchedule.custom([2, 5, 9, 14, 20, 27, 35])],
+        ids=["paper", "polynomial", "custom-1-4-30", "custom-20-40", "custom-7"],
+    )
+    def test_matches_bitmap_oracle(self, schedule, split_oracle):
+        for x in (1, 2, 3, 20, 32, 100, 1000, 4097, 65535, 65536, 10**5, 2**20 - 1, 10**6):
+            blocks = BlockSet.covering(schedule, x)
+            report = split_s1_s2(x, blocks)
+            j, top, rest = split_oracle(x, blocks)
+            c = int(np.count_nonzero(top | rest))
+            s1 = int(np.count_nonzero(top))
+            overlap = int(np.count_nonzero(top & rest))
+            assert report.j == j
+            assert (report.c_count, report.s1_count, report.s2_count, report.s1_overlap) == (
+                c, s1, c - s1, overlap
+            ), x
+            assert enumerate_c(x, blocks)[0] == c
+
+    @pytest.mark.parametrize("fixture", ["paper_blocks", "poly_blocks"])
+    def test_split_holds_one_byte_per_value(self, request, fixture):
+        blocks = request.getfixturevalue(fixture)
+        x = 10**6
+        split_s1_s2(1000, blocks)  # first-call set-up stays outside the measurement
+        tracemalloc.start()
+        try:
+            split_s1_s2(x, blocks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * (x + 1) + 65536
 
 
 class TestBounds:
@@ -172,6 +206,21 @@ class TestBounds:
     def test_report_inapplicable_below_second_block(self, poly_blocks, table_small):
         with pytest.raises(InapplicableError):
             c_upper_report(5, poly_blocks, table_small)
+
+    def test_report_checks_block_index_before_enumerating(self, monkeypatch, table_small):
+        # windows at 2^20 and 2^40 leave x = 10^8 in block 1, and 2*10^8 past the budget too
+        from sumsetlab import sumset
+
+        def no_enumeration(*args):
+            raise AssertionError("c_upper_report enumerated before its block-index check")
+
+        monkeypatch.setattr(sumset, "split_s1_s2", no_enumeration)
+        blocks = BlockSet.covering(GrowthSchedule.custom([20, 40]), 2 * 10**8)
+        for x in (10**8, 2 * 10**8):
+            with pytest.raises(InapplicableError, match=f"got 1 at x={x}$"):
+                c_upper_report(x, blocks, table_small)
+        with pytest.raises(ValueError, match="^x must be >= 1, got 0$"):
+            c_upper_report(0, blocks, table_small)
 
     def test_density_declines(self, poly_blocks, table_small):
         small = c_upper_report(10**3, poly_blocks, table_small)
@@ -249,6 +298,14 @@ def custom_member(n, exponents):
     return False
 
 
+@st.composite
+def custom_schedules(draw):
+    """2..6 strictly increasing exponents <= 16 and an x <= 20000 below the last boundary."""
+    exponents = sorted(draw(st.sets(st.integers(1, 16), min_size=2, max_size=6)))
+    x = draw(st.integers(1, min(20000, 2 ** exponents[-1] - 1)))
+    return exponents, x
+
+
 class TestCustomScheduleWindows:
     @settings(max_examples=60, deadline=None)
     @given(custom_windows())
@@ -261,6 +318,18 @@ class TestCustomScheduleWindows:
             assert count_b(n, blocks) == running
         report = split_s1_s2(x, blocks)
         with_top, with_rest = brute_split(x, blocks)
+        assert report.s1_count == len(with_top)
+        assert report.s2_count == len(with_rest - with_top)
+        assert report.s1_overlap == len(with_top & with_rest)
+
+    @settings(max_examples=40, deadline=None)
+    @given(custom_schedules())
+    def test_split_matches_brute_split_sets(self, case):
+        exponents, x = case
+        blocks = BlockSet.covering(GrowthSchedule.custom(exponents), x)
+        report = split_s1_s2(x, blocks)
+        with_top, with_rest = brute_split(x, blocks)
+        assert report.c_count == len(with_top | with_rest)
         assert report.s1_count == len(with_top)
         assert report.s2_count == len(with_rest - with_top)
         assert report.s1_overlap == len(with_top & with_rest)
