@@ -9,12 +9,12 @@ arithmetic, so it stays exact for x thousands of bits wide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .arith import PrimeTable, big_log2, sieve_covering_odd
-from .errors import CapacityError, ConfigError, InapplicableError
+from .errors import CapacityError, ConfigError, InapplicableError, json_int
 
 __all__ = [
     "DEFAULT_BIT_BUDGET",
@@ -55,7 +55,7 @@ class GrowthSchedule:
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "custom":
-            exps = tuple(int(e) for e in self.exponents)
+            exps = tuple(json_int(e, "schedule exponent", ConfigError) for e in self.exponents)
             if not exps:
                 raise ConfigError("custom schedule needs at least one exponent")
             if exps[0] < 1:
@@ -166,16 +166,15 @@ class Block:
 
 @dataclass(frozen=True, eq=False)
 class BlockSet:
-    """Blocks 1..max_t of a schedule, immutable after materialization."""
+    """Blocks 1..max_t of a schedule and the prime table of their moduli, immutable."""
 
     schedule: GrowthSchedule
     blocks: tuple[Block, ...]
     max_t: int
+    table: PrimeTable = field(repr=False)
 
     @classmethod
-    def materialize(
-        cls, schedule: GrowthSchedule, max_t: int, table: PrimeTable | None = None
-    ) -> "BlockSet":
+    def materialize(cls, schedule: GrowthSchedule, max_t: int) -> "BlockSet":
         """Build blocks 1..max_t from boundaries G(1)..G(max_t).
 
         The top window must have a defined end e(max_t + 1), but counting
@@ -184,21 +183,24 @@ class BlockSet:
         if max_t < 1:
             raise ValueError(f"max_t must be >= 1, got {max_t}")
         schedule.exponent(max_t + 1)
-        if table is None:
-            table = sieve_covering_odd(max_t)
+        table = sieve_covering_odd(max_t)
         blocks = []
         modulus = 1
         for t in range(1, max_t + 1):
             modulus *= table.odd_prime(t)
             blocks.append(Block(t=t, modulus=modulus, lo=grow(schedule, t)))
-        return cls(schedule=schedule, blocks=tuple(blocks), max_t=max_t)
+        return cls(schedule=schedule, blocks=tuple(blocks), max_t=max_t, table=table)
 
     @classmethod
-    def covering(
-        cls, schedule: GrowthSchedule, x: int, table: PrimeTable | None = None
-    ) -> "BlockSet":
+    def covering(cls, schedule: GrowthSchedule, x: int) -> "BlockSet":
         """Materialize just deep enough that queries up to x are answerable."""
-        return cls.materialize(schedule, max(block_index(x, schedule), 1), table)
+        return cls.materialize(schedule, max(block_index(x, schedule), 1))
+
+    def index(self, x: int) -> int:
+        """block_index(x); CapacityError if x lies above the top block."""
+        j = block_index(x, self.schedule)
+        self._require_depth(j)
+        return j
 
     def _require_depth(self, j: int) -> None:
         if j > self.max_t:
@@ -218,10 +220,9 @@ def b_member(n: int, blocks: BlockSet) -> bool:
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    j = block_index(n, blocks.schedule)
+    j = blocks.index(n)
     if j == 0:
         return False
-    blocks._require_depth(j)
     return n % blocks.blocks[j - 1].modulus == 0
 
 
@@ -235,10 +236,9 @@ def count_b(x: int, blocks: BlockSet) -> int:
     x = int(x)
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    j = block_index(x, blocks.schedule)
+    j = blocks.index(x)
     if j == 0:
         return 0
-    blocks._require_depth(j)
     total = 0
     for blk in blocks.blocks[:j]:
         upper = x if blk.t == j else blocks.blocks[blk.t].lo - 1
@@ -257,10 +257,9 @@ def count_b_lower_bound(x: int, blocks: BlockSet) -> Fraction:
         InapplicableError: block index of x is below 2.
     """
     x = int(x)
-    j = block_index(x, blocks.schedule)
+    j = blocks.index(x)
     if j < 2:
         raise InapplicableError(f"lower bound needs block index >= 2, got {j} at x={x}")
-    blocks._require_depth(j)
     top = blocks.blocks[j - 1]
     prev = blocks.blocks[j - 2]
     return (

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from ._version import __version__
 from .arith import check_chebyshev, mertens_product, sieve_covering_odd, sieve_primes
-from .blocks import GrowthSchedule, conjecture_ratio
+from .blocks import BlockSet, GrowthSchedule, conjecture_ratio
 from .depolignac import (
     APCertificate,
     CoveringSystem,
@@ -45,7 +45,6 @@ from .experiments import (
     BUILTIN_EXPERIMENTS,
     bound_chain_point,
     builtin_experiment,
-    covering_blocks,
     parse_power_expr,
     result_record,
     run_experiment,
@@ -123,15 +122,14 @@ def _enum_budget(args: argparse.Namespace) -> int:
 def _cmd_count_b(args) -> dict:
     schedule = _schedule_from_arg(args.schedule)
     x = parse_power_expr(args.x)
-    blocks, _ = covering_blocks(schedule, x)
-    payload = report_payload(conjecture_ratio(x, blocks))
+    payload = report_payload(conjecture_ratio(x, BlockSet.covering(schedule, x)))
     return result_record("count-b", {"schedule": schedule.to_json(), "x": x}, payload)
 
 
 def _cmd_bounds(args) -> dict:
     schedule = _schedule_from_arg(args.schedule)
     x = parse_power_expr(args.x)
-    payload = bound_chain_point(x, *covering_blocks(schedule, x))
+    payload = bound_chain_point(x, BlockSet.covering(schedule, x))
     return result_record("bounds", {"schedule": schedule.to_json(), "x": x}, payload)
 
 
@@ -139,8 +137,7 @@ def _cmd_sumset(args) -> dict:
     schedule = _schedule_from_arg(args.schedule)
     x = parse_power_expr(args.x)
     budget = _enum_budget(args)
-    blocks, table = covering_blocks(schedule, x)
-    payload = report_payload(c_upper_report(x, blocks, table, budget))
+    payload = report_payload(c_upper_report(x, BlockSet.covering(schedule, x), budget))
     config = {"schedule": schedule.to_json(), "x": x, "budget": budget}
     return result_record("sumset", config, payload)
 

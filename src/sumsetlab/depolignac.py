@@ -18,7 +18,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from .arith import check_sieve_limit, is_prime, sieve_primes
-from .errors import CRTError, MalformedSystemError, NotCoveringError
+from .errors import CRTError, MalformedSystemError, NotCoveringError, json_int
 
 __all__ = [
     "CoveringEntry",
@@ -88,7 +88,11 @@ class CoveringSystem:
 
     @classmethod
     def from_entries(cls, triples) -> "CoveringSystem":
-        return cls(tuple(CoveringEntry(int(a), int(m), int(q)) for a, m, q in triples))
+        return cls(tuple(
+            CoveringEntry(*(json_int(v, "covering entry field", MalformedSystemError)
+                            for v in (a, m, q)))
+            for a, m, q in triples
+        ))
 
     def to_json(self) -> dict:
         return {
@@ -104,7 +108,7 @@ class CoveringSystem:
 
         Raises:
             MalformedSystemError: any other shape, or an entry field that
-                is not a number.
+                is not an integer.
         """
         entries = obj.get("entries") if isinstance(obj, dict) else None
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):

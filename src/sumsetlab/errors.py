@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy and the JSON integer check shared across the package.
 
 The CLI maps these onto distinct exit codes: configuration problems
 (bad expressions, malformed input files, inapplicable operations) exit
@@ -32,3 +32,13 @@ class NotCoveringError(SumsetLabError):
 
 class CRTError(SumsetLabError):
     """Chinese-remainder combination failed (non-coprime moduli)."""
+
+
+def json_int(value, what: str, error: type[SumsetLabError]) -> int:
+    """int(value), but a float or a bool raises ``error`` rather than truncate or overflow.
+
+    A decimal string converts; a list, an object or null raises int()'s TypeError.
+    """
+    if isinstance(value, (bool, float)):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ._version import __version__
-from .arith import PrimeTable, check_chebyshev, sieve_covering_odd
+from .arith import check_chebyshev
 from .blocks import (
     DEFAULT_BIT_BUDGET,
     BlockSet,
     GrowthSchedule,
-    block_index,
     conjecture_ratio,
     j_window_check,
 )
@@ -33,7 +32,7 @@ from .depolignac import (
     default_covering_system,
     romanov_density_scan,
 )
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, json_int
 from .serialize import covering_payload, fraction_payload, report_payload
 from .sumset import (
     DEFAULT_ENUM_BUDGET,
@@ -160,7 +159,7 @@ class ExperimentConfig:
 def _int_field(obj: dict, key: str, default: int) -> int:
     value = obj.get(key, default)
     try:
-        return int(value)
+        return json_int(value, key, ConfigError)
     except TypeError:  # a list, an object or null
         raise ConfigError(f"{key} must be an integer, got {value!r}") from None
 
@@ -176,22 +175,16 @@ def result_record(name: str, config: dict, payload, timing: dict | None = None) 
     }
 
 
-def covering_blocks(schedule: GrowthSchedule, x: int) -> tuple[BlockSet, PrimeTable]:
-    """Blocks deep enough to answer queries up to x, with the prime table they use."""
-    table = sieve_covering_odd(max(block_index(x, schedule), 1))
-    return BlockSet.covering(schedule, x, table), table
-
-
-def _blocks_for_grid(config: ExperimentConfig) -> tuple[BlockSet, PrimeTable]:
+def _blocks_for_grid(config: ExperimentConfig) -> BlockSet:
     if config.schedule is None:
         raise ConfigError(f"experiment {config.name!r} needs a schedule")
     if not config.x_grid:
         raise ConfigError(f"experiment {config.name!r} needs a non-empty x_grid")
     # the grid ascends and block_index is monotone, so its last x needs the deepest blocks
-    return covering_blocks(config.schedule, config.x_grid[-1])
+    return BlockSet.covering(config.schedule, config.x_grid[-1])
 
 
-def bound_chain_point(x: int, blocks: BlockSet, table: PrimeTable) -> dict:
+def bound_chain_point(x: int, blocks: BlockSet) -> dict:
     """All analytic checks at one x: window, Chebyshev, count bound, sieve bounds.
 
     Pure floor/rational arithmetic end to end, so paper-scale x is fine.
@@ -217,38 +210,38 @@ def bound_chain_point(x: int, blocks: BlockSet, table: PrimeTable) -> dict:
     if blocks.schedule.kind == "paper" and x >= 4:
         point["window"] = report_payload(j_window_check(x, blocks.schedule))
     if j >= 1:
-        point["chebyshev"] = report_payload(check_chebyshev(j, table))
-        s1 = s1_bound(x, blocks, table, j=j)
+        point["chebyshev"] = report_payload(check_chebyshev(j, blocks.table))
+        s1 = s1_bound(x, blocks)
         point["s1_bound"] = fraction_payload(s1)
         if j >= 2:
-            s2 = s2_bound(x, blocks, table, j=j)
+            s2 = s2_bound(x, blocks)
             point["s2_bound"] = fraction_payload(s2)
             point["c_bound"] = fraction_payload(s1 + s2)
     return point
 
 
 def _run_bounds(config: ExperimentConfig, timing: dict) -> dict:
-    blocks, table = _blocks_for_grid(config)
+    blocks = _blocks_for_grid(config)
     points = []
     for i, x in enumerate(config.x_grid):
         start = time.perf_counter()
-        points.append(bound_chain_point(x, blocks, table))
+        points.append(bound_chain_point(x, blocks))
         timing[f"point_{i}"] = time.perf_counter() - start
     return {"schedule": config.schedule.to_json(), "points": points}
 
 
 def _run_sumset(config: ExperimentConfig, timing: dict) -> dict:
-    blocks, table = _blocks_for_grid(config)
+    blocks = _blocks_for_grid(config)
     points = []
     for x in config.x_grid:
         start = time.perf_counter()
-        points.append(report_payload(c_upper_report(x, blocks, table, config.enum_budget)))
+        points.append(report_payload(c_upper_report(x, blocks, config.enum_budget)))
         timing[f"x={x}"] = time.perf_counter() - start
     return {"schedule": config.schedule.to_json(), "points": points}
 
 
 def _run_ratio_scan(config: ExperimentConfig, timing: dict) -> dict:
-    blocks, _ = _blocks_for_grid(config)
+    blocks = _blocks_for_grid(config)
     start = time.perf_counter()
     points = ratio_scan(config.x_grid, blocks, config.enum_budget)
     timing["scan"] = time.perf_counter() - start

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .arith import PrimeTable, legendre_count, mertens_product
+from .arith import legendre_count, mertens_product
 from .blocks import Block, BlockSet, block_index, count_b
 from .errors import CapacityError, InapplicableError
 
@@ -54,7 +54,7 @@ class SumsetReport:
     s2_count the rest; s1_overlap counts values having witnesses of both
     kinds, which is why the two raw classes only bound the total from
     above. The bound fields are filled by c_upper_report; split_s1_s2
-    leaves them None because they need a prime table.
+    counts only, so it leaves them None.
     """
 
     x: int
@@ -105,12 +105,6 @@ def _check_scale(x: int, budget: int | None) -> int:
     if x > cap:
         raise CapacityError(f"{_x_name(x)} exceeds the enumeration budget {cap}")
     return x
-
-
-def _top_index(x: int, blocks: BlockSet) -> int:
-    j = block_index(x, blocks.schedule)
-    blocks._require_depth(j)
-    return j
 
 
 def _mark_sums(members: np.ndarray, blocks: BlockSet, j: int, marked: Sequence[Block]) -> None:
@@ -179,7 +173,7 @@ def enumerate_c(
     x = _check_scale(x, budget)
     import numpy as np
 
-    j = _top_index(x, blocks)
+    j = blocks.index(x)
     members = np.zeros(x + 1, dtype=bool)
     _mark_sums(members, blocks, j, blocks.blocks[:j])
     return int(np.count_nonzero(members)), members
@@ -198,7 +192,7 @@ def split_s1_s2(x: int, blocks: BlockSet, budget: int | None = None) -> SumsetRe
     x = _check_scale(x, budget)
     import numpy as np
 
-    j = _top_index(x, blocks)
+    j = blocks.index(x)
     marked = blocks.blocks[:j]
     members = np.zeros(x + 1, dtype=bool)
     _mark_sums(members, blocks, j, marked[:-1])
@@ -218,51 +212,44 @@ def split_s1_s2(x: int, blocks: BlockSet, budget: int | None = None) -> SumsetRe
     )
 
 
-def s1_bound(
-    x: int, blocks: BlockSet, table: PrimeTable, j: int | None = None
-) -> Fraction:
+def s1_bound(x: int, blocks: BlockSet) -> Fraction:
     """Sieve upper bound for the top-block sums: x * prod(1 - 1/p) + 2^j.
 
     The product runs over the j odd primes dividing the top modulus; the
     2^j term absorbs the floor errors of the inclusion-exclusion sum (one
     per squarefree divisor). With j = 0 there is no sieve and the bound
-    degenerates to x itself.
+    degenerates to x itself. CapacityError if x lies above the top block.
     """
     x = int(x)
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    if j is None:
-        j = block_index(x, blocks.schedule)
+    j = blocks.index(x)
     if j == 0:
         return Fraction(x)
-    return x * mertens_product(j, table) + (1 << j)
+    return x * mertens_product(j, blocks.table) + (1 << j)
 
 
-def s2_bound(
-    x: int, blocks: BlockSet, table: PrimeTable, j: int | None = None
-) -> Fraction:
+def s2_bound(x: int, blocks: BlockSet) -> Fraction:
     """Upper bound for sums without a top-block witness.
 
     Level-(j-1) sieve term x * prod(1 - 1/p over j-1 odd primes) + 2^(j-1),
     plus G(j-1) * floor(log2 x) for the pairs whose b lies below G(j-1).
+    Only blocks 1..j-1 are read, so only they must be materialized.
 
     Raises:
         InapplicableError: block index below 2.
     """
     x = int(x)
-    if j is None:
-        j = block_index(x, blocks.schedule)
+    j = block_index(x, blocks.schedule)
     if j < 2:
         raise InapplicableError(f"s2 bound needs block index >= 2, got {j} at x={x}")
     blocks._require_depth(j - 1)
     a_count = x.bit_length() - 1
     small_b_pairs = blocks.blocks[j - 2].lo * a_count
-    return x * mertens_product(j - 1, table) + (1 << (j - 1)) + small_b_pairs
+    return x * mertens_product(j - 1, blocks.table) + (1 << (j - 1)) + small_b_pairs
 
 
-def c_upper_report(
-    x: int, blocks: BlockSet, table: PrimeTable, budget: int | None = None
-) -> SumsetReport:
+def c_upper_report(x: int, blocks: BlockSet, budget: int | None = None) -> SumsetReport:
     """Full report: exact counts, partition, and the analytic bound chain.
 
     c_bound is s1_bound + s2_bound (the pre-absorption form, valid under
@@ -275,9 +262,9 @@ def c_upper_report(
     if j < 2:
         raise InapplicableError(f"bound chain needs block index >= 2, got {j} at {_x_name(x)}")
     report = split_s1_s2(x, blocks, budget)
-    s1b = s1_bound(x, blocks, table, j=j)
-    s2b = s2_bound(x, blocks, table, j=j)
-    legendre = legendre_count(x, (table.odd_prime(i) for i in range(1, j + 1)))
+    s1b = s1_bound(x, blocks)
+    s2b = s2_bound(x, blocks)
+    legendre = legendre_count(x, (blocks.table.odd_prime(i) for i in range(1, j + 1)))
     return dataclasses.replace(
         report,
         s1_bound=s1b,

@@ -21,13 +21,13 @@ def table_1e6():
 
 
 @pytest.fixture(scope="session")
-def poly_blocks(table_small):
-    return BlockSet.materialize(GrowthSchedule.polynomial(), 6, table_small)
+def poly_blocks():
+    return BlockSet.materialize(GrowthSchedule.polynomial(), 6)
 
 
 @pytest.fixture(scope="session")
-def paper_blocks(table_small):
-    return BlockSet.materialize(GrowthSchedule.paper(), 3, table_small)
+def paper_blocks():
+    return BlockSet.materialize(GrowthSchedule.paper(), 3)
 
 
 def _mark_sums_split(x, blocks):

@@ -39,13 +39,13 @@ def table_small():
 
 
 @pytest.fixture(scope="module")
-def paper_blocks(table_small):
-    return sl.BlockSet.materialize(PAPER, 3, table_small)
+def paper_blocks():
+    return sl.BlockSet.materialize(PAPER, 3)
 
 
 @pytest.fixture(scope="module")
-def poly_blocks(table_small):
-    return sl.BlockSet.materialize(POLY, 6, table_small)
+def poly_blocks():
+    return sl.BlockSet.materialize(POLY, 6)
 
 
 def _report(criterion, description, elapsed, budget):
@@ -134,11 +134,11 @@ def test_criterion_04_ratio_predicate(paper_blocks):
     _report(4, "ratio predicate > 1 at paper scale, pinned 1.66664 at 2^20", elapsed, 5)
 
 
-def test_criterion_05_split_and_sieve_bounds(poly_blocks, table_small, split_oracle):
+def test_criterion_05_split_and_sieve_bounds(poly_blocks, split_oracle):
     """Partition identity, witness coprimality, and sieve bounds at desk scale."""
     start = time.perf_counter()
     for x in (10**3, 10**4, 10**5, 10**6):
-        report = sl.c_upper_report(x, poly_blocks, table_small)
+        report = sl.c_upper_report(x, poly_blocks)
         assert report.s1_count + report.s2_count == report.c_count
         assert Fraction(report.s1_count) <= report.s1_bound
         assert Fraction(report.s2_count) <= report.s2_bound
@@ -154,7 +154,7 @@ def test_criterion_05_split_and_sieve_bounds(poly_blocks, table_small, split_ora
     _report(5, "s1/s2 partition, coprimality, sieve bounds at 1e3..1e6", elapsed, 120)
 
 
-def test_criterion_06_density_declines(poly_blocks, table_small):
+def test_criterion_06_density_declines(poly_blocks):
     """Sumset density at 1e6 strictly below density at 1e3 (exact counts)."""
     start = time.perf_counter()
     c_small, _ = sl.enumerate_c(10**3, poly_blocks)

@@ -18,7 +18,6 @@ from sumsetlab import (
     j_window_check,
     s1_bound,
     s2_bound,
-    sieve_covering_odd,
 )
 
 PAPER = GrowthSchedule.paper()
@@ -130,10 +129,17 @@ class TestMembership:
     def test_below_first_window(self, paper_blocks):
         assert b_member(3, paper_blocks) is False
 
-    def test_capacity_never_silently_false(self, table_small):
-        shallow = BlockSet.materialize(POLY, 2, table_small)
+    def test_capacity_never_silently_false(self):
+        shallow = BlockSet.materialize(POLY, 2)
         with pytest.raises(CapacityError):
             b_member(512, shallow)
+
+    def test_index_checks_depth(self):
+        # polynomial windows: block 1 is [2, 16), block 2 is [16, 512)
+        shallow = BlockSet.materialize(POLY, 2)
+        assert [shallow.index(n) for n in (0, 1, 2, 15, 16, 511)] == [0, 0, 1, 1, 2, 2]
+        with pytest.raises(CapacityError, match="^block 3 not materialized"):
+            shallow.index(512)
 
     def test_member_lies_in_exactly_one_block(self, poly_blocks):
         for n in range(1, 3000):
@@ -289,8 +295,7 @@ class TestPaperScale:
         ids=["2^20000", "2^70000", "2^999999-1"],
     )
     def test_counts_match_oracle(self, x, j):
-        table = sieve_covering_odd(4)
-        blocks = BlockSet.covering(PAPER, x, table)
+        blocks = BlockSet.covering(PAPER, x)
         expected_j, count, lower = paper_oracle(x)
         assert block_index(x, PAPER) == expected_j == j
         assert count_b(x, blocks) == count
@@ -303,13 +308,14 @@ class TestPaperScale:
         sieve = [Fraction(1)]
         for p in (3, 5, 7, 11):
             sieve.append(sieve[-1] * Fraction(p - 1, p))
-        assert s1_bound(x, blocks, table) == x * sieve[j] + 2**j
+        assert s1_bound(x, blocks) == x * sieve[j] + 2**j
         small_b_pairs = PAPER_G[j - 2] * (x.bit_length() - 1)
-        assert s2_bound(x, blocks, table) == x * sieve[j - 1] + 2 ** (j - 1) + small_b_pairs
+        assert s2_bound(x, blocks) == x * sieve[j - 1] + 2 ** (j - 1) + small_b_pairs
 
     def test_materialize_depth(self):
         blocks = BlockSet.materialize(PAPER, 4)
         assert [blk.lo for blk in blocks.blocks] == PAPER_G
         assert [blk.modulus for blk in blocks.blocks] == PAPER_D
+        assert [blocks.table.odd_prime(t) for t in range(1, 5)] == [3, 5, 7, 11]
         with pytest.raises(CapacityError):
             BlockSet.materialize(PAPER, 5)  # G(5) has 2^25 + 1 bits

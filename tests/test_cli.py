@@ -323,11 +323,37 @@ class TestExitCodes:
             pytest.param("schedule", {"kind": "custom", "exponents": 5}, id="exponents-number"),
             pytest.param("schedule", {"kind": "custom", "exponents": [[1]]},
                          id="exponent-list"),
+            # a JSON number that is not an integer is refused, not truncated or overflowed
+            pytest.param("schedule", {"kind": "custom", "exponents": [1.5, 4.9]},
+                         id="exponent-float"),
+            pytest.param("schedule", '{"kind": "custom", "exponents": [1, 1e400]}',
+                         id="exponent-1e400"),
+            pytest.param("schedule", {"kind": "custom", "exponents": [True, 4]},
+                         id="exponent-bool"),
+            pytest.param("config", {"name": "x", "kind": "romanov", "limit": 1000,
+                                    "k_min": 2.5}, id="k_min-float"),
+            pytest.param("config", '{"name": "x", "kind": "romanov", "limit": 1000, '
+                                   '"k_min": -Infinity}', id="k_min-infinity"),
+            pytest.param("config", {"name": "x", "kind": "sumset", "x_grid": [100000],
+                                    "schedule": {"kind": "polynomial"},
+                                    "budgets": {"enumeration": 1e9}}, id="enumeration-float"),
+            pytest.param("config", '{"name": "x", "kind": "sumset", "x_grid": [1000], '
+                                   '"schedule": {"kind": "polynomial"}, '
+                                   '"budgets": {"enumeration": 1e400}}', id="enumeration-1e400"),
+            pytest.param("config", {"name": "x", "kind": "sumset", "x_grid": [100],
+                                    "schedule": {"kind": "polynomial"},
+                                    "budgets": {"enumeration": True}}, id="enumeration-bool"),
+            pytest.param("system", {"entries": [{"residue": 1.5, "modulus": 2, "prime": 3}]},
+                         id="residue-float"),
+            pytest.param("system", '{"entries": [{"residue": 0, "modulus": 1e400, "prime": 3}]}',
+                         id="modulus-1e400"),
+            pytest.param("system", {"entries": [{"residue": True, "modulus": 2, "prime": 3}]},
+                         id="residue-bool"),
         ],
     )
     def test_malformed_json_shape_is_config_error(self, capsys, tmp_path, flag, document):
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(document))
+        path.write_text(document if isinstance(document, str) else json.dumps(document))
         argv = {
             "config": ["experiment", "run", str(path)],
             "system": ["covering", "verify", "--system", str(path)],
@@ -336,6 +362,17 @@ class TestExitCodes:
         assert run_command(argv) == EXIT_CONFIG  # returns: nothing escapes as a traceback
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+    def test_decimal_strings_in_integer_fields_still_parse(self, capsys, tmp_path):
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(json.dumps({"kind": "custom", "exponents": ["2", "5", "9"]}))
+        record = run_json(capsys, ["count-b", "--schedule", str(schedule), "--x", "100"])
+        assert record["config"]["schedule"]["exponents"] == [2, 5, 9]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"name": "x", "kind": "romanov", "limit": 1000,
+                                      "k_min": "2", "budgets": {"enumeration": "5000"}}))
+        record = run_json(capsys, ["experiment", "run", str(config)])
+        assert (record["config"]["k_min"], record["config"]["budgets"]) == (2, {"enumeration": 5000})
 
     def test_system_with_explicit_progression_is_config_error(self, capsys, tmp_path):
         # rejected before the file is read, so a missing file is not silently ignored

@@ -173,41 +173,47 @@ class TestSplit:
 
 
 class TestBounds:
-    def test_s1_bound_values(self, poly_blocks, table_small):
-        assert s1_bound(100, poly_blocks, table_small) == Fraction(172, 3)
-        assert s1_bound(20, poly_blocks, table_small) == Fraction(44, 3)
-        assert s1_bound(0, poly_blocks, table_small, j=2) == 4
-        assert s1_bound(1, poly_blocks, table_small) == 1  # j = 0: no sieve
+    def test_s1_bound_values(self, poly_blocks):
+        assert s1_bound(100, poly_blocks) == Fraction(172, 3)
+        assert s1_bound(20, poly_blocks) == Fraction(44, 3)
+        assert s1_bound(1, poly_blocks) == 1  # j = 0: no sieve
 
     def test_s1_bound_dominates_legendre(self, poly_blocks, table_small):
         for x in (20, 100, 600, 10**5):
             j = block_index(x, POLY)
             odd = [table_small.odd_prime(i) for i in range(1, j + 1)]
             exact = legendre_count(x, odd)
-            assert Fraction(exact) <= s1_bound(x, poly_blocks, table_small)
+            assert Fraction(exact) <= s1_bound(x, poly_blocks)
 
-    def test_s2_bound_values(self, poly_blocks, paper_blocks, table_small):
-        assert s2_bound(20, poly_blocks, table_small) == Fraction(70, 3)
-        assert s2_bound(600, poly_blocks, table_small) == 468
-        assert s2_bound(2**20, paper_blocks, table_small) == Fraction(2097398, 3)
+    def test_s2_bound_values(self, poly_blocks, paper_blocks):
+        assert s2_bound(20, poly_blocks) == Fraction(70, 3)
+        assert s2_bound(600, poly_blocks) == 468
+        assert s2_bound(2**20, paper_blocks) == Fraction(2097398, 3)
 
-    def test_s2_bound_inapplicable(self, poly_blocks, table_small):
+    def test_bounds_refuse_a_block_the_set_does_not_hold(self):
+        # x = 10^6 lies in polynomial block 4, above the two blocks this set holds
+        shallow = BlockSet.materialize(POLY, 2)
+        for bound in (s1_bound, s2_bound, c_upper_report):
+            with pytest.raises(CapacityError, match=r"^block \d not materialized \(max_t=2\)"):
+                bound(10**6, shallow)
+
+    def test_s2_bound_inapplicable(self, poly_blocks):
         with pytest.raises(InapplicableError):
-            s2_bound(5, poly_blocks, table_small)
+            s2_bound(5, poly_blocks)
 
-    def test_counts_below_bounds(self, poly_blocks, table_small):
+    def test_counts_below_bounds(self, poly_blocks):
         for x in (20, 600, 5000, 10**5):
-            report = c_upper_report(x, poly_blocks, table_small)
+            report = c_upper_report(x, poly_blocks)
             assert Fraction(report.s1_count) <= report.s1_bound
             assert Fraction(report.s2_count) <= report.s2_bound
             assert Fraction(report.c_count) <= report.c_bound
             assert Fraction(report.s1_count) <= Fraction(report.s1_legendre)
 
-    def test_report_inapplicable_below_second_block(self, poly_blocks, table_small):
+    def test_report_inapplicable_below_second_block(self, poly_blocks):
         with pytest.raises(InapplicableError):
-            c_upper_report(5, poly_blocks, table_small)
+            c_upper_report(5, poly_blocks)
 
-    def test_report_checks_block_index_before_enumerating(self, monkeypatch, table_small):
+    def test_report_checks_block_index_before_enumerating(self, monkeypatch):
         # windows at 2^20 and 2^40 leave x = 10^8 in block 1, and 2*10^8 past the budget too
         from sumsetlab import sumset
 
@@ -218,16 +224,16 @@ class TestBounds:
         blocks = BlockSet.covering(GrowthSchedule.custom([20, 40]), 2 * 10**8)
         for x in (10**8, 2 * 10**8):
             with pytest.raises(InapplicableError, match=f"got 1 at x={x}$"):
-                c_upper_report(x, blocks, table_small)
+                c_upper_report(x, blocks)
         with pytest.raises(ValueError, match="^x must be >= 1, got 0$"):
-            c_upper_report(0, blocks, table_small)
+            c_upper_report(0, blocks)
 
-    def test_density_declines(self, poly_blocks, table_small):
-        small = c_upper_report(10**3, poly_blocks, table_small)
-        large = c_upper_report(10**5, poly_blocks, table_small)
+    def test_density_declines(self, poly_blocks):
+        small = c_upper_report(10**3, poly_blocks)
+        large = c_upper_report(10**5, poly_blocks)
         assert large.density < small.density
 
-    def test_legendre_at_pipeline_scale(self, table_small):
+    def test_legendre_at_pipeline_scale(self):
         # re-assert the sieve identity at x = 1e5 against a gcd scan
         x = 10**5
         primes = (3, 5, 7, 11)
@@ -256,8 +262,8 @@ class TestRatioScan:
         with pytest.raises(ValueError):
             ratio_scan([100, 50], poly_blocks)
 
-    def test_empty_blockset_gives_none_ratio(self, table_small):
-        blocks = BlockSet.materialize(POLY, 1, table_small)
+    def test_empty_blockset_gives_none_ratio(self):
+        blocks = BlockSet.materialize(POLY, 1)
         (point,) = ratio_scan([2], blocks)
         assert point.b_count == 0 and point.ratio is None
 
@@ -321,6 +327,20 @@ class TestCustomScheduleWindows:
         assert report.s1_count == len(with_top)
         assert report.s2_count == len(with_rest - with_top)
         assert report.s1_overlap == len(with_top & with_rest)
+        j = report.j
+        if j < 2:
+            return
+        # the bound chain in closed form from the exponents and the first odd primes
+        full = c_upper_report(x, blocks)
+        sieve = [math.prod(Fraction(p - 1, p) for p in ODD_PRIMES[:t]) for t in range(j + 1)]
+        s1b = x * sieve[j] + 2**j
+        s2b = x * sieve[j - 1] + 2 ** (j - 1) + 2 ** exponents[j - 2] * (x.bit_length() - 1)
+        coprime = sum(math.gcd(n, math.prod(ODD_PRIMES[:j])) == 1 for n in range(1, x + 1))
+        assert (full.s1_bound, full.s2_bound, full.c_bound) == (s1b, s2b, s1b + s2b)
+        assert full.s1_legendre == coprime
+        assert full.s1_count <= full.s1_legendre <= full.s1_bound
+        assert full.s2_count <= full.s2_bound
+        assert full.c_count <= full.c_bound
 
     @settings(max_examples=40, deadline=None)
     @given(custom_schedules())
