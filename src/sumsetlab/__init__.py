@@ -5,116 +5,80 @@ counts them and their power-of-two sumsets exactly, audits every
 inequality of the associated density bound chain with rational
 arithmetic, and runs covering-congruence and prime-plus-power-of-two
 scans.
+
+Each public name is imported from its home module on first access, so
+``import sumsetlab`` (and the CLI, which imports a layer only to run it)
+loads no layer it does not use.
 """
 
-from ._version import __version__
-from .arith import (
-    ChebyshevCheck,
-    PrimeTable,
-    big_log2,
-    check_chebyshev,
-    is_prime,
-    legendre_count,
-    mertens_product,
-    odd_primorial,
-    sieve_covering_odd,
-    sieve_primes,
-    squarefree_divisors_signed,
-)
-from .blocks import (
-    Block,
-    BlockCountReport,
-    BlockSet,
-    GrowthSchedule,
-    WindowCheck,
-    b_member,
-    block_index,
-    conjecture_ratio,
-    count_b,
-    count_b_lower_bound,
-    grow,
-    j_window_check,
-)
-from .depolignac import (
-    APCertificate,
-    CoverCheck,
-    CoveringEntry,
-    CoveringSystem,
-    ScanReport,
-    ap_scan,
-    covering_verify,
-    crt_combine,
-    default_covering_system,
-    romanov_density_scan,
-)
-from .errors import (
-    CapacityError,
-    ConfigError,
-    CRTError,
-    InapplicableError,
-    MalformedSystemError,
-    NotCoveringError,
-    SumsetLabError,
-)
-from .sumset import (
-    RatioPoint,
-    SumsetReport,
-    c_upper_report,
-    enumerate_c,
-    ratio_scan,
-    s1_bound,
-    s2_bound,
-    split_s1_s2,
-)
+import importlib
 
-__all__ = [
-    "__version__",
-    "APCertificate",
-    "Block",
-    "BlockCountReport",
-    "BlockSet",
-    "CapacityError",
-    "ChebyshevCheck",
-    "ConfigError",
-    "CoverCheck",
-    "CoveringEntry",
-    "CoveringSystem",
-    "CRTError",
-    "GrowthSchedule",
-    "InapplicableError",
-    "MalformedSystemError",
-    "NotCoveringError",
-    "PrimeTable",
-    "RatioPoint",
-    "ScanReport",
-    "SumsetLabError",
-    "SumsetReport",
-    "WindowCheck",
-    "ap_scan",
-    "b_member",
-    "big_log2",
-    "block_index",
-    "c_upper_report",
-    "check_chebyshev",
-    "conjecture_ratio",
-    "count_b",
-    "count_b_lower_bound",
-    "covering_verify",
-    "crt_combine",
-    "default_covering_system",
-    "enumerate_c",
-    "grow",
-    "is_prime",
-    "j_window_check",
-    "legendre_count",
-    "mertens_product",
-    "odd_primorial",
-    "ratio_scan",
-    "romanov_density_scan",
-    "s1_bound",
-    "s2_bound",
-    "sieve_covering_odd",
-    "sieve_primes",
-    "split_s1_s2",
-    "squarefree_divisors_signed",
-]
+from ._version import __version__
+
+# public name -> the module that defines it
+_HOMES = {
+    "ChebyshevCheck": "arith",
+    "PrimeTable": "arith",
+    "big_log2": "arith",
+    "check_chebyshev": "arith",
+    "is_prime": "arith",
+    "legendre_count": "arith",
+    "mertens_product": "arith",
+    "odd_primorial": "arith",
+    "sieve_covering_odd": "arith",
+    "sieve_primes": "arith",
+    "squarefree_divisors_signed": "arith",
+    "Block": "blocks",
+    "BlockCountReport": "blocks",
+    "BlockSet": "blocks",
+    "GrowthSchedule": "blocks",
+    "WindowCheck": "blocks",
+    "b_member": "blocks",
+    "block_index": "blocks",
+    "conjecture_ratio": "blocks",
+    "count_b": "blocks",
+    "count_b_lower_bound": "blocks",
+    "grow": "blocks",
+    "j_window_check": "blocks",
+    "APCertificate": "depolignac",
+    "CoverCheck": "depolignac",
+    "CoveringEntry": "depolignac",
+    "CoveringSystem": "depolignac",
+    "ScanReport": "depolignac",
+    "ap_scan": "depolignac",
+    "covering_verify": "depolignac",
+    "crt_combine": "depolignac",
+    "default_covering_system": "depolignac",
+    "romanov_density_scan": "depolignac",
+    "CapacityError": "errors",
+    "ConfigError": "errors",
+    "CRTError": "errors",
+    "InapplicableError": "errors",
+    "MalformedSystemError": "errors",
+    "NotCoveringError": "errors",
+    "SumsetLabError": "errors",
+    "RatioPoint": "sumset",
+    "SumsetReport": "sumset",
+    "c_upper_report": "sumset",
+    "enumerate_c": "sumset",
+    "ratio_scan": "sumset",
+    "s1_bound": "sumset",
+    "s2_bound": "sumset",
+    "split_s1_s2": "sumset",
+}
+
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -15,9 +15,9 @@ from typing import NamedTuple, Sequence
 
 from .arith import PrimeTable, big_log2, sieve_covering_odd
 from .errors import CapacityError, ConfigError, InapplicableError, json_int
+from .serialize import DEFAULT_BIT_BUDGET
 
 __all__ = [
-    "DEFAULT_BIT_BUDGET",
     "GrowthSchedule",
     "Block",
     "BlockSet",
@@ -31,9 +31,6 @@ __all__ = [
     "count_b_lower_bound",
     "conjecture_ratio",
 ]
-
-# Largest integer the library will materialize, in bits.
-DEFAULT_BIT_BUDGET = 1_000_000
 
 _KINDS = ("paper", "polynomial", "custom")
 

@@ -11,27 +11,14 @@ SUMSETLAB_ENUM_CAP environment variable or a --budget flag.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
-import json
 import os
 import sys
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ._version import __version__
-from .arith import check_chebyshev, mertens_product, sieve_covering_odd, sieve_primes
-from .blocks import BlockSet, GrowthSchedule, conjecture_ratio
-from .depolignac import (
-    APCertificate,
-    CoveringSystem,
-    ap_scan,
-    covering_verify,
-    crt_combine,
-    default_covering_system,
-    romanov_density_scan,
-)
 from .errors import (
     CapacityError,
     ConfigError,
@@ -40,31 +27,20 @@ from .errors import (
     MalformedSystemError,
     NotCoveringError,
 )
-from .experiments import (
-    ExperimentConfig,
-    BUILTIN_EXPERIMENTS,
-    bound_chain_point,
-    builtin_experiment,
-    parse_power_expr,
-    result_record,
-    run_experiment,
-)
-from .serialize import (
-    covering_payload,
-    fraction_payload,
-    payload_csv,
-    payload_json,
-    report_payload,
-)
-from .sumset import DEFAULT_ENUM_BUDGET, c_upper_report
+
+if TYPE_CHECKING:
+    from .blocks import GrowthSchedule
+    from .depolignac import CoveringSystem
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
+EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for a writer killed by SIGPIPE
 
 ENUM_CAP_ENV = "SUMSETLAB_ENUM_CAP"
 
+# json.JSONDecodeError is a ValueError; a closed stdout pipe (BrokenPipeError) is caught first
 _CONFIG_ERRORS = (
     ConfigError,
     InapplicableError,
@@ -72,7 +48,6 @@ _CONFIG_ERRORS = (
     NotCoveringError,
     CRTError,
     ValueError,
-    json.JSONDecodeError,
     OSError,
 )
 
@@ -86,8 +61,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise _UsageError(message)
 
+    # argparse drops an OSError from writing --help or --version; a closed pipe must surface
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            (file or sys.stderr).write(message)
+
 
 def _schedule_from_arg(value: str) -> GrowthSchedule:
+    import json
+
+    from .blocks import GrowthSchedule
+
     if value in ("paper", "polynomial"):
         return GrowthSchedule(value)
     path = Path(value)
@@ -99,12 +83,18 @@ def _schedule_from_arg(value: str) -> GrowthSchedule:
 
 
 def _system_from_arg(value: str | None) -> CoveringSystem:
+    import json
+
+    from .depolignac import CoveringSystem, default_covering_system
+
     if value is None:
         return default_covering_system()
     return CoveringSystem.from_json(json.loads(Path(value).read_text()))
 
 
 def _enum_budget(args: argparse.Namespace) -> int:
+    from .sumset import DEFAULT_ENUM_BUDGET
+
     budget = args.budget
     if budget is None:
         env = os.environ.get(ENUM_CAP_ENV)
@@ -119,7 +109,13 @@ def _enum_budget(args: argparse.Namespace) -> int:
     return budget
 
 
+# Each handler imports the layers it runs, so starting the CLI loads none of them.
+
+
 def _cmd_count_b(args) -> dict:
+    from .blocks import BlockSet, conjecture_ratio
+    from .serialize import parse_power_expr, report_payload, result_record
+
     schedule = _schedule_from_arg(args.schedule)
     x = parse_power_expr(args.x)
     payload = report_payload(conjecture_ratio(x, BlockSet.covering(schedule, x)))
@@ -127,6 +123,10 @@ def _cmd_count_b(args) -> dict:
 
 
 def _cmd_bounds(args) -> dict:
+    from .blocks import BlockSet
+    from .experiments import bound_chain_point
+    from .serialize import parse_power_expr, result_record
+
     schedule = _schedule_from_arg(args.schedule)
     x = parse_power_expr(args.x)
     payload = bound_chain_point(x, BlockSet.covering(schedule, x))
@@ -134,6 +134,10 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_sumset(args) -> dict:
+    from .blocks import BlockSet
+    from .serialize import parse_power_expr, report_payload, result_record
+    from .sumset import c_upper_report
+
     schedule = _schedule_from_arg(args.schedule)
     x = parse_power_expr(args.x)
     budget = _enum_budget(args)
@@ -143,6 +147,9 @@ def _cmd_sumset(args) -> dict:
 
 
 def _cmd_ratio_scan(args) -> dict:
+    from .experiments import ExperimentConfig, run_experiment
+    from .serialize import parse_power_expr
+
     schedule = _schedule_from_arg(args.schedule)
     grid = tuple(parse_power_expr(part) for part in args.grid.split(","))
     return run_experiment(ExperimentConfig(
@@ -152,6 +159,9 @@ def _cmd_ratio_scan(args) -> dict:
 
 
 def _cmd_sieve_count(args) -> dict:
+    from .arith import sieve_primes
+    from .serialize import parse_power_expr, result_record
+
     limit = parse_power_expr(args.limit)
     table = sieve_primes(limit)
     payload = {
@@ -164,6 +174,9 @@ def _cmd_sieve_count(args) -> dict:
 
 
 def _cmd_mertens(args) -> dict:
+    from .arith import mertens_product, sieve_covering_odd
+    from .serialize import fraction_payload, result_record
+
     table = sieve_covering_odd(args.j)
     product = mertens_product(args.j, table, include_two=args.include_two)
     payload = {
@@ -176,23 +189,35 @@ def _cmd_mertens(args) -> dict:
 
 
 def _cmd_chebyshev(args) -> dict:
+    from .arith import check_chebyshev, sieve_covering_odd
+    from .serialize import report_payload, result_record
+
     check = check_chebyshev(args.j, sieve_covering_odd(args.j))
     return result_record("chebyshev", {"j": args.j}, {"j": args.j, **report_payload(check)})
 
 
 def _cmd_covering_verify(args) -> dict:
+    from .depolignac import covering_verify
+    from .serialize import covering_payload, result_record
+
     system = _system_from_arg(args.system)
     payload = covering_payload(system, covering_verify(system))
     return result_record("covering-verify", {"system": system.to_json()}, payload)
 
 
 def _cmd_covering_crt(args) -> dict:
+    from .depolignac import crt_combine
+    from .serialize import result_record
+
     system = _system_from_arg(args.system)
     payload = crt_combine(system).to_json()
     return result_record("covering-crt", {"system": system.to_json()}, payload)
 
 
 def _cmd_depolignac_scan(args) -> dict:
+    from .depolignac import APCertificate, ap_scan, crt_combine
+    from .serialize import parse_power_expr, report_payload, result_record
+
     limit = parse_power_expr(args.limit)
     if args.residue is not None or args.modulus is not None:
         if args.residue is None or args.modulus is None:
@@ -210,6 +235,9 @@ def _cmd_depolignac_scan(args) -> dict:
 
 
 def _cmd_romanov_density(args) -> dict:
+    from .depolignac import romanov_density_scan
+    from .serialize import parse_power_expr, report_payload, result_record
+
     limit = parse_power_expr(args.limit)
     scan = romanov_density_scan(limit, args.k_min)
     payload = {"scan": report_payload(scan), "k_min": args.k_min}
@@ -217,10 +245,23 @@ def _cmd_romanov_density(args) -> dict:
 
 
 def _cmd_experiment_list(args) -> dict:
+    from .experiments import BUILTIN_EXPERIMENTS
+    from .serialize import result_record
+
     return result_record("experiment-list", {}, {"experiments": sorted(BUILTIN_EXPERIMENTS)})
 
 
 def _cmd_experiment_run(args) -> dict:
+    import dataclasses
+    import json
+
+    from .experiments import (
+        BUILTIN_EXPERIMENTS,
+        ExperimentConfig,
+        builtin_experiment,
+        run_experiment,
+    )
+
     target = args.target
     if target in BUILTIN_EXPERIMENTS:
         config = builtin_experiment(target)
@@ -310,6 +351,8 @@ def build_parser() -> _Parser:
 
 
 def _write(record: dict, args: argparse.Namespace) -> None:
+    from .serialize import payload_csv, payload_json
+
     if args.format == "csv":
         payload = record["payload"]
         if isinstance(payload, dict) and "points" in payload:
@@ -332,12 +375,16 @@ def run_command(argv: Sequence[str]) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
+    except BrokenPipeError:  # --help / --version into a closed pipe
+        return EXIT_BROKEN_PIPE
     command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
     try:
         started = time.perf_counter()
         record = _handler(command)(args)
         record["timing"]["total"] = time.perf_counter() - started
         _write(record, args)
+    except BrokenPipeError:  # the reader closed stdout: end quietly
+        return EXIT_BROKEN_PIPE
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
@@ -351,7 +398,15 @@ def run_command(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    code = run_command(sys.argv[1:])
+    try:
+        sys.stdout.flush()  # a buffered record meets a closed pipe here rather than at exit
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    if code == EXIT_BROKEN_PIPE:
+        # the interpreter flushes stdout again at exit: let that flush go to devnull, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

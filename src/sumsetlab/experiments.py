@@ -10,20 +10,12 @@ the payload for exactly that reason.
 
 from __future__ import annotations
 
-import re
 import time
 from dataclasses import dataclass
 from typing import Callable
 
-from ._version import __version__
 from .arith import check_chebyshev
-from .blocks import (
-    DEFAULT_BIT_BUDGET,
-    BlockSet,
-    GrowthSchedule,
-    conjecture_ratio,
-    j_window_check,
-)
+from .blocks import BlockSet, GrowthSchedule, conjecture_ratio, j_window_check
 from .depolignac import (
     CoveringSystem,
     ap_scan,
@@ -32,8 +24,14 @@ from .depolignac import (
     default_covering_system,
     romanov_density_scan,
 )
-from .errors import CapacityError, ConfigError, json_int
-from .serialize import covering_payload, fraction_payload, report_payload
+from .errors import ConfigError, json_int
+from .serialize import (
+    covering_payload,
+    fraction_payload,
+    parse_power_expr,
+    report_payload,
+    result_record,
+)
 from .sumset import (
     DEFAULT_ENUM_BUDGET,
     c_upper_report,
@@ -44,49 +42,12 @@ from .sumset import (
 
 __all__ = [
     "ExperimentConfig",
-    "parse_power_expr",
     "run_experiment",
     "builtin_experiment",
     "BUILTIN_EXPERIMENTS",
 ]
 
 _KINDS = ("bounds", "sumset", "ratio-scan", "depolignac", "romanov")
-
-_EXPR_RE = re.compile(r"^\s*(?:(\d+)|2\^(\d+)|2\^\(2\^(\d+)\))\s*$")
-
-
-def parse_power_expr(text: str | int) -> int:
-    """Parse "12345", "2^k", or "2^(2^k)" into an exact integer.
-
-    Raises:
-        ConfigError: the text matches none of the three forms.
-        CapacityError: the value would exceed DEFAULT_BIT_BUDGET bits.
-    """
-    over = f"exceeds the {DEFAULT_BIT_BUDGET}-bit budget"
-    if isinstance(text, int):
-        if text.bit_length() > DEFAULT_BIT_BUDGET:
-            raise CapacityError(f"integer {over}")
-        return text
-    match = _EXPR_RE.match(str(text))
-    if not match:
-        raise ConfigError(f"cannot parse integer expression {text!r}")
-    decimal, single, tower = match.groups()
-    if decimal is not None:
-        if len(decimal) > DEFAULT_BIT_BUDGET // 3 + 2:
-            raise CapacityError(f"decimal literal {over}")
-        value = int(decimal)
-        if value.bit_length() > DEFAULT_BIT_BUDGET:
-            raise CapacityError(f"decimal literal {over}")
-        return value
-    if single is not None:
-        e = int(single)
-        if e >= DEFAULT_BIT_BUDGET:
-            raise CapacityError(f"2^{e} {over}")
-        return 1 << e
-    e = int(tower)
-    if e > 60 or (1 << e) >= DEFAULT_BIT_BUDGET:
-        raise CapacityError(f"2^(2^{e}) {over}")
-    return 1 << (1 << e)
 
 
 @dataclass(frozen=True)
@@ -162,17 +123,6 @@ def _int_field(obj: dict, key: str, default: int) -> int:
         return json_int(value, key, ConfigError)
     except TypeError:  # a list, an object or null
         raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-
-
-def result_record(name: str, config: dict, payload, timing: dict | None = None) -> dict:
-    """The record every run emits; only ``payload`` must be byte-identical across runs."""
-    return {
-        "name": name,
-        "config": config,
-        "payload": payload,
-        "timing": {} if timing is None else timing,
-        "versions": {"sumsetlab": __version__},
-    }
 
 
 def _blocks_for_grid(config: ExperimentConfig) -> BlockSet:

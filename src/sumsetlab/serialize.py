@@ -1,5 +1,9 @@
 """Report serialization: deterministic JSON payloads and lossy-marked CSV.
 
+Also the two ends every run shares: ``parse_power_expr`` reads integer
+arguments under the library's bit budget, and ``result_record`` wraps a
+payload into the record the CLI and the experiments emit.
+
 Exact rationals always serialize as {"num": ..., "den": ...} decimal
 strings so no precision is laundered through floats; integers stay JSON
 integers (arbitrary precision survives a round trip). CSV rows render
@@ -12,14 +16,21 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .depolignac import CoverCheck, CoveringSystem
-from .errors import ConfigError
+from ._version import __version__
+from .errors import CapacityError, ConfigError
+
+if TYPE_CHECKING:
+    from .depolignac import CoverCheck, CoveringSystem
 
 __all__ = [
+    "DEFAULT_BIT_BUDGET",
+    "parse_power_expr",
+    "result_record",
     "fraction_payload",
     "fraction_from_payload",
     "decimal15",
@@ -29,6 +40,56 @@ __all__ = [
     "rows_to_csv",
     "payload_csv",
 ]
+
+# Largest integer the library will materialize, in bits.
+DEFAULT_BIT_BUDGET = 1_000_000
+
+_EXPR_RE = re.compile(r"^\s*(?:(\d+)|2\^(\d+)|2\^\(2\^(\d+)\))\s*$")
+
+
+def parse_power_expr(text: str | int) -> int:
+    """Parse "12345", "2^k", or "2^(2^k)" into an exact integer.
+
+    Raises:
+        ConfigError: the text matches none of the three forms.
+        CapacityError: the value would exceed DEFAULT_BIT_BUDGET bits.
+    """
+    over = f"exceeds the {DEFAULT_BIT_BUDGET}-bit budget"
+    if isinstance(text, int):
+        if text.bit_length() > DEFAULT_BIT_BUDGET:
+            raise CapacityError(f"integer {over}")
+        return text
+    match = _EXPR_RE.match(str(text))
+    if not match:
+        raise ConfigError(f"cannot parse integer expression {text!r}")
+    decimal, single, tower = match.groups()
+    if decimal is not None:
+        if len(decimal) > DEFAULT_BIT_BUDGET // 3 + 2:
+            raise CapacityError(f"decimal literal {over}")
+        value = int(decimal)
+        if value.bit_length() > DEFAULT_BIT_BUDGET:
+            raise CapacityError(f"decimal literal {over}")
+        return value
+    if single is not None:
+        e = int(single)
+        if e >= DEFAULT_BIT_BUDGET:
+            raise CapacityError(f"2^{e} {over}")
+        return 1 << e
+    e = int(tower)
+    if e > 60 or (1 << e) >= DEFAULT_BIT_BUDGET:
+        raise CapacityError(f"2^(2^{e}) {over}")
+    return 1 << (1 << e)
+
+
+def result_record(name: str, config: dict, payload, timing: dict | None = None) -> dict:
+    """The record every run emits; only ``payload`` must be byte-identical across runs."""
+    return {
+        "name": name,
+        "config": config,
+        "payload": payload,
+        "timing": {} if timing is None else timing,
+        "versions": {"sumsetlab": __version__},
+    }
 
 
 def fraction_payload(value: Fraction) -> dict:

@@ -17,9 +17,9 @@ from sumsetlab.experiments import (
     BUILTIN_EXPERIMENTS,
     ExperimentConfig,
     builtin_experiment,
-    parse_power_expr,
     run_experiment,
 )
+from sumsetlab.serialize import parse_power_expr
 
 
 def run_json(capsys, argv):
@@ -490,43 +490,135 @@ class TestExperimentConfigs:
         assert int(last["count"]["b_lower_bound"]["num"]) > 2**900
 
 
-# Commands that must run without loading numpy; sieve-count must load it.
-_NUMPY_FREE = [
-    ["--version"],
-    ["experiment", "list"],
-    ["covering", "verify"],
-    ["covering", "crt"],
-    ["depolignac", "scan", "--limit", "50000000"],
-    ["depolignac", "scan", "--residue", "7629217", "--modulus", "11184810",
-     "--limit", "300000000"],
-    ["experiment", "run", "depolignac-audit"],
-]
+def _fresh_python(*argv: str, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """Run this interpreter on ``argv`` in a new process that imports sumsetlab from src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, **(env or {})}
+    return subprocess.run([sys.executable, *argv], env=env, text=True, **kwargs)
+
+
+_STARTED = ["sumsetlab", "sumsetlab._version"]
+_CLI = sorted([*_STARTED, "sumsetlab.cli", "sumsetlab.errors"])
+_SCANS = sorted([*_CLI, "sumsetlab.arith", "sumsetlab.depolignac", "sumsetlab.serialize"])
+_COVERING = sorted([*_SCANS, "sumsetlab.data"])  # reads the packaged covering system
+_EVERY = sorted([*_COVERING, "sumsetlab.blocks", "sumsetlab.experiments", "sumsetlab.sumset"])
+
+# One fresh interpreter per sequence, its commands run in order: each step is
+# (argv, exit code, sumsetlab modules loaded by then, whether numpy is loaded).
+# The first sequence ends on sieve-count, which shows that the probe tells the
+# numpy cases apart; the Romanov side loads no block set, sumset or experiment.
+_STARTUP_SEQUENCES = {
+    "sparse commands": [
+        (["--version"], 0, _CLI, False),
+        (["--help"], 0, _CLI, False),
+        (["count-b"], EXIT_USAGE, _CLI, False),
+        (["covering", "verify"], 0, _COVERING, False),
+        (["covering", "crt"], 0, _COVERING, False),
+        (["depolignac", "scan", "--limit", "50000000"], 0, _COVERING, False),
+        (["depolignac", "scan", "--residue", "7629217", "--modulus", "11184810",
+          "--limit", "300000000"], 0, _COVERING, False),
+        (["experiment", "list"], 0, _EVERY, False),
+        (["experiment", "run", "depolignac-audit"], 0, _EVERY, False),
+        (["sieve-count", "--limit", "1000"], 0, _EVERY, True),
+    ],
+    "sieve-count": [
+        (["sieve-count", "--limit", "1000"], 0,
+         sorted([*_CLI, "sumsetlab.arith", "sumsetlab.serialize"]), True),
+    ],
+    "romanov-density": [(["romanov-density", "--limit", "1000"], 0, _SCANS, True)],
+}
 
 _STARTUP_PROBE = """
 import contextlib, io, json, sys
+
+def step(name, code):
+    loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "sumsetlab")
+    steps.append([name, code, loaded, "numpy" in sys.modules])
+
+steps = []
 import sumsetlab
-steps = [["import sumsetlab", 0, "numpy" in sys.modules]]
+step("import sumsetlab", 0)
 import sumsetlab.cli
-steps.append(["import sumsetlab.cli", 0, "numpy" in sys.modules])
-for argv in json.loads(sys.argv[1]) + [["sieve-count", "--limit", "1000"]]:
-    with contextlib.redirect_stdout(io.StringIO()):
+step("import sumsetlab.cli", 0)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = sumsetlab.cli.run_command(argv)
-    steps.append([" ".join(argv), code, "numpy" in sys.modules])
+    step(" ".join(argv), code)
 print(json.dumps(steps))
 """
 
 
 def test_startup_and_sparse_commands_load_no_numpy():
-    # this process already holds numpy, so the probe runs in a fresh one
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run(
-        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(_NUMPY_FREE)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    steps = json.loads(done.stdout)
-    loads_none = ["import sumsetlab", "import sumsetlab.cli", *map(" ".join, _NUMPY_FREE)]
-    # sieve-count shows that the probe can tell the two cases apart
-    assert steps == [*([name, 0, False] for name in loads_none),
-                     ["sieve-count --limit 1000", 0, True]]
+    # this process already holds numpy and every layer, so the probe runs in a fresh one
+    for sequence, commands in _STARTUP_SEQUENCES.items():
+        argvs = json.dumps([argv for argv, *_ in commands])
+        done = _fresh_python("-c", _STARTUP_PROBE, argvs, capture_output=True, check=True)
+        assert json.loads(done.stdout) == [
+            ["import sumsetlab", 0, _STARTED, False],
+            ["import sumsetlab.cli", 0, _CLI, False],
+            *([" ".join(argv), *expected] for argv, *expected in commands),
+        ], sequence
+
+
+_PACKAGE_PROBE = """
+import importlib, json, sys
+importlib.import_module(sys.argv[1])
+import sumsetlab
+
+star = {}
+exec("from sumsetlab import *", star)
+del star["__builtins__"]
+
+def home(name, obj):
+    return "sumsetlab._version" if name == "__version__" else obj.__module__
+
+print(json.dumps({
+    "star": sorted(star),
+    "all": sorted(sumsetlab.__all__),
+    "homes": sorted({home(name, obj) for name, obj in star.items()}),
+    "not_home": [name for name, obj in star.items()
+                 if getattr(importlib.import_module(home(name, obj)), name) is not obj],
+    "not_in_dir": sorted(set(sumsetlab.__all__) - set(dir(sumsetlab))),
+    "unknown_found": hasattr(sumsetlab, "no_such_name"),
+}))
+"""
+
+_MODULES = ["_version", "arith", "blocks", "cli", "depolignac", "errors", "experiments",
+            "serialize", "sumset"]
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_each_module_imports_first_and_the_lazy_package_is_complete(module):
+    # every module imports on its own, whatever the package loaded before it
+    done = _fresh_python("-c", _PACKAGE_PROBE, f"sumsetlab.{module}", capture_output=True)
+    assert done.returncode == 0, done.stderr
+    facts = json.loads(done.stdout)
+    assert facts["star"] == facts["all"]
+    assert len(facts["all"]) == len(set(facts["all"])) > 40
+    assert set(facts["homes"]) <= {f"sumsetlab.{m}" for m in _MODULES}
+    assert facts["not_home"] == [] and facts["not_in_dir"] == []
+    assert not facts["unknown_found"]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count-b", "--schedule", "paper", "--x", "100000"],
+        ["count-b", "--schedule", "paper", "--x", "100000", "--format", "csv"],
+        ["--version"],
+    ],
+    ids=["json", "csv", "version"],
+)
+def test_closed_stdout_pipe_ends_quietly(argv, unbuffered):
+    # stdout is a pipe whose reader has already exited; an empty PYTHONUNBUFFERED is unset
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {"PYTHONUNBUFFERED": "1" if unbuffered else ""}
+    try:
+        done = _fresh_python("-m", "sumsetlab.cli", *argv, env=env,
+                             stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (cli.EXIT_BROKEN_PIPE, "")
