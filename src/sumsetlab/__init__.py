@@ -21,11 +21,10 @@ _HOMES = {
     "PrimeTable": "arith",
     "big_log2": "arith",
     "check_chebyshev": "arith",
+    "first_odd_primes": "arith",
     "is_prime": "arith",
     "legendre_count": "arith",
     "mertens_product": "arith",
-    "odd_primorial": "arith",
-    "sieve_covering_odd": "arith",
     "sieve_primes": "arith",
     "squarefree_divisors_signed": "arith",
     "Block": "blocks",

@@ -1,13 +1,14 @@
 """Exact integer and rational arithmetic primitives.
 
-Provides the prime table that backs all sieve work, odd primorials,
-Möbius-signed squarefree divisor enumeration, Legendre-style coprime
-counting, Chebyshev and Mertens evaluations, and base-2 logarithms of
+Provides the prime table that backs all sieve work, the first odd
+primes as a tuple for block moduli and the bound chain, Möbius-signed
+squarefree divisor enumeration, Legendre-style coprime counting,
+Chebyshev and Mertens evaluations, and base-2 logarithms of
 arbitrary-precision integers.
 
 Everything here is a pure function of immutable inputs. A PrimeTable's
-flags are never mutated after construction, and its derived views are
-pure functions of them, so a table may be shared freely between threads.
+flags are never mutated after construction, so a table may be shared
+freely between threads.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from itertools import compress, islice
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import CapacityError
 
@@ -31,9 +33,8 @@ __all__ = [
     "SIEVE_LIMIT_BITS",
     "check_sieve_limit",
     "sieve_primes",
-    "sieve_covering_odd",
+    "first_odd_primes",
     "is_prime",
-    "odd_primorial",
     "check_chebyshev",
     "mertens_product",
     "squarefree_divisors_signed",
@@ -70,48 +71,12 @@ class PrimeTable:
             odd_flags[i] is True iff 2*i + 1 is prime. The even prime 2
             is implied.
 
-    The views below are computed from the flags on first read and kept,
-    so a caller that reads none of them pays only for the flags:
-
-        primes: Ascending int64 array of all primes <= limit.
-        is_prime: Boolean lookup array of length limit + 1.
-        theta_prefix: float64 array; theta_prefix[i] = sum of log p over
-            the first i + 1 odd primes (3, 5, 7, ...), i.e. the Chebyshev
-            theta sum at the (i + 1)-th odd prime with 2 excluded.
+    odd_count (kept after its first read) and largest_prime are read from
+    the flags.
     """
 
     limit: int
     odd_flags: np.ndarray
-
-    @cached_property
-    def primes(self) -> np.ndarray:
-        import numpy as np
-
-        primes = np.empty(self.odd_count + 1, dtype=np.int64)
-        primes[0] = 2
-        primes[1:] = 2 * np.flatnonzero(self.odd_flags) + 1
-        return primes
-
-    @cached_property
-    def is_prime(self) -> np.ndarray:
-        import numpy as np
-
-        flags = np.zeros(self.limit + 1, dtype=bool)
-        flags[1::2] = self.odd_flags
-        flags[2] = True
-        return flags
-
-    @cached_property
-    def theta_prefix(self) -> np.ndarray:
-        import numpy as np
-
-        # Sequential accumulation keeps consecutive differences within one
-        # rounding of log(p_i), which the table invariant relies on.
-        return np.cumsum(np.log(self.odd_primes.astype(np.float64)))
-
-    @property
-    def odd_primes(self) -> np.ndarray:
-        return self.primes[1:]
 
     @cached_property
     def odd_count(self) -> int:
@@ -134,17 +99,6 @@ class PrimeTable:
             end = start
         return 2
 
-    def odd_prime(self, i: int) -> int:
-        """The i-th odd prime (1-based: odd_prime(1) == 3)."""
-        if i < 1:
-            raise ValueError(f"odd prime index must be >= 1, got {i}")
-        if i > self.odd_count:
-            raise CapacityError(
-                f"table up to {self.limit} holds only {self.odd_count} odd primes, "
-                f"index {i} requested"
-            )
-        return int(self.odd_primes[i - 1])
-
 
 def check_sieve_limit(limit: int, what: str = "sieve") -> None:
     """Refuse a sieve or scan limit at or past 2^SIEVE_LIMIT_BITS.
@@ -166,8 +120,6 @@ def sieve_primes(limit: int) -> PrimeTable:
     Hudson, 1977). The first segment is sieved by its own primes and
     holds every base prime up to sqrt(limit); each later segment clears
     the multiples of those base primes with one strided slice per prime.
-    The prime list, the full lookup array and the log prefix are derived
-    on first read (see PrimeTable).
 
     Args:
         limit: Inclusive upper bound, 2 <= limit < 2^SIEVE_LIMIT_BITS.
@@ -209,17 +161,30 @@ def sieve_primes(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, odd_flags=odd)
 
 
-def sieve_covering_odd(count: int) -> PrimeTable:
-    """A prime table guaranteed to contain at least ``count`` odd primes."""
+def first_odd_primes(count: int) -> tuple[int, ...]:
+    """The first ``count`` odd primes, 3, 5, 7, ..., from a bytearray sieve.
+
+    The sieve keeps one byte per odd number up to the Rosser-Schoenfeld
+    bound p_n < n (ln n + ln ln n) on the n-th prime, n = count + 1, and
+    imports no numpy: block moduli and the bound chain read only a few.
+
+    Raises:
+        ValueError: count < 1.
+        CapacityError: the bound reaches 2^SIEVE_LIMIT_BITS; raised before
+            any allocation.
+    """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     n = count + 1  # prime index including 2
-    if n < 6:
-        limit = 15
-    else:
-        # Rosser-Schoenfeld upper bound on the n-th prime.
-        limit = int(n * (math.log(n) + math.log(math.log(n)))) + 10
-    return sieve_primes(limit)
+    limit = 15 if n < 6 else int(n * (math.log(n) + math.log(math.log(n)))) + 10
+    check_sieve_limit(limit)
+    odd = bytearray([1]) * ((limit + 1) // 2)  # odd[i] stands for 2*i + 1
+    odd[0] = 0
+    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(odd), p)))
+    return tuple(islice(compress(range(1, limit + 1, 2), odd), count))
 
 
 def is_prime(n: int) -> bool:
@@ -255,67 +220,56 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def odd_primorial(t: int, table: PrimeTable) -> int:
-    """Product of the first t odd primes: 3 * 5 * 7 * ... (exact).
-
-    Raises:
-        ValueError: t < 1.
-        CapacityError: the table holds fewer than t odd primes.
-    """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    if t > table.odd_count:
-        raise CapacityError(
-            f"table up to {table.limit} holds only {table.odd_count} odd primes, "
-            f"{t} requested"
-        )
-    return math.prod(int(p) for p in table.odd_primes[:t])
-
-
 class ChebyshevCheck(NamedTuple):
     theta: float
     bound: float
     holds: bool
 
 
-def check_chebyshev(j: int, table: PrimeTable) -> ChebyshevCheck:
-    """Compare the odd-prime log sum at the j-th odd prime against 2*j*log(j).
+def check_chebyshev(primes: Sequence[int]) -> ChebyshevCheck:
+    """Compare the log sum of the first j = len(primes) odd primes against 2*j*log(j).
 
-    theta = sum of log p over odd primes up to p_j; holds iff
+    theta = sum of log p over the given primes; holds iff
     theta <= 2*j*log(j). At j = 1 the bound is 0, so holds is False:
     the estimate only kicks in from j = 2.
     """
+    j = len(primes)
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    if j > table.odd_count:
-        raise CapacityError(f"table holds only {table.odd_count} odd primes")
-    theta = float(table.theta_prefix[j - 1])
+    # one prime at a time, in order: the same rounding as a running prefix sum
+    theta = 0.0
+    for p in primes:
+        theta += math.log(p)
     bound = 2.0 * j * math.log(j)
     return ChebyshevCheck(theta=theta, bound=bound, holds=theta <= bound)
 
 
-def mertens_product(j: int, table: PrimeTable, include_two: bool = False) -> Fraction:
-    """Exact rational product of (1 - 1/p) over the first j odd primes.
+def _product(values: Sequence[int]) -> int:
+    """Product by halves, so big factors meet big factors and Karatsuba pays off."""
+    if len(values) <= 16:
+        return math.prod(values)
+    mid = len(values) // 2
+    return _product(values[:mid]) * _product(values[mid:])
+
+
+def mertens_product(primes: Sequence[int], include_two: bool = False) -> Fraction:
+    """Exact rational product of (1 - 1/p) over the given odd primes.
 
     Args:
-        j: Number of odd primes in the product (j >= 1).
-        table: Prime table covering at least j odd primes.
+        primes: The first j odd primes, j = len(primes) >= 1.
         include_two: Multiply an extra (1 - 1/2) into the product. The
             sieve-facing callers always use the odd-only product; the flag
             exists for exploratory comparison.
 
     Returns:
-        The product as a Fraction in lowest terms.
+        The product as a Fraction in lowest terms, reduced once from
+        prod(p - 1) / prod(p).
     """
+    j = len(primes)
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    if j > table.odd_count:
-        raise CapacityError(f"table holds only {table.odd_count} odd primes")
-    product = Fraction(1, 2) if include_two else Fraction(1)
-    for p in table.odd_primes[:j]:
-        p = int(p)
-        product *= Fraction(p - 1, p)
-    return product
+    product = Fraction(_product([p - 1 for p in primes]), _product(primes))
+    return product / 2 if include_two else product
 
 
 def squarefree_divisors_signed(modulus_primes: Iterable[int]) -> list[tuple[int, int]]:

@@ -9,11 +9,11 @@ arithmetic, so it stays exact for x thousands of bits wide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .arith import PrimeTable, big_log2, sieve_covering_odd
+from .arith import big_log2, first_odd_primes
 from .errors import CapacityError, ConfigError, InapplicableError, json_int
 from .serialize import DEFAULT_BIT_BUDGET
 
@@ -163,12 +163,12 @@ class Block:
 
 @dataclass(frozen=True, eq=False)
 class BlockSet:
-    """Blocks 1..max_t of a schedule and the prime table of their moduli, immutable."""
+    """Blocks 1..max_t of a schedule and the max_t odd primes of their moduli, immutable."""
 
     schedule: GrowthSchedule
     blocks: tuple[Block, ...]
     max_t: int
-    table: PrimeTable = field(repr=False)
+    primes: tuple[int, ...]
 
     @classmethod
     def materialize(cls, schedule: GrowthSchedule, max_t: int) -> "BlockSet":
@@ -180,13 +180,13 @@ class BlockSet:
         if max_t < 1:
             raise ValueError(f"max_t must be >= 1, got {max_t}")
         schedule.exponent(max_t + 1)
-        table = sieve_covering_odd(max_t)
+        primes = first_odd_primes(max_t)
         blocks = []
         modulus = 1
-        for t in range(1, max_t + 1):
-            modulus *= table.odd_prime(t)
+        for t, p in enumerate(primes, 1):
+            modulus *= p
             blocks.append(Block(t=t, modulus=modulus, lo=grow(schedule, t)))
-        return cls(schedule=schedule, blocks=tuple(blocks), max_t=max_t, table=table)
+        return cls(schedule=schedule, blocks=tuple(blocks), max_t=max_t, primes=primes)
 
     @classmethod
     def covering(cls, schedule: GrowthSchedule, x: int) -> "BlockSet":

@@ -174,11 +174,10 @@ def _cmd_sieve_count(args) -> dict:
 
 
 def _cmd_mertens(args) -> dict:
-    from .arith import mertens_product, sieve_covering_odd
+    from .arith import first_odd_primes, mertens_product
     from .serialize import fraction_payload, result_record
 
-    table = sieve_covering_odd(args.j)
-    product = mertens_product(args.j, table, include_two=args.include_two)
+    product = mertens_product(first_odd_primes(args.j), include_two=args.include_two)
     payload = {
         "j": args.j,
         "include_two": args.include_two,
@@ -189,10 +188,10 @@ def _cmd_mertens(args) -> dict:
 
 
 def _cmd_chebyshev(args) -> dict:
-    from .arith import check_chebyshev, sieve_covering_odd
+    from .arith import check_chebyshev, first_odd_primes
     from .serialize import report_payload, result_record
 
-    check = check_chebyshev(args.j, sieve_covering_odd(args.j))
+    check = check_chebyshev(first_odd_primes(args.j))
     return result_record("chebyshev", {"j": args.j}, {"j": args.j, **report_payload(check)})
 
 

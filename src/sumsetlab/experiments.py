@@ -160,7 +160,7 @@ def bound_chain_point(x: int, blocks: BlockSet) -> dict:
     if blocks.schedule.kind == "paper" and x >= 4:
         point["window"] = report_payload(j_window_check(x, blocks.schedule))
     if j >= 1:
-        point["chebyshev"] = report_payload(check_chebyshev(j, blocks.table))
+        point["chebyshev"] = report_payload(check_chebyshev(blocks.primes[:j]))
         s1 = s1_bound(x, blocks)
         point["s1_bound"] = fraction_payload(s1)
         if j >= 2:

@@ -5,10 +5,11 @@ arguments under the library's bit budget, and ``result_record`` wraps a
 payload into the record the CLI and the experiments emit.
 
 Exact rationals always serialize as {"num": ..., "den": ...} decimal
-strings so no precision is laundered through floats; integers stay JSON
-integers (arbitrary precision survives a round trip). CSV rows render
-rationals as 15-significant-digit decimals and carry an explicit marker
-column saying whether anything in the row was rounded.
+strings of any length, so no precision is laundered through floats;
+integers stay JSON integers (arbitrary precision survives a round
+trip). CSV rows render rationals as 15-significant-digit decimals and
+carry an explicit marker column saying whether anything in the row was
+rounded.
 """
 
 from __future__ import annotations
@@ -92,13 +93,33 @@ def result_record(name: str, config: dict, payload, timing: dict | None = None) 
     }
 
 
+# int()'s grammar for a string: sign, digits with single underscores, outer whitespace
+_INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def _int_text(value: int) -> str:
+    """Decimal digits of an int of any size: Decimal skips CPython's 4300-digit limit."""
+    return str(Decimal(value))
+
+
+def _text_int(text: Any) -> int:
+    """Inverse of _int_text: reads a string as int() does, at any length.
+
+    Decimal alone would also take "1.5", "1e3" or "NaN"; these raise
+    ValueError, as they do in int().
+    """
+    if isinstance(text, str) and _INT_TEXT.fullmatch(text):
+        return int(Decimal(text))
+    return int(text)
+
+
 def fraction_payload(value: Fraction) -> dict:
-    return {"num": str(value.numerator), "den": str(value.denominator)}
+    return {"num": _int_text(value.numerator), "den": _int_text(value.denominator)}
 
 
 def fraction_from_payload(obj: dict) -> Fraction:
     try:
-        return Fraction(int(obj["num"]), int(obj["den"]))
+        return Fraction(_text_int(obj["num"]), _text_int(obj["den"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"not a rational payload: {obj!r}") from exc
 

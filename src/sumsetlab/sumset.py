@@ -226,7 +226,7 @@ def s1_bound(x: int, blocks: BlockSet) -> Fraction:
     j = blocks.index(x)
     if j == 0:
         return Fraction(x)
-    return x * mertens_product(j, blocks.table) + (1 << j)
+    return x * mertens_product(blocks.primes[:j]) + (1 << j)
 
 
 def s2_bound(x: int, blocks: BlockSet) -> Fraction:
@@ -246,7 +246,7 @@ def s2_bound(x: int, blocks: BlockSet) -> Fraction:
     blocks._require_depth(j - 1)
     a_count = x.bit_length() - 1
     small_b_pairs = blocks.blocks[j - 2].lo * a_count
-    return x * mertens_product(j - 1, blocks.table) + (1 << (j - 1)) + small_b_pairs
+    return x * mertens_product(blocks.primes[: j - 1]) + (1 << (j - 1)) + small_b_pairs
 
 
 def c_upper_report(x: int, blocks: BlockSet, budget: int | None = None) -> SumsetReport:
@@ -264,7 +264,7 @@ def c_upper_report(x: int, blocks: BlockSet, budget: int | None = None) -> Sumse
     report = split_s1_s2(x, blocks, budget)
     s1b = s1_bound(x, blocks)
     s2b = s2_bound(x, blocks)
-    legendre = legendre_count(x, (blocks.table.odd_prime(i) for i in range(1, j + 1)))
+    legendre = legendre_count(x, blocks.primes[:j])
     return dataclasses.replace(
         report,
         s1_bound=s1b,

@@ -1,23 +1,14 @@
 import numpy as np
 import pytest
+import sympy
 
-from sumsetlab import BlockSet, GrowthSchedule, block_index, sieve_primes
-
-
-@pytest.fixture(scope="session")
-def table_small():
-    return sieve_primes(1000)
+from sumsetlab import BlockSet, GrowthSchedule, block_index
 
 
 @pytest.fixture(scope="session")
-def table_cheb():
-    # covers the 10^4-th odd prime (104743) with room to spare
-    return sieve_primes(120_000)
-
-
-@pytest.fixture(scope="session")
-def table_1e6():
-    return sieve_primes(10**6)
+def odd_primes_ref():
+    """The first 10^5 odd primes, 3 through 1299721, from sympy rather than the library."""
+    return tuple(sympy.sieve.primerange(3, 1_299_722))
 
 
 @pytest.fixture(scope="session")

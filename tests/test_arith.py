@@ -1,7 +1,8 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from unittest import mock
 
 import numpy as np
@@ -11,15 +12,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sumsetlab import (
+    BlockSet,
     CapacityError,
+    GrowthSchedule,
     PrimeTable,
     big_log2,
     check_chebyshev,
+    first_odd_primes,
     is_prime,
     legendre_count,
     mertens_product,
-    odd_primorial,
-    sieve_covering_odd,
     sieve_primes,
     squarefree_divisors_signed,
 )
@@ -75,15 +77,21 @@ def _independent_odd_sieve_count(limit):
     return 1 + int(np.count_nonzero(flags))
 
 
+def _primes(table):
+    """The primes a table's odd flags stand for, 2 included."""
+    return [2, *(2 * np.flatnonzero(table.odd_flags) + 1).tolist()]
+
+
 class TestSievePrimes:
     def test_first_primes(self):
         table = sieve_primes(10)
-        assert table.primes.tolist() == [2, 3, 5, 7]
+        assert _primes(table) == [2, 3, 5, 7]
 
     def test_limit_two_has_no_odd_primes(self):
         table = sieve_primes(2)
-        assert table.primes.tolist() == [2]
-        assert table.theta_prefix.size == 0
+        assert _primes(table) == [2]
+        assert table.odd_count == 0
+        assert table.largest_prime == 2
 
     def test_limit_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -92,16 +100,16 @@ class TestSievePrimes:
     def test_count_at_1e6_matches_independent_sieve(self):
         table = sieve_primes(10**6)
         independent = _independent_odd_sieve_count(10**6)
-        assert int(table.primes.size) == independent == 78498
+        assert table.odd_count + 1 == independent == 78498
 
     def test_sampled_entries_pass_miller_rabin(self):
         table = sieve_primes(10**5)
         rng = random.Random(7)
-        for p in rng.sample(table.primes.tolist(), 500):
-            assert is_prime(int(p))
-        flat = np.flatnonzero(~table.is_prime[2:]) + 2
-        for c in rng.sample(flat.tolist(), 500):
-            assert not is_prime(int(c))
+        for p in rng.sample(_primes(table), 500):
+            assert is_prime(p)
+        odd_composites = 2 * np.flatnonzero(~table.odd_flags[1:]) + 3
+        for c in rng.sample(odd_composites.tolist(), 500):
+            assert not is_prime(c)
 
     @given(st.integers(min_value=2, max_value=5000), st.integers(min_value=1, max_value=64))
     @example(2, 1)
@@ -116,11 +124,9 @@ class TestSievePrimes:
         with mock.patch.object(arith, "SEGMENT", segment):
             table = sieve_primes(limit)
         expected = [n for n in range(limit + 1) if MR_PRIME[n]]
-        assert table.primes.dtype == np.int64
-        assert table.primes.tolist() == expected
-        assert table.is_prime.tolist() == MR_PRIME[: limit + 1]
+        assert _primes(table) == expected
+        assert table.odd_flags.tolist() == MR_PRIME[1 : limit + 1 : 2]
         assert table.odd_count == len(expected) - 1
-        assert table.theta_prefix.size == len(expected) - 1
         assert table.largest_prime == expected[-1]
         assert table.odd_flags.size == (limit + 1) // 2
 
@@ -131,7 +137,7 @@ class TestSievePrimes:
         flags[[1, 2]] = True
         table = PrimeTable(limit=2 * 10**5 - 1, odd_flags=flags)
         assert table.largest_prime == 5
-        assert table.primes.tolist() == [2, 3, 5]
+        assert _primes(table) == [2, 3, 5]
         assert PrimeTable(limit=2, odd_flags=np.zeros(1, dtype=bool)).largest_prime == 2
 
     def test_first_segment_holds_every_base_prime_below_the_cap(self):
@@ -144,55 +150,95 @@ class TestSievePrimes:
         with pytest.raises(CapacityError):
             sieve_primes(2**SIEVE_LIMIT_BITS)
 
-    def test_theta_prefix_tracks_logs(self, table_cheb):
-        theta = table_cheb.theta_prefix
-        assert bool(np.all(np.diff(theta) > 0))
-        assert theta[0] == pytest.approx(math.log(3), rel=1e-15)
-        logs = np.log(table_cheb.odd_primes[1:].astype(np.float64))
-        rel = np.abs(np.diff(theta) - logs) / logs
-        assert float(rel.max()) < 1e-12
+
+class TestFirstOddPrimes:
+    def test_capacity_guarantee(self):
+        for count in (1, 5, 100, 10_000):
+            assert len(first_odd_primes(count)) == count
+
+    def test_every_count_to_2000_matches_sympy(self, odd_primes_ref):
+        for count in range(1, 2001):
+            assert first_odd_primes(count) == odd_primes_ref[:count]
+
+    @pytest.mark.parametrize("count", [10**4, 10**5])
+    def test_large_counts_match_sympy(self, odd_primes_ref, count):
+        primes = first_odd_primes(count)
+        assert type(primes) is tuple and type(primes[-1]) is int
+        assert primes == odd_primes_ref[:count]
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, count):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            first_odd_primes(count)
+
+    def test_bound_past_the_cap_raises_before_allocating(self):
+        # 10^9 odd primes need a sieve to about 2.3e10, past 2^34
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="beyond the supported range"):
+                first_odd_primes(10**9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestOddPrimorial:
-    @pytest.mark.parametrize("t,expected", [(1, 3), (3, 105), (4, 1155)])
-    def test_small_values(self, table_small, t, expected):
-        assert odd_primorial(t, table_small) == expected
+    """Block t's modulus d_t is the product of the first t odd primes."""
 
-    def test_chain_invariant(self, table_small):
+    @pytest.mark.parametrize("t,expected", [(1, 3), (3, 105), (4, 1155)])
+    def test_small_values(self, t, expected):
+        assert math.prod(first_odd_primes(t)) == expected
+        blocks = BlockSet.materialize(GrowthSchedule.polynomial(), t)
+        assert blocks.blocks[-1].modulus == expected
+
+    def test_chain_invariant(self, odd_primes_ref):
+        blocks = BlockSet.materialize(GrowthSchedule.polynomial(), 60)
+        moduli = [blk.modulus for blk in blocks.blocks]
         for t in range(1, 60):
-            d_t = odd_primorial(t, table_small)
-            p_next = table_small.odd_prime(t + 1)
-            assert d_t * p_next == odd_primorial(t + 1, table_small)
+            assert moduli[t - 1] * odd_primes_ref[t] == moduli[t]
 
     def test_capacity_error(self):
-        table = sieve_primes(10)
         with pytest.raises(CapacityError):
-            odd_primorial(5, table)
+            BlockSet.materialize(GrowthSchedule.polynomial(), 10**9)
 
-    def test_t_below_one_rejected(self, table_small):
+    def test_t_below_one_rejected(self):
         with pytest.raises(ValueError):
-            odd_primorial(0, table_small)
+            BlockSet.materialize(GrowthSchedule.polynomial(), 0)
 
 
 class TestChebyshev:
-    def test_j2(self, table_small):
-        check = check_chebyshev(2, table_small)
+    def test_j2(self):
+        check = check_chebyshev(first_odd_primes(2))
         assert check.theta == pytest.approx(math.log(3) + math.log(5), rel=1e-14)
         assert check.bound == pytest.approx(4 * math.log(2), rel=1e-14)
         assert check.holds
 
-    def test_j1_threshold(self, table_small):
-        check = check_chebyshev(1, table_small)
+    def test_j1_threshold(self):
+        check = check_chebyshev((3,))
         assert check.bound == 0.0
         assert not check.holds
 
-    def test_j1000_direct_evaluation(self, table_cheb):
-        check = check_chebyshev(1000, table_cheb)
-        direct = math.fsum(
-            math.log(int(p)) for p in table_cheb.odd_primes[:1000]
-        )
+    def test_j1000_direct_evaluation(self, odd_primes_ref):
+        check = check_chebyshev(first_odd_primes(1000))
+        direct = math.fsum(math.log(p) for p in odd_primes_ref[:1000])
         assert check.theta == pytest.approx(direct, rel=1e-12)
         assert check.holds
+
+    def test_theta_prefix_tracks_logs(self, odd_primes_ref):
+        # theta is the running prefix sum of the logs, added in order one at
+        # a time: not fsum, whose correctly rounded total differs in the last bits
+        prefix = list(accumulate(math.log(p) for p in odd_primes_ref))
+        assert all(b > a for a, b in zip(prefix, prefix[1:]))
+        for j in (1, 2, 1000, 24_869, 10**5):
+            theta = check_chebyshev(odd_primes_ref[:j]).theta
+            assert theta == prefix[j - 1]
+            direct = math.fsum(math.log(p) for p in odd_primes_ref[:j])
+            assert theta == pytest.approx(direct, rel=1e-12)
+
+    def test_no_primes_rejected(self):
+        with pytest.raises(ValueError):
+            check_chebyshev(())
 
 
 class TestMertensProduct:
@@ -200,22 +246,28 @@ class TestMertensProduct:
         "j,expected",
         [(1, Fraction(2, 3)), (2, Fraction(8, 15)), (3, Fraction(16, 35))],
     )
-    def test_small_products(self, table_small, j, expected):
-        assert mertens_product(j, table_small) == expected
+    def test_small_products(self, j, expected):
+        assert mertens_product(first_odd_primes(j)) == expected
 
-    def test_include_two(self, table_small):
-        assert mertens_product(1, table_small, include_two=True) == Fraction(1, 3)
+    def test_include_two(self):
+        assert mertens_product((3,), include_two=True) == Fraction(1, 3)
 
-    def test_strictly_decreasing(self, table_small):
-        values = [mertens_product(j, table_small) for j in range(1, 100)]
+    def test_strictly_decreasing(self):
+        primes = first_odd_primes(100)
+        values = [mertens_product(primes[:j]) for j in range(1, 100)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
-    def test_matches_independent_fold(self, table_small):
-        # independent route: one big numerator/denominator pair, reduced once
-        for j in range(1, 51):
-            odd = [int(p) for p in table_small.odd_primes[:j]]
-            fold = Fraction(math.prod(p - 1 for p in odd), math.prod(odd))
-            assert mertens_product(j, table_small) == fold
+    def test_matches_independent_fold(self, odd_primes_ref):
+        # independent route: one factor at a time, reduced after each
+        fold = Fraction(1)
+        for j, p in enumerate(odd_primes_ref[:1500], 1):
+            fold *= Fraction(p - 1, p)
+            if j <= 50 or j == 1500:
+                assert mertens_product(odd_primes_ref[:j]) == fold
+
+    def test_no_primes_rejected(self):
+        with pytest.raises(ValueError):
+            mertens_product(())
 
 
 class TestSquarefreeDivisors:
@@ -341,10 +393,3 @@ class TestIsPrime:
         p, q = sympy.nextprime(a), sympy.nextprime(b)
         assert is_prime(p)
         assert not is_prime(p * q)
-
-
-class TestSieveCoveringOdd:
-    def test_capacity_guarantee(self):
-        for count in (1, 5, 100, 10_000):
-            table = sieve_covering_odd(count)
-            assert table.odd_count >= count

@@ -155,11 +155,9 @@ class TestMembership:
             assert nxt.lo == grow(POLY, prev.t + 1)
             assert prev.lo < nxt.lo
 
-    def test_block_moduli_are_odd_primorials(self, poly_blocks, table_small):
-        from sumsetlab import odd_primorial
-
+    def test_block_moduli_are_odd_primorials(self, poly_blocks, odd_primes_ref):
         for blk in poly_blocks.blocks:
-            assert blk.modulus == odd_primorial(blk.t, table_small)
+            assert blk.modulus == math.prod(odd_primes_ref[: blk.t])
             assert blk.lo == grow(POLY, blk.t)
 
 
@@ -316,6 +314,6 @@ class TestPaperScale:
         blocks = BlockSet.materialize(PAPER, 4)
         assert [blk.lo for blk in blocks.blocks] == PAPER_G
         assert [blk.modulus for blk in blocks.blocks] == PAPER_D
-        assert [blocks.table.odd_prime(t) for t in range(1, 5)] == [3, 5, 7, 11]
+        assert blocks.primes == (3, 5, 7, 11)
         with pytest.raises(CapacityError):
             BlockSet.materialize(PAPER, 5)  # G(5) has 2^25 + 1 bits

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sumsetlab import cli
+from sumsetlab import cli, first_odd_primes, mertens_product
 from sumsetlab.cli import EXIT_CAPACITY, EXIT_CONFIG, EXIT_OK, EXIT_USAGE, run_command
 from sumsetlab.errors import CapacityError, ConfigError
 from sumsetlab.experiments import (
@@ -19,7 +20,7 @@ from sumsetlab.experiments import (
     builtin_experiment,
     run_experiment,
 )
-from sumsetlab.serialize import parse_power_expr
+from sumsetlab.serialize import fraction_from_payload, fraction_payload, parse_power_expr
 
 
 def run_json(capsys, argv):
@@ -442,6 +443,28 @@ class TestOutputContract:
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 
+    @pytest.mark.parametrize("j", [1500, 3000, 10_000])
+    def test_mertens_prints_products_past_the_digit_limit(self, capsys, j):
+        record = run_json(capsys, ["mertens", "--j", str(j)])
+        product = fraction_from_payload(record["payload"]["product"])
+        assert product == mertens_product(first_odd_primes(j))
+        assert len(record["payload"]["product"]["den"]) > 4300
+        assert run_command(["mertens", "--j", str(j), "--format", "csv"]) == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[2] == row[3] == f"{float(product):.15g}"
+
+    def test_rational_payloads_round_trip_at_any_size(self):
+        value = Fraction(7**20_000 + 1, 3**15_000)
+        assert fraction_from_payload(fraction_payload(value)) == value
+        assert fraction_payload(Fraction(-120698, 5)) == {"num": "-120698", "den": "5"}
+        parsed = fraction_from_payload({"num": " -1_000 ", "den": 3})
+        assert parsed == Fraction(int(" -1_000 "), 3)
+
+    @pytest.mark.parametrize("num", ["1.5", "1e3", "NaN", "Infinity", "", "1__0", None, [1]])
+    def test_rational_payload_takes_only_integers(self, num):
+        with pytest.raises(ConfigError):
+            fraction_from_payload({"num": num, "den": "1"})
+
     def test_rationals_serialize_as_string_pairs(self, capsys):
         record = run_json(capsys, ["count-b", "--schedule", "paper", "--x", "100000"])
         bound = record["payload"]["b_lower_bound"]
@@ -502,12 +525,16 @@ _STARTED = ["sumsetlab", "sumsetlab._version"]
 _CLI = sorted([*_STARTED, "sumsetlab.cli", "sumsetlab.errors"])
 _SCANS = sorted([*_CLI, "sumsetlab.arith", "sumsetlab.depolignac", "sumsetlab.serialize"])
 _COVERING = sorted([*_SCANS, "sumsetlab.data"])  # reads the packaged covering system
-_EVERY = sorted([*_COVERING, "sumsetlab.blocks", "sumsetlab.experiments", "sumsetlab.sumset"])
+_LAYERS = sorted([*_SCANS, "sumsetlab.blocks", "sumsetlab.experiments", "sumsetlab.sumset"])
+_EVERY = sorted([*_LAYERS, "sumsetlab.data"])
+_PRIMES = sorted([*_CLI, "sumsetlab.arith", "sumsetlab.serialize"])
 
 # One fresh interpreter per sequence, its commands run in order: each step is
 # (argv, exit code, sumsetlab modules loaded by then, whether numpy is loaded).
-# The first sequence ends on sieve-count, which shows that the probe tells the
-# numpy cases apart; the Romanov side loads no block set, sumset or experiment.
+# The first two sequences end on sieve-count, which shows that the probe tells
+# the numpy cases apart; the Romanov side loads no block set, sumset or
+# experiment, and the block set and the bound chain take their few primes
+# from a bytearray sieve.
 _STARTUP_SEQUENCES = {
     "sparse commands": [
         (["--version"], 0, _CLI, False),
@@ -522,10 +549,16 @@ _STARTUP_SEQUENCES = {
         (["experiment", "run", "depolignac-audit"], 0, _EVERY, False),
         (["sieve-count", "--limit", "1000"], 0, _EVERY, True),
     ],
-    "sieve-count": [
-        (["sieve-count", "--limit", "1000"], 0,
-         sorted([*_CLI, "sumsetlab.arith", "sumsetlab.serialize"]), True),
+    "block set and bound chain": [
+        (["mertens", "--j", "8"], 0, _PRIMES, False),
+        (["chebyshev", "--j", "8"], 0, _PRIMES, False),
+        (["count-b", "--schedule", "paper", "--x", "2^1000"], 0,
+         sorted([*_PRIMES, "sumsetlab.blocks"]), False),
+        (["bounds", "--schedule", "paper", "--x", "2^600"], 0, _LAYERS, False),
+        (["experiment", "run", "paper-chain"], 0, _LAYERS, False),
+        (["sieve-count", "--limit", "1000"], 0, _LAYERS, True),
     ],
+    "sieve-count": [(["sieve-count", "--limit", "1000"], 0, _PRIMES, True)],
     "romanov-density": [(["romanov-density", "--limit", "1000"], 0, _SCANS, True)],
 }
 

@@ -178,11 +178,10 @@ class TestBounds:
         assert s1_bound(20, poly_blocks) == Fraction(44, 3)
         assert s1_bound(1, poly_blocks) == 1  # j = 0: no sieve
 
-    def test_s1_bound_dominates_legendre(self, poly_blocks, table_small):
+    def test_s1_bound_dominates_legendre(self, poly_blocks, odd_primes_ref):
         for x in (20, 100, 600, 10**5):
             j = block_index(x, POLY)
-            odd = [table_small.odd_prime(i) for i in range(1, j + 1)]
-            exact = legendre_count(x, odd)
+            exact = legendre_count(x, odd_primes_ref[:j])
             assert Fraction(exact) <= s1_bound(x, poly_blocks)
 
     def test_s2_bound_values(self, poly_blocks, paper_blocks):
