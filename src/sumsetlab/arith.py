@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import compress, islice
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .errors import CapacityError
+from .errors import CapacityError, int_name
 
 # numpy is imported where an array is allocated or read, so a process
 # that never sieves (a sparse scan, a covering check) never loads it.
@@ -100,15 +100,16 @@ class PrimeTable:
         return 2
 
 
-def check_sieve_limit(limit: int, what: str = "sieve") -> None:
-    """Refuse a sieve or scan limit at or past 2^SIEVE_LIMIT_BITS.
+def check_sieve_limit(limit: int, what: str = "sieve limit") -> None:
+    """Refuse a sieve or scan limit (``what`` names it) at or past 2^SIEVE_LIMIT_BITS.
 
     Raises:
         CapacityError: limit >= 2^SIEVE_LIMIT_BITS.
     """
-    if int(limit).bit_length() > SIEVE_LIMIT_BITS:
+    limit = int(limit)
+    if limit.bit_length() > SIEVE_LIMIT_BITS:
         raise CapacityError(
-            f"{what} limit {limit} is beyond the supported range (below 2^{SIEVE_LIMIT_BITS})"
+            f"{int_name(what, limit)} is beyond the supported range (below 2^{SIEVE_LIMIT_BITS})"
         )
 
 
@@ -194,7 +195,7 @@ def is_prime(n: int) -> bool:
         ValueError: n is beyond the deterministic witness bound.
     """
     if n >= _MR_BOUND:
-        raise ValueError(f"{n} exceeds the deterministic Miller-Rabin bound")
+        raise ValueError(f"{int_name('n', n)} exceeds the deterministic Miller-Rabin bound")
     if n < 2:
         return False
     for p in _MR_WITNESSES:

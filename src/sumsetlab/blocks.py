@@ -14,8 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .arith import big_log2, first_odd_primes
-from .errors import CapacityError, ConfigError, InapplicableError, json_int
-from .serialize import DEFAULT_BIT_BUDGET
+from .errors import DEFAULT_BIT_BUDGET, CapacityError, ConfigError, InapplicableError, json_int
 
 __all__ = [
     "GrowthSchedule",

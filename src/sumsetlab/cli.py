@@ -3,9 +3,9 @@
 Every run emits a result record with a deterministic ``payload`` section
 (stable key order, no timestamps); timing sits outside it. Exit codes:
 0 success, 1 usage error, 2 malformed input or configuration, 3 capacity
-or budget violation, including a scan limit at or past 2^34 and running
-out of memory. The enumeration budget can be overridden with the
-SUMSETLAB_ENUM_CAP environment variable or a --budget flag.
+or budget violation, including a scan limit or covering lcm at or past
+2^34 and running out of memory. The enumeration budget can be overridden
+with the SUMSETLAB_ENUM_CAP environment variable or a --budget flag.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import (
     InapplicableError,
     MalformedSystemError,
     NotCoveringError,
+    json_int,
 )
 
 if TYPE_CHECKING:
@@ -67,9 +68,16 @@ class _Parser(argparse.ArgumentParser):
             (file or sys.stderr).write(message)
 
 
-def _schedule_from_arg(value: str) -> GrowthSchedule:
+def _read_json(path: Path):
+    """A schedule, system or config file; an integer literal past the bit budget is refused."""
     import json
 
+    return json.loads(path.read_text(),
+                      parse_int=functools.partial(json_int, what="integer literal",
+                                                  error=ConfigError))
+
+
+def _schedule_from_arg(value: str) -> GrowthSchedule:
     from .blocks import GrowthSchedule
 
     if value in ("paper", "polynomial"):
@@ -79,17 +87,15 @@ def _schedule_from_arg(value: str) -> GrowthSchedule:
         raise ConfigError(
             f"schedule must be 'paper', 'polynomial', or a JSON file path; got {value!r}"
         )
-    return GrowthSchedule.from_json(json.loads(path.read_text()))
+    return GrowthSchedule.from_json(_read_json(path))
 
 
 def _system_from_arg(value: str | None) -> CoveringSystem:
-    import json
-
     from .depolignac import CoveringSystem, default_covering_system
 
     if value is None:
         return default_covering_system()
-    return CoveringSystem.from_json(json.loads(Path(value).read_text()))
+    return CoveringSystem.from_json(_read_json(Path(value)))
 
 
 def _enum_budget(args: argparse.Namespace) -> int:
@@ -252,7 +258,6 @@ def _cmd_experiment_list(args) -> dict:
 
 def _cmd_experiment_run(args) -> dict:
     import dataclasses
-    import json
 
     from .experiments import (
         BUILTIN_EXPERIMENTS,
@@ -268,7 +273,7 @@ def _cmd_experiment_run(args) -> dict:
         path = Path(target)
         if not path.exists():
             raise ConfigError(f"no such experiment or config file: {target!r}")
-        config = ExperimentConfig.from_json(json.loads(path.read_text()))
+        config = ExperimentConfig.from_json(_read_json(path))
     if args.budget is not None or ENUM_CAP_ENV in os.environ:
         config = dataclasses.replace(config, enum_budget=_enum_budget(args))
     return run_experiment(config)
@@ -377,7 +382,12 @@ def run_command(argv: Sequence[str]) -> int:
     except BrokenPipeError:  # --help / --version into a closed pipe
         return EXIT_BROKEN_PIPE
     command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
+    # Integers are bounded by the bit budget where they are read, not by CPython's
+    # int<->str digit limit (3.10.7 on), so the run lifts that limit and restores the caller's.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
+        if digits is not None:
+            sys.set_int_max_str_digits(0)
         started = time.perf_counter()
         record = _handler(command)(args)
         record["timing"]["total"] = time.perf_counter() - started
@@ -393,6 +403,9 @@ def run_command(argv: Sequence[str]) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
     return EXIT_OK
 
 

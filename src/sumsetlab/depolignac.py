@@ -136,9 +136,11 @@ def covering_verify(system: CoveringSystem) -> CoverCheck:
 
     Raises:
         MalformedSystemError: structural invariant violated.
+        CapacityError: lcm >= 2^SIEVE_LIMIT_BITS; raised before the scan.
     """
     system.validate()
     L = system.lcm
+    check_sieve_limit(L, "covering lcm")
     uncovered = tuple(
         k
         for k in range(L)
@@ -196,6 +198,7 @@ def crt_combine(system: CoveringSystem) -> APCertificate:
     Raises:
         MalformedSystemError: invalid entry data.
         NotCoveringError: the system leaves some k uncovered.
+        CapacityError: the lcm of the moduli is at or past 2^SIEVE_LIMIT_BITS.
         CRTError: non-coprime moduli (distinct odd primes never trigger this).
     """
     check = covering_verify(system)
@@ -257,7 +260,7 @@ def ap_scan(cert: APCertificate, limit: int, k_min: int = 1) -> ScanReport:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if k_min < 0:
         raise ValueError(f"k_min must be >= 0, got {k_min}")
-    check_sieve_limit(limit, "scan")
+    check_sieve_limit(limit, "scan limit")
     if limit < cert.residue:
         return ScanReport(limit=limit, members_scanned=0)
     members = range(cert.residue, limit + 1, cert.modulus)

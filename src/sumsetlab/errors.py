@@ -1,9 +1,15 @@
-"""Exception hierarchy and the JSON integer check shared across the package.
+"""Exception hierarchy, the bit budget and the integer checks shared across the package.
 
 The CLI maps these onto distinct exit codes: configuration problems
 (bad expressions, malformed input files, inapplicable operations) exit
 with 2, capacity/budget violations with 3.
 """
+
+# Largest integer the library will materialize, in bits.
+DEFAULT_BIT_BUDGET = 1_000_000
+# Longest decimal text read as an integer. A d-digit value is at least 10^(d-1) > 2^(3(d-1)),
+# so a longer text is past the bit budget; refusing it first bounds what int() reads.
+MAX_DECIMAL_DIGITS = DEFAULT_BIT_BUDGET // 3 + 2
 
 
 class SumsetLabError(Exception):
@@ -37,8 +43,20 @@ class CRTError(SumsetLabError):
 def json_int(value, what: str, error: type[SumsetLabError]) -> int:
     """int(value), but a float or a bool raises ``error`` rather than truncate or overflow.
 
-    A decimal string converts; a list, an object or null raises int()'s TypeError.
+    A decimal string converts, and one longer than MAX_DECIMAL_DIGITS raises
+    ``error`` before int() reads it; a list, an object or null raises int()'s TypeError.
     """
     if isinstance(value, (bool, float)):
         raise error(f"{what} must be an integer, got {value!r}")
+    if isinstance(value, str) and len(value) > MAX_DECIMAL_DIGITS:
+        raise error(f"{what} of {len(value)} digits exceeds the {DEFAULT_BIT_BUDGET}-bit budget")
     return int(value)
+
+
+def int_name(name: str, value: int) -> str:
+    """How a message names a user-sized integer: "x=1024", or "x of 20001 bits" past 64 bits.
+
+    Decided by size, so no message spells out an integer of up to 301,030 digits.
+    """
+    bits = value.bit_length()
+    return f"{name}={value}" if bits <= 64 else f"{name} of {bits} bits"

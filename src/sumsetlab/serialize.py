@@ -5,11 +5,13 @@ arguments under the library's bit budget, and ``result_record`` wraps a
 payload into the record the CLI and the experiments emit.
 
 Exact rationals always serialize as {"num": ..., "den": ...} decimal
-strings of any length, so no precision is laundered through floats;
-integers stay JSON integers (arbitrary precision survives a round
-trip). CSV rows render rationals as 15-significant-digit decimals and
-carry an explicit marker column saying whether anything in the row was
-rounded.
+strings, so no precision is laundered through floats; integers stay
+JSON integers (arbitrary precision survives a round trip). Integer text
+goes through plain int() and str(): a CLI run lifts CPython's int<->str
+digit limit around its handler and output, and outside one they follow
+the interpreter's limit like any Python int. CSV rows render rationals
+as 15-significant-digit decimals and carry an explicit marker column
+saying whether anything in the row was rounded.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ._version import __version__
-from .errors import CapacityError, ConfigError
+from .errors import DEFAULT_BIT_BUDGET, MAX_DECIMAL_DIGITS, CapacityError, ConfigError
 
 if TYPE_CHECKING:
     from .depolignac import CoverCheck, CoveringSystem
@@ -41,9 +43,6 @@ __all__ = [
     "rows_to_csv",
     "payload_csv",
 ]
-
-# Largest integer the library will materialize, in bits.
-DEFAULT_BIT_BUDGET = 1_000_000
 
 _EXPR_RE = re.compile(r"^\s*(?:(\d+)|2\^(\d+)|2\^\(2\^(\d+)\))\s*$")
 
@@ -64,9 +63,9 @@ def parse_power_expr(text: str | int) -> int:
     if not match:
         raise ConfigError(f"cannot parse integer expression {text!r}")
     decimal, single, tower = match.groups()
+    if len(decimal or single or tower) > MAX_DECIMAL_DIGITS:
+        raise CapacityError(f"decimal literal {over}")
     if decimal is not None:
-        if len(decimal) > DEFAULT_BIT_BUDGET // 3 + 2:
-            raise CapacityError(f"decimal literal {over}")
         value = int(decimal)
         if value.bit_length() > DEFAULT_BIT_BUDGET:
             raise CapacityError(f"decimal literal {over}")
@@ -93,33 +92,13 @@ def result_record(name: str, config: dict, payload, timing: dict | None = None) 
     }
 
 
-# int()'s grammar for a string: sign, digits with single underscores, outer whitespace
-_INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
-
-
-def _int_text(value: int) -> str:
-    """Decimal digits of an int of any size: Decimal skips CPython's 4300-digit limit."""
-    return str(Decimal(value))
-
-
-def _text_int(text: Any) -> int:
-    """Inverse of _int_text: reads a string as int() does, at any length.
-
-    Decimal alone would also take "1.5", "1e3" or "NaN"; these raise
-    ValueError, as they do in int().
-    """
-    if isinstance(text, str) and _INT_TEXT.fullmatch(text):
-        return int(Decimal(text))
-    return int(text)
-
-
 def fraction_payload(value: Fraction) -> dict:
-    return {"num": _int_text(value.numerator), "den": _int_text(value.denominator)}
+    return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
 def fraction_from_payload(obj: dict) -> Fraction:
     try:
-        return Fraction(_text_int(obj["num"]), _text_int(obj["den"]))
+        return Fraction(int(obj["num"]), int(obj["den"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"not a rational payload: {obj!r}") from exc
 

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .arith import legendre_count, mertens_product
 from .blocks import Block, BlockSet, block_index, count_b
-from .errors import CapacityError, InapplicableError
+from .errors import CapacityError, InapplicableError, int_name
 
 # numpy is imported where an array is allocated, so a process that
 # counts nothing by bitmap never loads it.
@@ -85,13 +85,6 @@ class RatioPoint:
     ratio: Fraction | None  # None when the block set is empty below x
 
 
-def _x_name(x: int) -> str:
-    try:
-        return f"x={x}"
-    except ValueError:  # past CPython's int->str digit limit
-        return f"x of {x.bit_length()} bits"
-
-
 def _check_x(x: int) -> int:
     x = int(x)
     if x < 1:
@@ -103,7 +96,7 @@ def _check_scale(x: int, budget: int | None) -> int:
     x = _check_x(x)
     cap = DEFAULT_ENUM_BUDGET if budget is None else int(budget)
     if x > cap:
-        raise CapacityError(f"{_x_name(x)} exceeds the enumeration budget {cap}")
+        raise CapacityError(f"{int_name('x', x)} exceeds the enumeration budget {cap}")
     return x
 
 
@@ -260,7 +253,9 @@ def c_upper_report(x: int, blocks: BlockSet, budget: int | None = None) -> Sumse
     x = _check_x(x)
     j = block_index(x, blocks.schedule)
     if j < 2:
-        raise InapplicableError(f"bound chain needs block index >= 2, got {j} at {_x_name(x)}")
+        raise InapplicableError(
+            f"bound chain needs block index >= 2, got {j} at {int_name('x', x)}"
+        )
     report = split_s1_s2(x, blocks, budget)
     s1b = s1_bound(x, blocks)
     s2b = s2_bound(x, blocks)

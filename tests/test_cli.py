@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,16 +12,30 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sumsetlab import cli, first_odd_primes, mertens_product
+from sumsetlab import (
+    BlockSet,
+    GrowthSchedule,
+    cli,
+    conjecture_ratio,
+    first_odd_primes,
+    mertens_product,
+)
 from sumsetlab.cli import EXIT_CAPACITY, EXIT_CONFIG, EXIT_OK, EXIT_USAGE, run_command
-from sumsetlab.errors import CapacityError, ConfigError
+from sumsetlab.errors import MAX_DECIMAL_DIGITS, CapacityError, ConfigError
 from sumsetlab.experiments import (
     BUILTIN_EXPERIMENTS,
     ExperimentConfig,
+    bound_chain_point,
     builtin_experiment,
     run_experiment,
 )
-from sumsetlab.serialize import fraction_from_payload, fraction_payload, parse_power_expr
+from sumsetlab.serialize import (
+    fraction_from_payload,
+    fraction_payload,
+    parse_power_expr,
+    payload_csv,
+    report_payload,
+)
 
 
 def run_json(capsys, argv):
@@ -56,7 +71,10 @@ class TestParsePowerExpr:
             parse_power_expr(text)
 
     def test_bit_budget(self):
-        for text in ("2^1000000", "2^(2^20)", "2^(2^30)", "2^(2^99999999999999)"):
+        # digits past MAX_DECIMAL_DIGITS are refused before int() reads them, in any form
+        long = "9" * (MAX_DECIMAL_DIGITS + 1)
+        for text in ("2^1000000", "2^(2^20)", "2^(2^30)", "2^(2^99999999999999)",
+                     long, f"2^{long}", f"2^(2^{long})"):
             with pytest.raises(CapacityError):
                 parse_power_expr(text)
         assert parse_power_expr("2^999999") == 1 << 999999
@@ -230,12 +248,34 @@ class TestExitCodes:
             ["romanov-density", "--limit", "2^34"],
             ["depolignac", "scan", "--limit", "2^34"],
             ["depolignac", "scan", "--residue", "1", "--modulus", "2", "--limit", "2^40"],
+            ["sieve-count", "--limit", "2^20000"],
+            ["romanov-density", "--limit", "2^20000"],
+            ["depolignac", "scan", "--limit", "2^20000"],
         ],
     )
     def test_scan_limit_cap_is_capacity_error(self, capsys, argv):
-        # the cap fires before anything is allocated
+        # the cap fires before anything is allocated, and names a long limit by its size
         assert run_command(argv) == EXIT_CAPACITY
-        assert "capacity error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: ") and len(err) < 200, err
+
+    @pytest.mark.parametrize(
+        "command", [["covering", "verify"], ["depolignac", "scan", "--limit", "1000"]],
+        ids=["covering-verify", "depolignac-scan"],
+    )
+    def test_covering_lcm_cap_is_capacity_error(self, capsys, tmp_path, command):
+        # a valid system whose lcm, 3*10^12, is past 2^34: refused before its scan would
+        # loop over 3*10^12 residues in Python
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"entries": [
+            {"residue": 0, "modulus": 2, "prime": 3},
+            {"residue": 1, "modulus": 3 * 10**12, "prime": 7},
+        ]}))
+        assert run_command([*command, "--system", str(path)]) == EXIT_CAPACITY
+        assert capsys.readouterr().err == (
+            "capacity error: covering lcm=3000000000000 is beyond the supported range"
+            " (below 2^34)\n"
+        )
 
     @pytest.mark.parametrize("kind", ["depolignac", "romanov"])
     def test_experiment_scan_limit_cap_is_capacity_error(self, capsys, tmp_path, kind):
@@ -444,6 +484,7 @@ class TestOutputContract:
         assert cli.build_parser() is cli.build_parser()
 
     @pytest.mark.parametrize("j", [1500, 3000, 10_000])
+    @pytest.mark.usefixtures("any_digits")
     def test_mertens_prints_products_past_the_digit_limit(self, capsys, j):
         record = run_json(capsys, ["mertens", "--j", str(j)])
         product = fraction_from_payload(record["payload"]["product"])
@@ -453,6 +494,7 @@ class TestOutputContract:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[2] == row[3] == f"{float(product):.15g}"
 
+    @pytest.mark.usefixtures("any_digits")
     def test_rational_payloads_round_trip_at_any_size(self):
         value = Fraction(7**20_000 + 1, 3**15_000)
         assert fraction_from_payload(fraction_payload(value)) == value
@@ -470,6 +512,96 @@ class TestOutputContract:
         bound = record["payload"]["b_lower_bound"]
         assert isinstance(bound["num"], str) and isinstance(bound["den"], str)
         assert bound == {"num": "120698", "den": "5"}
+
+
+def library_payload(command: str, schedule: str, x: int) -> dict:
+    """What ``count-b``/``bounds`` should print at x, computed by the library directly."""
+    blocks = BlockSet.covering(GrowthSchedule(schedule), x)
+    if command == "count-b":
+        return report_payload(conjecture_ratio(x, blocks))
+    return bound_chain_point(x, blocks)
+
+
+@pytest.mark.usefixtures("any_digits")
+class TestContractSizes:
+    """Records holding integers of more than 4300 digits, up to the 10^6-bit budget."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "command,schedule,x",
+        [
+            ("count-b", "paper", "2^20000"),
+            ("count-b", "paper", "2^70000"),
+            ("bounds", "paper", "2^20000"),
+            ("bounds", "paper", "2^70000"),
+            ("bounds", "polynomial", "2^20000"),
+        ],
+    )
+    def test_record_matches_library(self, capsys, command, schedule, x, fmt):
+        argv = [command, "--schedule", schedule, "--x", x, "--format", fmt]
+        assert run_command(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        expected = library_payload(command, schedule, parse_power_expr(x))
+        if fmt == "json":
+            record = json.loads(out)
+            assert record["config"]["x"] == parse_power_expr(x)
+            assert record["payload"] == expected
+        else:
+            assert out == payload_csv(expected)
+
+    def test_decimal_x_at_the_top_of_the_budget(self, capsys):
+        # 2^999999 - 1 has 301,030 decimal digits, all read from --x; the rationals are read
+        # back rather than the report's printed, as int() is about twice as fast as str()
+        x = 2**999_999 - 1
+        payload = run_json(capsys, ["count-b", "--schedule", "paper", "--x", str(x)])["payload"]
+        report = conjecture_ratio(x, BlockSet.covering(GrowthSchedule.paper(), x))
+        assert sorted(payload) == sorted(field.name for field in dataclasses.fields(report))
+        for name, value in payload.items():
+            expected = getattr(report, name)
+            if isinstance(expected, Fraction):
+                value = fraction_from_payload(value)
+            assert value == expected, name
+
+    def test_out_record_reads_back(self, capsys, tmp_path):
+        out = tmp_path / "record.json"
+        argv = ["count-b", "--schedule", "paper", "--x", "2^70000", "--out", str(out)]
+        assert run_command(argv) == EXIT_OK
+        record = json.loads(out.read_text())
+        assert record["payload"] == library_payload("count-b", "paper", 2**70000)
+
+    @pytest.mark.parametrize(
+        "flag,template",
+        [
+            ("schedule", '{"kind": "custom", "exponents": [1, %s]}'),
+            ("schedule", '{"kind": "custom", "exponents": [1, "%s"]}'),
+            ("system", '{"entries": [{"residue": %s, "modulus": 2, "prime": 3}]}'),
+            ("config", '{"name": "x", "kind": "romanov", "limit": 1000, "k_min": %s}'),
+        ],
+        ids=["schedule", "schedule-string", "system", "config"],
+    )
+    def test_integer_past_the_budget_in_a_file_is_config_error(self, capsys, tmp_path, flag,
+                                                               template):
+        # refused by its length, before int() reads its 333,336 digits
+        path = tmp_path / "input.json"
+        path.write_text(template % ("9" * (MAX_DECIMAL_DIGITS + 1)))
+        argv = {
+            "config": ["experiment", "run", str(path)],
+            "system": ["covering", "verify", "--system", str(path)],
+            "schedule": ["count-b", "--schedule", str(path), "--x", "1000"],
+        }[flag]
+        assert run_command(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"of {MAX_DECIMAL_DIGITS + 1} digits exceeds the 1000000-bit budget" in err
+        assert len(err) < 200, err
+
+    def test_integer_inside_the_budget_in_a_file_parses(self, capsys, tmp_path):
+        residue = 10**5000
+        path = tmp_path / "system.json"
+        path.write_text('{"entries": [{"residue": %d, "modulus": 2, "prime": 3}, '
+                        '{"residue": 1, "modulus": 4, "prime": 5}]}' % residue)
+        record = run_json(capsys, ["covering", "verify", "--system", str(path)])
+        assert record["payload"]["system"]["entries"][0]["residue"] == residue
+        assert record["payload"]["uncovered"] == [3]
 
 
 class TestExperimentConfigs:
