@@ -118,38 +118,37 @@ def _enum_budget(args: argparse.Namespace) -> int:
 # Each handler imports the layers it runs, so starting the CLI loads none of them.
 
 
-def _cmd_count_b(args) -> dict:
-    from .blocks import BlockSet, conjecture_ratio
-    from .serialize import parse_power_expr, report_payload, result_record
+def _record_at_x(name: str, args, point) -> dict:
+    """The record of ``point(x, blocks)`` at --x on the --schedule block set covering it.
 
-    schedule = _schedule_from_arg(args.schedule)
-    x = parse_power_expr(args.x)
-    payload = report_payload(conjecture_ratio(x, BlockSet.covering(schedule, x)))
-    return result_record("count-b", {"schedule": schedule.to_json(), "x": x}, payload)
-
-
-def _cmd_bounds(args) -> dict:
+    A command with --budget (sumset) passes its enumeration budget on as a third argument.
+    """
     from .blocks import BlockSet
-    from .experiments import bound_chain_point
     from .serialize import parse_power_expr, result_record
 
     schedule = _schedule_from_arg(args.schedule)
     x = parse_power_expr(args.x)
-    payload = bound_chain_point(x, BlockSet.covering(schedule, x))
-    return result_record("bounds", {"schedule": schedule.to_json(), "x": x}, payload)
+    budget = {"budget": _enum_budget(args)} if "budget" in args else {}
+    config = {"schedule": schedule.to_json(), "x": x, **budget}
+    return result_record(name, config, point(x, BlockSet.covering(schedule, x), *budget.values()))
+
+
+def _cmd_count_b(args) -> dict:
+    from .blocks import conjecture_ratio
+
+    return _record_at_x("count-b", args, conjecture_ratio)
+
+
+def _cmd_bounds(args) -> dict:
+    from .experiments import bound_chain_point
+
+    return _record_at_x("bounds", args, bound_chain_point)
 
 
 def _cmd_sumset(args) -> dict:
-    from .blocks import BlockSet
-    from .serialize import parse_power_expr, report_payload, result_record
     from .sumset import c_upper_report
 
-    schedule = _schedule_from_arg(args.schedule)
-    x = parse_power_expr(args.x)
-    budget = _enum_budget(args)
-    payload = report_payload(c_upper_report(x, BlockSet.covering(schedule, x), budget))
-    config = {"schedule": schedule.to_json(), "x": x, "budget": budget}
-    return result_record("sumset", config, payload)
+    return _record_at_x("sumset", args, c_upper_report)
 
 
 def _cmd_ratio_scan(args) -> dict:
@@ -181,13 +180,13 @@ def _cmd_sieve_count(args) -> dict:
 
 def _cmd_mertens(args) -> dict:
     from .arith import first_odd_primes, mertens_product
-    from .serialize import fraction_payload, result_record
+    from .serialize import result_record
 
     product = mertens_product(first_odd_primes(args.j), include_two=args.include_two)
     payload = {
         "j": args.j,
         "include_two": args.include_two,
-        "product": fraction_payload(product),
+        "product": product,
         "value": float(product),
     }
     return result_record("mertens", {"j": args.j, "include_two": args.include_two}, payload)
@@ -195,10 +194,10 @@ def _cmd_mertens(args) -> dict:
 
 def _cmd_chebyshev(args) -> dict:
     from .arith import check_chebyshev, first_odd_primes
-    from .serialize import report_payload, result_record
+    from .serialize import result_record
 
     check = check_chebyshev(first_odd_primes(args.j))
-    return result_record("chebyshev", {"j": args.j}, {"j": args.j, **report_payload(check)})
+    return result_record("chebyshev", {"j": args.j}, {"j": args.j, **check._asdict()})
 
 
 def _cmd_covering_verify(args) -> dict:
@@ -207,7 +206,7 @@ def _cmd_covering_verify(args) -> dict:
 
     system = _system_from_arg(args.system)
     payload = covering_payload(system, covering_verify(system))
-    return result_record("covering-verify", {"system": system.to_json()}, payload)
+    return result_record("covering-verify", {"system": system}, payload)
 
 
 def _cmd_covering_crt(args) -> dict:
@@ -215,13 +214,12 @@ def _cmd_covering_crt(args) -> dict:
     from .serialize import result_record
 
     system = _system_from_arg(args.system)
-    payload = crt_combine(system).to_json()
-    return result_record("covering-crt", {"system": system.to_json()}, payload)
+    return result_record("covering-crt", {"system": system}, crt_combine(system))
 
 
 def _cmd_depolignac_scan(args) -> dict:
     from .depolignac import APCertificate, ap_scan, crt_combine
-    from .serialize import parse_power_expr, report_payload, result_record
+    from .serialize import parse_power_expr, result_record
 
     limit = parse_power_expr(args.limit)
     if args.residue is not None or args.modulus is not None:
@@ -234,18 +232,17 @@ def _cmd_depolignac_scan(args) -> dict:
         cert = crt_combine(_system_from_arg(args.system))
     certificate = {"residue": cert.residue, "modulus": cert.modulus}
     scan = ap_scan(cert, limit, args.k_min)
-    payload = {"certificate": certificate, "scan": report_payload(scan), "k_min": args.k_min}
+    payload = {"certificate": certificate, "scan": scan, "k_min": args.k_min}
     config = {**certificate, "limit": limit, "k_min": args.k_min}
     return result_record("depolignac-scan", config, payload)
 
 
 def _cmd_romanov_density(args) -> dict:
     from .depolignac import romanov_density_scan
-    from .serialize import parse_power_expr, report_payload, result_record
+    from .serialize import parse_power_expr, result_record
 
     limit = parse_power_expr(args.limit)
-    scan = romanov_density_scan(limit, args.k_min)
-    payload = {"scan": report_payload(scan), "k_min": args.k_min}
+    payload = {"scan": romanov_density_scan(limit, args.k_min), "k_min": args.k_min}
     return result_record("romanov-density", {"limit": limit, "k_min": args.k_min}, payload)
 
 
@@ -357,13 +354,7 @@ def build_parser() -> _Parser:
 def _write(record: dict, args: argparse.Namespace) -> None:
     from .serialize import payload_csv, payload_json
 
-    if args.format == "csv":
-        payload = record["payload"]
-        if isinstance(payload, dict) and "points" in payload:
-            payload = payload["points"]
-        text = payload_csv(payload)
-    else:
-        text = payload_json(record)
+    text = payload_csv(record["payload"]) if args.format == "csv" else payload_json(record)
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -18,7 +18,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from .arith import check_sieve_limit, is_prime, sieve_primes
-from .errors import CRTError, MalformedSystemError, NotCoveringError, json_int
+from .errors import CRTError, MalformedSystemError, NotCoveringError, int_name, json_int
 
 __all__ = [
     "CoveringEntry",
@@ -70,20 +70,22 @@ class CoveringSystem:
         """Structural audit; raises MalformedSystemError on any violation.
 
         Checks per entry: modulus >= 2, prime is actually prime, primes
-        pairwise distinct, and 2^modulus == 1 (mod prime).
+        pairwise distinct, and 2^modulus == 1 (mod prime). Messages name
+        the entry by its index and each field through ``int_name``.
         """
         seen: set[int] = set()
-        for e in self.entries:
+        for i, e in enumerate(self.entries):
+            modulus, q = int_name("modulus", e.modulus), int_name("q", e.prime)
             if e.modulus < 2:
-                raise MalformedSystemError(f"modulus {e.modulus} < 2 in entry {e}")
+                raise MalformedSystemError(f"{modulus} < 2 in entry {i}")
             if e.prime < 2 or not is_prime(e.prime):
-                raise MalformedSystemError(f"q={e.prime} is not prime in entry {e}")
+                raise MalformedSystemError(f"{q} is not prime in entry {i}")
             if e.prime in seen:
-                raise MalformedSystemError(f"duplicate prime q={e.prime}")
+                raise MalformedSystemError(f"duplicate prime {q} in entry {i}")
             seen.add(e.prime)
             if pow(2, e.modulus, e.prime) != 1:
                 raise MalformedSystemError(
-                    f"q={e.prime} does not divide 2^{e.modulus} - 1"
+                    f"{q} does not divide 2^modulus - 1 with {modulus} in entry {i}"
                 )
 
     @classmethod
@@ -93,14 +95,6 @@ class CoveringSystem:
                             for v in (a, m, q)))
             for a, m, q in triples
         ))
-
-    def to_json(self) -> dict:
-        return {
-            "entries": [
-                {"residue": e.residue, "modulus": e.modulus, "prime": e.prime}
-                for e in self.entries
-            ]
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "CoveringSystem":
@@ -169,12 +163,6 @@ class APCertificate:
                     raise ValueError(
                         f"residue {self.residue} != 2^{e.residue} (mod {e.prime})"
                     )
-
-    def to_json(self) -> dict:
-        payload = {"residue": self.residue, "modulus": self.modulus}
-        if self.source is not None:
-            payload["source"] = self.source.to_json()
-        return payload
 
 
 def _crt(residues: list[int], moduli: list[int]) -> tuple[int, int]:

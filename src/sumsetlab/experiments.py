@@ -25,13 +25,7 @@ from .depolignac import (
     romanov_density_scan,
 )
 from .errors import ConfigError, json_int
-from .serialize import (
-    covering_payload,
-    fraction_payload,
-    parse_power_expr,
-    report_payload,
-    result_record,
-)
+from .serialize import covering_payload, parse_power_expr, report_payload, result_record
 from .sumset import (
     DEFAULT_ENUM_BUDGET,
     c_upper_report,
@@ -46,9 +40,6 @@ __all__ = [
     "builtin_experiment",
     "BUILTIN_EXPERIMENTS",
 ]
-
-_KINDS = ("bounds", "sumset", "ratio-scan", "depolignac", "romanov")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -68,7 +59,7 @@ class ExperimentConfig:
     enum_budget: int = DEFAULT_ENUM_BUDGET
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in _RUNNERS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if any(b <= a for a, b in zip(self.x_grid, self.x_grid[1:])):
             raise ConfigError("x_grid must be strictly ascending")
@@ -83,7 +74,7 @@ class ExperimentConfig:
             "x_grid": list(self.x_grid),
             "limit": self.limit,
             "k_min": self.k_min,
-            "system": None if self.system is None else self.system.to_json(),
+            "system": report_payload(self.system),
             "budgets": {"enumeration": self.enum_budget},
         }
 
@@ -138,13 +129,15 @@ def bound_chain_point(x: int, blocks: BlockSet) -> dict:
     """All analytic checks at one x: window, Chebyshev, count bound, sieve bounds.
 
     Pure floor/rational arithmetic end to end, so paper-scale x is fine.
+    The reports and Fractions are returned as they are; ``report_payload``
+    encodes the point.
     """
     report = conjecture_ratio(x, blocks)
     j = report.j
     point: dict = {
         "x": x,
         "j": j,
-        "count": report_payload(report),
+        "count": report,
         "b_lower_holds": (
             None
             if report.b_lower_bound is None
@@ -158,35 +151,32 @@ def bound_chain_point(x: int, blocks: BlockSet) -> dict:
         "sqrt_check": (1 << (2 * j)) <= x,
     }
     if blocks.schedule.kind == "paper" and x >= 4:
-        point["window"] = report_payload(j_window_check(x, blocks.schedule))
+        point["window"] = j_window_check(x, blocks.schedule)
     if j >= 1:
-        point["chebyshev"] = report_payload(check_chebyshev(blocks.primes[:j]))
-        s1 = s1_bound(x, blocks)
-        point["s1_bound"] = fraction_payload(s1)
+        point["chebyshev"] = check_chebyshev(blocks.primes[:j])
+        point["s1_bound"] = s1_bound(x, blocks)
         if j >= 2:
-            s2 = s2_bound(x, blocks)
-            point["s2_bound"] = fraction_payload(s2)
-            point["c_bound"] = fraction_payload(s1 + s2)
+            point["s2_bound"] = s2_bound(x, blocks)
+            point["c_bound"] = point["s1_bound"] + point["s2_bound"]
     return point
 
 
-def _run_bounds(config: ExperimentConfig, timing: dict) -> dict:
+# One grid point per kind. The lambdas look the functions up when called, so a
+# wrapper installed on this module's names (a tracer's, say) sees every point.
+_GRID_POINTS: dict[str, Callable] = {
+    "bounds": lambda x, blocks, budget: bound_chain_point(x, blocks),
+    "sumset": lambda x, blocks, budget: c_upper_report(x, blocks, budget),
+}
+
+
+def _run_grid(config: ExperimentConfig, timing: dict) -> dict:
     blocks = _blocks_for_grid(config)
+    point = _GRID_POINTS[config.kind]
     points = []
     for i, x in enumerate(config.x_grid):
         start = time.perf_counter()
-        points.append(bound_chain_point(x, blocks))
+        points.append(point(x, blocks, config.enum_budget))
         timing[f"point_{i}"] = time.perf_counter() - start
-    return {"schedule": config.schedule.to_json(), "points": points}
-
-
-def _run_sumset(config: ExperimentConfig, timing: dict) -> dict:
-    blocks = _blocks_for_grid(config)
-    points = []
-    for x in config.x_grid:
-        start = time.perf_counter()
-        points.append(report_payload(c_upper_report(x, blocks, config.enum_budget)))
-        timing[f"x={x}"] = time.perf_counter() - start
     return {"schedule": config.schedule.to_json(), "points": points}
 
 
@@ -195,7 +185,7 @@ def _run_ratio_scan(config: ExperimentConfig, timing: dict) -> dict:
     start = time.perf_counter()
     points = ratio_scan(config.x_grid, blocks, config.enum_budget)
     timing["scan"] = time.perf_counter() - start
-    return {"schedule": config.schedule.to_json(), "points": report_payload(points)}
+    return {"schedule": config.schedule.to_json(), "points": points}
 
 
 def _run_depolignac(config: ExperimentConfig, timing: dict) -> dict:
@@ -211,8 +201,8 @@ def _run_depolignac(config: ExperimentConfig, timing: dict) -> dict:
     timing["scan"] = time.perf_counter() - start
     return {
         "covering": covering_payload(system, check),
-        "certificate": cert.to_json(),
-        "scan": report_payload(scan),
+        "certificate": cert,
+        "scan": scan,
         "k_min": config.k_min,
     }
 
@@ -223,12 +213,12 @@ def _run_romanov(config: ExperimentConfig, timing: dict) -> dict:
     start = time.perf_counter()
     scan = romanov_density_scan(config.limit, config.k_min)
     timing["scan"] = time.perf_counter() - start
-    return {"scan": report_payload(scan), "k_min": config.k_min}
+    return {"scan": scan, "k_min": config.k_min}
 
 
 _RUNNERS: dict[str, Callable[[ExperimentConfig, dict], dict]] = {
-    "bounds": _run_bounds,
-    "sumset": _run_sumset,
+    "bounds": _run_grid,
+    "sumset": _run_grid,
     "ratio-scan": _run_ratio_scan,
     "depolignac": _run_depolignac,
     "romanov": _run_romanov,

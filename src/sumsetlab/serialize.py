@@ -1,8 +1,10 @@
 """Report serialization: deterministic JSON payloads and lossy-marked CSV.
 
-Also the two ends every run shares: ``parse_power_expr`` reads integer
-arguments under the library's bit budget, and ``result_record`` wraps a
-payload into the record the CLI and the experiments emit.
+Pipelines return library objects (reports, Fractions, covering systems,
+certificates) in plain dicts; ``result_record`` is the one place they
+are encoded, through ``report_payload``, into the record the CLI and
+the experiments emit. ``parse_power_expr`` reads integer arguments under
+the library's bit budget.
 
 Exact rationals always serialize as {"num": ..., "den": ...} decimal
 strings, so no precision is laundered through floats; integers stay
@@ -22,7 +24,7 @@ import json
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 from ._version import __version__
 from .errors import DEFAULT_BIT_BUDGET, MAX_DECIMAL_DIGITS, CapacityError, ConfigError
@@ -40,7 +42,6 @@ __all__ = [
     "payload_json",
     "report_payload",
     "covering_payload",
-    "rows_to_csv",
     "payload_csv",
 ]
 
@@ -82,11 +83,14 @@ def parse_power_expr(text: str | int) -> int:
 
 
 def result_record(name: str, config: dict, payload, timing: dict | None = None) -> dict:
-    """The record every run emits; only ``payload`` must be byte-identical across runs."""
+    """The record every run emits, with ``config`` and ``payload`` encoded by ``report_payload``.
+
+    Only ``payload`` must be byte-identical across runs.
+    """
     return {
         "name": name,
-        "config": config,
-        "payload": payload,
+        "config": report_payload(config),
+        "payload": report_payload(payload),
         "timing": {} if timing is None else timing,
         "versions": {"sumsetlab": __version__},
     }
@@ -123,11 +127,14 @@ def report_payload(obj: Any) -> Any:
     """Encode a report for JSON, recursing into its fields.
 
     Dataclass and named-tuple fields keep their declaration order, which
-    sets the CSV column order; a Fraction becomes ``fraction_payload`` and
-    a tuple or list becomes a list. Other values pass through unchanged.
+    sets the CSV column order; a Fraction becomes ``fraction_payload``, a
+    dict keeps its keys and a tuple or list becomes a list. Other values
+    pass through unchanged, so an already encoded payload comes back equal.
     """
     if isinstance(obj, Fraction):
         return fraction_payload(obj)
+    if isinstance(obj, dict):
+        return {key: report_payload(value) for key, value in obj.items()}
     if dataclasses.is_dataclass(obj):
         return {f.name: report_payload(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, tuple) and hasattr(obj, "_fields"):
@@ -138,52 +145,40 @@ def report_payload(obj: Any) -> Any:
 
 
 def covering_payload(system: CoveringSystem, check: CoverCheck) -> dict:
-    return {"system": system.to_json(), "lcm": system.lcm, **report_payload(check)}
-
-
-def rows_to_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    """Render rows to CSV, appending a per-row `lossy` marker column.
-
-    A row is marked lossy when it contains a Fraction or float that had to
-    be rendered as a decimal; exact integers and strings keep `no`.
-    """
-    buf = io.StringIO()
-    buf.write(",".join([*header, "lossy"]) + "\n")
-    for row in rows:
-        lossy = any(isinstance(v, (Fraction, float)) for v in row)
-        cells = []
-        for v in row:
-            if isinstance(v, (Fraction, float, int)) and not isinstance(v, bool):
-                cells.append(decimal15(v))
-            elif v is None:
-                cells.append("")
-            else:
-                cells.append(str(v))
-        cells.append("yes" if lossy else "no")
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+    return {"system": system, "lcm": system.lcm, **check._asdict()}
 
 
 def payload_csv(payload: Any) -> str:
-    """Flatten a payload produced by this module into CSV rows.
+    """Flatten an encoded payload into CSV rows, appending a per-row `lossy` column.
 
-    Lists of per-x dicts become one row per x; a single dict becomes one
-    row. Rational sub-objects render as 15-digit decimals.
+    A payload's ``points`` list, or any list of per-x dicts, becomes one
+    row per x; a single dict becomes one row. Rational sub-objects render
+    as 15-digit decimals, and a row is marked lossy when it holds one or a
+    float; exact integers and strings keep `no`.
     """
+    if isinstance(payload, dict) and "points" in payload:
+        payload = payload["points"]
     records = payload if isinstance(payload, list) else [payload]
     if not records:
         return "\n"
     header = list(records[0].keys())
-    rows = []
+    buf = io.StringIO()
+    buf.write(",".join([*header, "lossy"]) + "\n")
     for rec in records:
-        row = []
+        cells, lossy = [], False
         for key in header:
             value = rec.get(key)
             if isinstance(value, dict) and set(value) == {"num", "den"}:
-                row.append(fraction_from_payload(value))
+                value = fraction_from_payload(value)
             elif isinstance(value, (dict, list)):
-                row.append(json.dumps(value, sort_keys=True).replace(",", ";"))
+                value = json.dumps(value, sort_keys=True).replace(",", ";")
+            lossy = lossy or isinstance(value, (Fraction, float))
+            if isinstance(value, (Fraction, float, int)) and not isinstance(value, bool):
+                cells.append(decimal15(value))
+            elif value is None:
+                cells.append("")
             else:
-                row.append(value)
-        rows.append(row)
-    return rows_to_csv(header, rows)
+                cells.append(str(value))
+        cells.append("yes" if lossy else "no")
+        buf.write(",".join(cells) + "\n")
+    return buf.getvalue()

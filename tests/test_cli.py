@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 import sympy
@@ -17,6 +18,8 @@ from sumsetlab import (
     GrowthSchedule,
     cli,
     conjecture_ratio,
+    crt_combine,
+    default_covering_system,
     first_odd_primes,
     mertens_product,
 )
@@ -35,6 +38,7 @@ from sumsetlab.serialize import (
     parse_power_expr,
     payload_csv,
     report_payload,
+    result_record,
 )
 
 
@@ -423,6 +427,41 @@ class TestExitCodes:
         assert "--system" in capsys.readouterr().err
 
 
+@dataclasses.dataclass(frozen=True)
+class _Report:
+    x: int
+    ratio: Fraction
+    bound: Fraction | None
+
+
+class _Check(NamedTuple):
+    holds: bool
+    witnesses: tuple
+
+
+# One argv per leaf subcommand and per built-in experiment, with the CSV header
+# where it is pinned.
+CSV_CASES = {
+    "count-b": (["count-b", "--schedule", "paper", "--x", "100000"],
+                "x,j,b_count,a_count,b_lower_bound,ratio_exact,conjecture_ratio,lossy"),
+    "sumset": (["sumset", "--schedule", "polynomial", "--x", "1000"],
+               "x,j,c_count,s1_count,s2_count,s1_overlap,density,sqrt_check,"
+               "s1_bound,s2_bound,c_bound,s1_legendre,lossy"),
+    "bounds": (["bounds", "--schedule", "paper", "--x", "2^600"], None),
+    "ratio-scan": (["ratio-scan", "--schedule", "polynomial", "--grid", "1000,10000"], None),
+    "sieve-count": (["sieve-count", "--limit", "1000"], None),
+    "mertens": (["mertens", "--j", "8"], None),
+    "chebyshev": (["chebyshev", "--j", "8"], None),
+    "covering-verify": (["covering", "verify"], None),
+    "covering-crt": (["covering", "crt"], None),
+    "depolignac-scan": (["depolignac", "scan", "--limit", "1000000"], None),
+    "romanov-density": (["romanov-density", "--limit", "10000"], None),
+    "experiment-list": (["experiment", "list"], None),
+    **{f"experiment-run-{name}": (["experiment", "run", name], None)
+       for name in sorted(BUILTIN_EXPERIMENTS)},
+}
+
+
 class TestOutputContract:
     def test_out_file_and_round_trip(self, capsys, tmp_path):
         out = tmp_path / "record.json"
@@ -457,20 +496,54 @@ class TestOutputContract:
         lines = out.strip().splitlines()
         assert len(lines) == 3  # header + two grid points
 
-    @pytest.mark.parametrize(
-        "argv,header",
-        [
-            (["count-b", "--schedule", "paper", "--x", "100000"],
-             "x,j,b_count,a_count,b_lower_bound,ratio_exact,conjecture_ratio,lossy"),
-            (["sumset", "--schedule", "polynomial", "--x", "1000"],
-             "x,j,c_count,s1_count,s2_count,s1_overlap,density,sqrt_check,"
-             "s1_bound,s2_bound,c_bound,s1_legendre,lossy"),
-        ],
-        ids=["count-b", "sumset"],
-    )
+    @pytest.mark.parametrize("argv,header", CSV_CASES.values(), ids=CSV_CASES.keys())
     def test_csv_columns_follow_report_fields(self, capsys, argv, header):
+        payload = run_json(capsys, argv)["payload"]
+        if isinstance(payload, dict) and "points" in payload:
+            payload = payload["points"]
+        keys = list(payload[0] if isinstance(payload, list) else payload)
         assert run_command([*argv, "--format", "csv"]) == EXIT_OK
-        assert capsys.readouterr().out.splitlines()[0] == header
+        lines = capsys.readouterr().out.splitlines()
+        columns = lines[0].split(",")
+        # JSON sorts its keys; CSV columns keep the report's field order
+        assert sorted(columns[:-1]) == sorted(keys) and columns[-1] == "lossy"
+        assert all(len(line.split(",")) == len(columns) for line in lines[1:])
+        if header is not None:
+            assert lines[0] == header
+
+    def test_result_record_encodes_library_objects(self):
+        report = _Report(x=10, ratio=Fraction(3, 7), bound=None)
+        check = _Check(holds=True, witnesses=((5, 3, 1), (7, 5, 1)))
+        system = default_covering_system()
+        cert = crt_combine(system)
+        config = {"schedule": {"kind": "paper"}, "x": 10, "step": Fraction(-1, 2)}
+        payload = {
+            "report": report,
+            "nested": {"check": check, "pair": (Fraction(1, 3), 2), "system": system},
+            "certificate": cert,
+        }
+        # spelled out field by field
+        entries = [{"residue": e.residue, "modulus": e.modulus, "prime": e.prime}
+                   for e in system.entries]
+        expected_config = {"schedule": {"kind": "paper"}, "x": 10,
+                           "step": fraction_payload(Fraction(-1, 2))}
+        expected = {
+            "report": {"x": 10, "ratio": fraction_payload(Fraction(3, 7)), "bound": None},
+            "nested": {
+                "check": {"holds": True, "witnesses": [[5, 3, 1], [7, 5, 1]]},
+                "pair": [fraction_payload(Fraction(1, 3)), 2],
+                "system": {"entries": entries},
+            },
+            "certificate": {"residue": cert.residue, "modulus": cert.modulus,
+                            "source": {"entries": entries}},
+        }
+        record = result_record("unit", config, payload, {"total": 0.5})
+        assert record["config"] == expected_config
+        assert record["payload"] == expected
+        assert list(record["payload"]["report"]) == ["x", "ratio", "bound"]
+        assert record["timing"] == {"total": 0.5}
+        again = result_record("unit", record["config"], record["payload"])
+        assert again["config"] == expected_config and again["payload"] == expected
 
     @pytest.mark.parametrize(
         "command,parser", LEAVES, ids=[command.replace(" ", "-") for command, _ in LEAVES]
@@ -519,7 +592,7 @@ def library_payload(command: str, schedule: str, x: int) -> dict:
     blocks = BlockSet.covering(GrowthSchedule(schedule), x)
     if command == "count-b":
         return report_payload(conjecture_ratio(x, blocks))
-    return bound_chain_point(x, blocks)
+    return report_payload(bound_chain_point(x, blocks))
 
 
 @pytest.mark.usefixtures("any_digits")
@@ -592,6 +665,26 @@ class TestContractSizes:
         assert run_command(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"of {MAX_DECIMAL_DIGITS + 1} digits exceeds the 1000000-bit budget" in err
+        assert len(err) < 200, err
+
+    @pytest.mark.parametrize(
+        "residue,modulus,prime",
+        [
+            ("1" + "0" * 5000, "1", "3"),
+            ("1", "-1" + "0" * 5000, "3"),
+            ("1" + "0" * 5000, "2", "9"),  # composite, below the Miller-Rabin bound
+            ("0", "1" + "0" * 4999 + "1", "3"),  # 3 divides 2^m - 1 for even m only
+        ],
+        ids=["modulus-below-2", "huge-negative-modulus", "composite-prime", "huge-odd-modulus"],
+    )
+    def test_invalid_entry_message_is_short(self, capsys, tmp_path, residue, modulus, prime):
+        # each field is named through int_name and the entry by its index
+        path = tmp_path / "system.json"
+        path.write_text('{"entries": [{"residue": %s, "modulus": %s, "prime": %s}]}'
+                        % (residue, modulus, prime))
+        assert run_command(["covering", "verify", "--system", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "in entry 0" in err
         assert len(err) < 200, err
 
     def test_integer_inside_the_budget_in_a_file_parses(self, capsys, tmp_path):
