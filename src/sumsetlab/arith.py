@@ -14,6 +14,7 @@ freely between threads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -42,12 +43,26 @@ __all__ = [
     "big_log2",
 ]
 
-# The first 13 prime bases: a deterministic Miller-Rabin witness set for
-# every n below psi_13, this bound (Sorenson and Webster, 2017). The first
-# 12 are proven only below psi_12 = 318665857834031151167461, itself a
-# strong pseudoprime to bases 2..37.
+# The first 13 prime bases and psi_1..psi_13, the smallest strong
+# pseudoprime to the first k of them (OEIS A014233; psi_12 and psi_13 from
+# Sorenson and Webster, 2017). The first k bases decide every n < psi_k,
+# so is_prime tries only as many as n needs, and none decide n >= psi_13.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_PSI = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,  # psi_7 = psi_8
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,  # psi_9 = psi_10 = psi_11
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
 
 # Every sieve and every scan that sieves stays below 2^SIEVE_LIMIT_BITS.
 SIEVE_LIMIT_BITS = 34
@@ -176,6 +191,7 @@ def first_odd_primes(count: int) -> tuple[int, ...]:
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    check_sieve_limit(count, "prime count")  # p_n > n, and n past 2^1024 overflows a float
     n = count + 1  # prime index including 2
     limit = 15 if n < 6 else int(n * (math.log(n) + math.log(math.log(n)))) + 10
     check_sieve_limit(limit)
@@ -191,10 +207,13 @@ def first_odd_primes(count: int) -> tuple[int, ...]:
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n < 3.3e24.
 
+    Tries the first k prime bases for the smallest k with n < psi_k: four
+    below 3215031751, all 13 only from 3.2e23 up.
+
     Raises:
         ValueError: n is beyond the deterministic witness bound.
     """
-    if n >= _MR_BOUND:
+    if n >= _MR_PSI[-1]:
         raise ValueError(f"{int_name('n', n)} exceeds the deterministic Miller-Rabin bound")
     if n < 2:
         return False
@@ -208,7 +227,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[: bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -20,6 +20,8 @@ from typing import TYPE_CHECKING, Sequence
 
 from ._version import __version__
 from .errors import (
+    DEFAULT_BIT_BUDGET,
+    MAX_DECIMAL_DIGITS,
     CapacityError,
     ConfigError,
     CRTError,
@@ -66,6 +68,23 @@ class _Parser(argparse.ArgumentParser):
     def _print_message(self, message: str, file=None) -> None:
         if message:
             (file or sys.stderr).write(message)
+
+
+def _integer(text: str) -> int:
+    """int(text) for every integer option; run_command parses them with the digit limit lifted.
+
+    Text past MAX_DECIMAL_DIGITS is refused before int() reads it, as for --x; the
+    value itself is judged by the handler that uses it.
+    """
+    if len(text) > MAX_DECIMAL_DIGITS:
+        raise CapacityError(
+            f"integer option of {len(text)} digits exceeds the {DEFAULT_BIT_BUDGET}-bit budget"
+        )
+    try:
+        return int(text)
+    except ValueError:
+        shown = f": {text!r}" if len(text) <= 64 else f" of {len(text)} characters"
+        raise argparse.ArgumentTypeError(f"invalid int value{shown}") from None
 
 
 def _read_json(path: Path):
@@ -304,22 +323,22 @@ def build_parser() -> _Parser:
     p = add(sub, "sumset", "enumerate the sumset at x with the bound chain")
     p.add_argument("--schedule", required=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_integer)
 
     p = add(sub, "ratio-scan", "c/b count ratios over a grid")
     p.add_argument("--schedule", required=True)
     p.add_argument("--grid", required=True, help="comma-separated x expressions")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_integer)
 
     p = add(sub, "sieve-count", "count primes up to a limit")
     p.add_argument("--limit", required=True)
 
     p = add(sub, "mertens", "exact odd-prime product of (1 - 1/p)")
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--j", type=_integer, required=True)
     p.add_argument("--include-two", action="store_true")
 
     p = add(sub, "chebyshev", "odd-prime log sum vs 2*j*log(j)")
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--j", type=_integer, required=True)
 
     cov = sub.add_parser("covering", help="covering-system operations")
     cov_sub = cov.add_subparsers(dest="action", required=True)
@@ -332,20 +351,20 @@ def build_parser() -> _Parser:
     dep_sub = dep.add_subparsers(dest="action", required=True)
     p = add(dep_sub, "scan", "audit an arithmetic progression up to a limit")
     p.add_argument("--system", help="JSON file; defaults to the shipped system")
-    p.add_argument("--residue", type=int)
-    p.add_argument("--modulus", type=int)
+    p.add_argument("--residue", type=_integer)
+    p.add_argument("--modulus", type=_integer)
     p.add_argument("--limit", required=True)
-    p.add_argument("--k-min", type=int, default=1)
+    p.add_argument("--k-min", type=_integer, default=1)
 
     p = add(sub, "romanov-density", "density of odd n = p + 2^k")
     p.add_argument("--limit", required=True)
-    p.add_argument("--k-min", type=int, default=1)
+    p.add_argument("--k-min", type=_integer, default=1)
 
     exp = sub.add_parser("experiment", help="named reproducible experiments")
     exp_sub = exp.add_subparsers(dest="action", required=True)
     p = add(exp_sub, "run", "run a built-in experiment or a config file")
     p.add_argument("target")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_integer)
     add(exp_sub, "list", "list built-in experiments")
 
     return parser
@@ -363,27 +382,26 @@ def _write(record: dict, args: argparse.Namespace) -> None:
 
 def run_command(argv: Sequence[str]) -> int:
     """Execute one CLI invocation; returns the process exit code."""
+    # Integers are bounded by the bit budget where they are read, not by CPython's
+    # int<->str digit limit (3.10.7 on), so the run, its integer options included,
+    # lifts that limit and restores the caller's.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    command = "sumsetlab"  # until the arguments name the subcommand
     try:
+        if digits is not None:
+            sys.set_int_max_str_digits(0)
         args = build_parser().parse_args(list(argv))
+        command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
+        started = time.perf_counter()
+        record = _handler(command)(args)
+        record["timing"]["total"] = time.perf_counter() - started
+        _write(record, args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    except BrokenPipeError:  # --help / --version into a closed pipe
-        return EXIT_BROKEN_PIPE
-    command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
-    # Integers are bounded by the bit budget where they are read, not by CPython's
-    # int<->str digit limit (3.10.7 on), so the run lifts that limit and restores the caller's.
-    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    try:
-        if digits is not None:
-            sys.set_int_max_str_digits(0)
-        started = time.perf_counter()
-        record = _handler(command)(args)
-        record["timing"]["total"] = time.perf_counter() - started
-        _write(record, args)
-    except BrokenPipeError:  # the reader closed stdout: end quietly
+    except BrokenPipeError:  # the reader closed stdout, also under --help: end quietly
         return EXIT_BROKEN_PIPE
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ empirical density of odd numbers that ARE representable.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -153,15 +154,21 @@ class APCertificate:
     source: CoveringSystem | None = None
 
     def __post_init__(self) -> None:
+        # a residue or modulus given on the command line may run to 333,335 digits
+        residue = int_name("residue", self.residue)
         if not 0 < self.residue < self.modulus:
-            raise ValueError(f"residue must lie in (0, modulus), got {self.residue}")
+            raise ValueError(
+                f"residue must lie in (0, modulus), got {residue}, "
+                f"{int_name('modulus', self.modulus)}"
+            )
         if self.residue % 2 == 0:
-            raise ValueError(f"certificate residue must be odd, got {self.residue}")
+            raise ValueError(f"certificate residue must be odd, got {residue}")
         if self.source is not None:
-            for e in self.source.entries:
+            for i, e in enumerate(self.source.entries):
                 if self.residue % e.prime != pow(2, e.residue, e.prime):
                     raise ValueError(
-                        f"residue {self.residue} != 2^{e.residue} (mod {e.prime})"
+                        f"{residue} != 2^a (mod q) with {int_name('a', e.residue)}, "
+                        f"{int_name('q', e.prime)} in entry {i}"
                     )
 
 
@@ -176,12 +183,18 @@ def _crt(residues: list[int], moduli: list[int]) -> tuple[int, int]:
     return r % m, m
 
 
+@functools.cache
 def crt_combine(system: CoveringSystem) -> APCertificate:
     """Combine a verified covering system into a progression certificate.
 
     Solves n == 1 (mod 2) and n == 2^a_i (mod q_i) for all entries. Any n
     in the resulting class has, for every k >= 1, some q_i dividing
     n - 2^k: pick the entry covering k, then 2^k == 2^a_i (mod q_i).
+
+    Memoized: a system hashes by value, so each distinct system is
+    validated, covers-checked and combined once per process, and repeat
+    calls return the same certificate. An error is not cached; a bad
+    system raises on every call.
 
     Raises:
         MalformedSystemError: invalid entry data.
@@ -259,8 +272,9 @@ def ap_scan(cert: APCertificate, limit: int, k_min: int = 1) -> ScanReport:
         # a memoryview reads single flags faster than numpy indexing
         odd = memoryview(sieve_primes(max(last, 2)).odd_flags)
     exceptions = []
+    k_first = min(k_min, last.bit_length())  # 2^k > last from there on: no k to try
     for n in members:
-        k = k_min
+        k = k_first
         while (1 << k) < n:
             p = n - (1 << k)
             if odd[p >> 1] if p & 1 else p == 2:
@@ -294,7 +308,8 @@ def romanov_density_scan(limit: int, k_min: int = 1) -> ScanReport:
     odd_total = (limit + 1) // 2  # odd numbers 1, 3, ..., <= limit
     # no k >= 1 reaches 3 (3 - 2 = 1), so k = 0 adds it exactly once
     odd_hits = int(k_min == 0)
-    first_shift = 1 << (max(k_min, 1) - 1)
+    # a shift of 2^(k-1) >= odd_total marks nothing, and a k_min of many digits cannot shift
+    first_shift = 1 << (min(max(k_min, 1), odd_total.bit_length() + 1) - 1)
     buffer = np.empty(min(MARK_SEGMENT, odd_total), dtype=bool)
     for lo in range(0, odd_total, MARK_SEGMENT):
         hi = min(lo + MARK_SEGMENT, odd_total)
@@ -313,7 +328,8 @@ def romanov_density_scan(limit: int, k_min: int = 1) -> ScanReport:
     )
 
 
+@functools.cache
 def default_covering_system() -> CoveringSystem:
-    """The classical six-entry covering system shipped with the package."""
+    """The classical six-entry covering system shipped with the package, read once per process."""
     data = resources.files("sumsetlab.data").joinpath("erdos_covering.json")
     return CoveringSystem.from_json(json.loads(data.read_text()))

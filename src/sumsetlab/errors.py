@@ -56,7 +56,10 @@ def json_int(value, what: str, error: type[SumsetLabError]) -> int:
 def int_name(name: str, value: int) -> str:
     """How a message names a user-sized integer: "x=1024", or "x of 20001 bits" past 64 bits.
 
-    Decided by size, so no message spells out an integer of up to 301,030 digits.
+    Decided by size, so no message spells out an integer of up to 333,335 digits.
+    A negative value past 64 bits keeps its sign: "negative x of 20001 bits".
     """
     bits = value.bit_length()
-    return f"{name}={value}" if bits <= 64 else f"{name} of {bits} bits"
+    if bits <= 64:
+        return f"{name}={value}"
+    return f"{'negative ' if value < 0 else ''}{name} of {bits} bits"

@@ -46,6 +46,14 @@ STRONG_PSEUDOPRIMES = {
     3_825_123_056_546_413_051: 11,
 }
 
+# psi_1..psi_13 (OEIS A014233): the first k prime bases decide every n < psi_k
+PSI = (
+    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+    341_550_071_728_321, 341_550_071_728_321, 3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981,
+)
+
 
 def _strong_probable_prime(n, bases):
     """Textbook strong probable-prime test of odd n > 2 to every base."""
@@ -381,6 +389,26 @@ class TestIsPrime:
         assert _strong_probable_prime(n, PRIME_BASES[:count])
         assert not _strong_probable_prime(n, PRIME_BASES[: count + 1])
         assert not is_prime(n)
+
+    @pytest.mark.parametrize("k", range(1, 14))
+    def test_matches_sympy_around_each_psi(self, k):
+        # psi_k fools the first k bases, so a boundary one off lets it through as prime
+        psi = PSI[k - 1]
+        assert _strong_probable_prime(psi, PRIME_BASES[:k])
+        rng = random.Random(k)
+        lower = max(p for p in (2, *PSI) if p < psi)  # psi_7 = psi_8, psi_9 = psi_11
+        below = [rng.randrange(lower, psi) for _ in range(40)]
+        below += [sympy.prevprime(rng.randrange(lower, psi)) for _ in range(5)]
+        below += [sympy.prevprime(psi), psi - 2, psi - 1]
+        for n in below:
+            assert is_prime(n) == sympy.isprime(n), n
+        if k == 13:
+            for n in (psi, psi + 2):
+                with pytest.raises(ValueError, match="deterministic Miller-Rabin bound"):
+                    is_prime(n)
+            return
+        for n in (psi, psi + 1, psi + 2, sympy.nextprime(psi)):
+            assert is_prime(n) == sympy.isprime(n), n
 
     @given(
         st.integers(min_value=0, max_value=2**64 - 1),

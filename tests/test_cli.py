@@ -687,6 +687,44 @@ class TestContractSizes:
         assert err.startswith("config error: ") and "in entry 0" in err
         assert len(err) < 200, err
 
+    def test_huge_negative_modulus_keeps_its_sign(self, capsys, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text('{"entries": [{"residue": 1, "modulus": -1%s, "prime": 3}]}' % ("0" * 5000))
+        assert run_command(["covering", "verify", "--system", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: negative modulus of 16610 bits < 2 in entry 0\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["depolignac", "scan", "--residue", "1" * 5001, "--modulus", "3"], EXIT_CONFIG),
+            (["depolignac", "scan", "--residue", "1" + "0" * 4000, "--modulus", "3"], EXIT_CONFIG),
+            (["depolignac", "scan", "--residue", "2" + "0" * 5000, "--modulus", "3" + "0" * 5000],
+             EXIT_CONFIG),
+            (["depolignac", "scan", "--residue", "3", "--modulus", "1" * 5001], EXIT_OK),
+            (["depolignac", "scan", "--k-min", "1" * 5001], EXIT_OK),
+            (["romanov-density", "--k-min", "1" * 5001], EXIT_OK),
+            (["mertens", "--j", "1" * 5001], EXIT_CAPACITY),
+            (["chebyshev", "--j", "1" * 5001], EXIT_CAPACITY),
+            (["sumset", "--schedule", "polynomial", "--x", "1000", "--budget", "1" * 5001],
+             EXIT_OK),
+            (["mertens", "--j", "9" * (MAX_DECIMAL_DIGITS + 1)], EXIT_CAPACITY),
+            (["mertens", "--j", "1" * 5000 + "x"], EXIT_USAGE),
+        ],
+        ids=["residue-past-modulus", "residue-10^4000", "even-residue", "huge-modulus",
+             "scan-k-min", "romanov-k-min", "mertens-j", "chebyshev-j", "budget",
+             "past-the-digit-bound", "not-an-integer"],
+    )
+    def test_integer_option_of_many_digits(self, capsys, argv, code):
+        # read under the run's lifted digit limit: the exit code is the one the value earns
+        if argv[0] in ("depolignac", "romanov-density"):
+            argv = [*argv, "--limit", "1000"]
+        assert run_command(argv) == code
+        err = capsys.readouterr().err
+        assert len(err) < 200, err
+        assert (err == "") == (code == EXIT_OK), err
+
     def test_integer_inside_the_budget_in_a_file_parses(self, capsys, tmp_path):
         residue = 10**5000
         path = tmp_path / "system.json"
@@ -744,6 +782,37 @@ def _fresh_python(*argv: str, env=None, **kwargs) -> subprocess.CompletedProcess
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path, **(env or {})}
     return subprocess.run([sys.executable, *argv], env=env, text=True, **kwargs)
+
+
+def _record_without_timing(text: str) -> dict:
+    record = json.loads(text)
+    del record["timing"]
+    return record
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--limit", "50000000"],
+        ["--residue", "7629217", "--modulus", "11184810", "--limit", "30000000", "--k-min", "2"],
+        ["--system", "SHIFTED", "--limit", "50000000"],
+    ],
+    ids=["certificate", "residue", "system"],
+)
+def test_repeated_scans_print_what_a_fresh_process_prints(capsys, tmp_path, argv):
+    # the certificate is built once per process; later runs in it must not differ
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps({"entries": [
+        {"residue": (e.residue + 5) % e.modulus, "modulus": e.modulus, "prime": e.prime}
+        for e in default_covering_system().entries
+    ]}))
+    argv = ["depolignac", "scan", *(str(path) if a == "SHIFTED" else a for a in argv)]
+    fresh = _fresh_python("-m", "sumsetlab.cli", *argv, capture_output=True, check=True)
+    for _ in range(3):
+        assert run_command(argv) == EXIT_OK
+        assert _record_without_timing(capsys.readouterr().out) == (
+            _record_without_timing(fresh.stdout)
+        )
 
 
 _STARTED = ["sumsetlab", "sumsetlab._version"]

@@ -113,6 +113,24 @@ class TestCrtCombine:
         with pytest.raises(MalformedSystemError):
             crt_combine(CoveringSystem.from_entries([(0, 1, 1)]))
 
+    def test_shipped_certificate_is_built_once(self, erdos):
+        # the shipped system is read once, and an equal system hashes to its certificate
+        system = default_covering_system()
+        assert default_covering_system() is system
+        cert = crt_combine(system)
+        assert crt_combine(system) is cert
+        assert crt_combine(erdos) is cert
+        assert crt_combine(CoveringSystem.from_entries(ERDOS_TRIPLES)) is cert
+
+    def test_errors_are_not_cached(self):
+        not_covering = CoveringSystem.from_entries([(0, 2, 3)])
+        malformed = CoveringSystem.from_entries([(0, 1, 1)])
+        for _ in range(3):
+            with pytest.raises(NotCoveringError):
+                crt_combine(not_covering)
+            with pytest.raises(MalformedSystemError):
+                crt_combine(malformed)
+
     def test_crt_solver_rejects_non_coprime(self):
         with pytest.raises(CRTError):
             _crt([1, 2], [6, 9])
@@ -122,6 +140,17 @@ class TestCrtCombine:
             APCertificate(residue=2, modulus=10)  # even residue
         with pytest.raises(ValueError):
             APCertificate(residue=1, modulus=11_184_810, source=erdos)
+
+    @pytest.mark.parametrize(
+        "residue,modulus,source",
+        [(10**5000, 3, False), (10**5000, 10**5001, False), (10**5000 + 1, 10**5001, True)],
+        ids=["outside", "even", "not-from-source"],
+    )
+    def test_certificate_messages_name_huge_values_by_size(self, erdos, residue, modulus,
+                                                           source):
+        with pytest.raises(ValueError, match="residue of 16610 bits") as info:
+            APCertificate(residue=residue, modulus=modulus, source=erdos if source else None)
+        assert len(str(info.value)) < 200
 
     @given(st.integers(min_value=-1000, max_value=1000))
     def test_shifted_system_certificate_invariants(self, shift):
