@@ -10,11 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .arith import big_log2, first_odd_primes
-from .errors import DEFAULT_BIT_BUDGET, CapacityError, ConfigError, InapplicableError, json_int
+from .errors import (
+    DEFAULT_BIT_BUDGET,
+    CapacityError,
+    ConfigError,
+    InapplicableError,
+    json_int,
+    text_name,
+)
 
 __all__ = [
     "GrowthSchedule",
@@ -49,7 +57,7 @@ class GrowthSchedule:
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
-            raise ConfigError(f"unknown schedule kind {self.kind!r}")
+            raise ConfigError(f"unknown schedule kind {text_name(self.kind)}")
         if self.kind == "custom":
             exps = tuple(json_int(e, "schedule exponent", ConfigError) for e in self.exponents)
             if not exps:
@@ -96,7 +104,7 @@ class GrowthSchedule:
     @classmethod
     def from_json(cls, obj: dict) -> "GrowthSchedule":
         if not isinstance(obj, dict) or "kind" not in obj:
-            raise ConfigError(f"schedule spec must be an object with a 'kind': {obj!r}")
+            raise ConfigError(f"schedule spec must be an object with a 'kind': {text_name(obj)}")
         kind = obj["kind"]
         if kind == "custom":
             exponents = obj.get("exponents", [])
@@ -106,7 +114,7 @@ class GrowthSchedule:
                 except TypeError:  # int() of a list, an object or null
                     pass
             raise ConfigError(
-                f"custom schedule exponents must be a list of integers, got {exponents!r}"
+                f"custom schedule exponents must be a list of integers, got {text_name(exponents)}"
             )
         return cls(kind)
 
@@ -159,6 +167,11 @@ class Block:
     modulus: int
     lo: int
 
+    @cached_property
+    def first(self) -> int:
+        """The window's first member: the least multiple of ``modulus`` at or above ``lo``."""
+        return (self.lo + self.modulus - 1) // self.modulus * self.modulus
+
 
 @dataclass(frozen=True, eq=False)
 class BlockSet:
@@ -191,6 +204,25 @@ class BlockSet:
     def covering(cls, schedule: GrowthSchedule, x: int) -> "BlockSet":
         """Materialize just deep enough that queries up to x are answerable."""
         return cls.materialize(schedule, max(block_index(x, schedule), 1))
+
+    @cached_property
+    def below(self) -> tuple[int, ...]:
+        """L_t = count_b(G(t) - 1), the members below window t, for t = 1..max_t; built lazily.
+
+        No boundary is divided by a modulus. With G(t) = q*d_t + r, r > 0 as d_t is odd, window
+        t holds u - q multiples: u*d_t + r' = G(t)*2^k = G(t+1), so u = q*2^k + (r*2^k) // d_t.
+        Then u = q'*p + s, p the next prime, gives G(t+1) = q'*d_(t+1) + (s*d_t + r') next.
+        """
+        counts = [0]
+        q, r = divmod(self.blocks[0].lo, self.blocks[0].modulus)
+        for blk, nxt, p in zip(self.blocks, self.blocks[1:], self.primes[1:]):
+            k = nxt.lo.bit_length() - blk.lo.bit_length()
+            carry, r = divmod(r << k, blk.modulus)
+            u = (q << k) + carry
+            counts.append(counts[-1] + u - q)
+            q, s = divmod(u, p)
+            r += s * blk.modulus
+        return tuple(counts)
 
     def index(self, x: int) -> int:
         """block_index(x); CapacityError if x lies above the top block."""
@@ -225,9 +257,9 @@ def b_member(n: int, blocks: BlockSet) -> bool:
 def count_b(x: int, blocks: BlockSet) -> int:
     """Exact number of block-set members in [1, x].
 
-    Sums floor(upper/d) - floor((lo-1)/d) per block, where a lower block
-    ends one below the next block's lo and the top block is truncated at
-    x. Pure integer arithmetic at any bit length.
+    L_j from the block set's ``below`` table plus the multiples of d_j from
+    the top window's first member up to x. Pure integer arithmetic at any
+    bit length.
     """
     x = int(x)
     if x < 0:
@@ -235,11 +267,8 @@ def count_b(x: int, blocks: BlockSet) -> int:
     j = blocks.index(x)
     if j == 0:
         return 0
-    total = 0
-    for blk in blocks.blocks[:j]:
-        upper = x if blk.t == j else blocks.blocks[blk.t].lo - 1
-        total += upper // blk.modulus - (blk.lo - 1) // blk.modulus
-    return total
+    top = blocks.blocks[j - 1]
+    return blocks.below[j - 1] + (x - top.first) // top.modulus + 1
 
 
 def count_b_lower_bound(x: int, blocks: BlockSet) -> Fraction:

@@ -29,6 +29,7 @@ from .errors import (
     MalformedSystemError,
     NotCoveringError,
     json_int,
+    text_name,
 )
 
 if TYPE_CHECKING:
@@ -83,8 +84,7 @@ def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        shown = f": {text!r}" if len(text) <= 64 else f" of {len(text)} characters"
-        raise argparse.ArgumentTypeError(f"invalid int value{shown}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text_name(text)}") from None
 
 
 def _read_json(path: Path):
@@ -104,7 +104,7 @@ def _schedule_from_arg(value: str) -> GrowthSchedule:
     path = Path(value)
     if not path.exists():
         raise ConfigError(
-            f"schedule must be 'paper', 'polynomial', or a JSON file path; got {value!r}"
+            f"schedule must be 'paper', 'polynomial', or a JSON file path; got {text_name(value)}"
         )
     return GrowthSchedule.from_json(_read_json(path))
 
@@ -128,7 +128,7 @@ def _enum_budget(args: argparse.Namespace) -> int:
         try:
             budget = int(env)
         except ValueError as exc:
-            raise ConfigError(f"{ENUM_CAP_ENV} must be an integer, got {env!r}") from exc
+            raise ConfigError(f"{ENUM_CAP_ENV} must be an integer, got {text_name(env)}") from exc
     if budget < 1:
         raise ConfigError("budgets must be positive")
     return budget
@@ -288,7 +288,7 @@ def _cmd_experiment_run(args) -> dict:
     else:
         path = Path(target)
         if not path.exists():
-            raise ConfigError(f"no such experiment or config file: {target!r}")
+            raise ConfigError(f"no such experiment or config file: {text_name(target)}")
         config = ExperimentConfig.from_json(_read_json(path))
     if args.budget is not None or ENUM_CAP_ENV in os.environ:
         config = dataclasses.replace(config, enum_budget=_enum_budget(args))
@@ -410,7 +410,10 @@ def run_command(argv: Sequence[str]) -> int:
         print(f"capacity error: {command} ran out of memory", file=sys.stderr)
         return EXIT_CAPACITY
     except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None:  # as str(exc), path shortened
+            message = f"[Errno {exc.errno}] {exc.strerror}: {text_name(exc.filename)}"
+        print(f"config error: {message}", file=sys.stderr)
         return EXIT_CONFIG
     finally:
         if digits is not None:

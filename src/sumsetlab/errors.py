@@ -63,3 +63,18 @@ def int_name(name: str, value: int) -> str:
     if bits <= 64:
         return f"{name}={value}"
     return f"{'negative ' if value < 0 else ''}{name} of {bits} bits"
+
+
+def text_name(value) -> str:
+    """How a message shows an outside value: its repr, or its type and length past 64 characters.
+
+    "'2^x'", or "a str of length 5001", "a list of length 3", "an int of 20001 bits";
+    so no message echoes a whole argument, file field or environment variable.
+    """
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"an int of {value.bit_length()} bits"
+    shown = repr(value)
+    if len(shown) <= 64:
+        return shown
+    size = len(value) if isinstance(value, (str, list, tuple, dict)) else len(shown)
+    return f"a {type(value).__name__} of length {size}"

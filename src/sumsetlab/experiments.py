@@ -24,7 +24,7 @@ from .depolignac import (
     default_covering_system,
     romanov_density_scan,
 )
-from .errors import ConfigError, json_int
+from .errors import ConfigError, json_int, text_name
 from .serialize import covering_payload, parse_power_expr, report_payload, result_record
 from .sumset import (
     DEFAULT_ENUM_BUDGET,
@@ -59,8 +59,8 @@ class ExperimentConfig:
     enum_budget: int = DEFAULT_ENUM_BUDGET
 
     def __post_init__(self) -> None:
-        if self.kind not in _RUNNERS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        if not isinstance(self.kind, str) or self.kind not in _RUNNERS:
+            raise ConfigError(f"unknown experiment kind {text_name(self.kind)}")
         if any(b <= a for a, b in zip(self.x_grid, self.x_grid[1:])):
             raise ConfigError("x_grid must be strictly ascending")
         if self.enum_budget < 1:
@@ -89,10 +89,10 @@ class ExperimentConfig:
             raise ConfigError(f"experiment config missing {exc}") from exc
         budgets = obj.get("budgets", {})
         if not isinstance(budgets, dict):
-            raise ConfigError(f"budgets must be an object, got {budgets!r}")
+            raise ConfigError(f"budgets must be an object, got {text_name(budgets)}")
         x_grid = obj.get("x_grid", [])
         if not isinstance(x_grid, list):
-            raise ConfigError(f"x_grid must be a list, got {x_grid!r}")
+            raise ConfigError(f"x_grid must be a list, got {text_name(x_grid)}")
         schedule = obj.get("schedule")
         system = obj.get("system")
         limit = obj.get("limit")
@@ -113,14 +113,14 @@ def _int_field(obj: dict, key: str, default: int) -> int:
     try:
         return json_int(value, key, ConfigError)
     except TypeError:  # a list, an object or null
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+        raise ConfigError(f"{key} must be an integer, got {text_name(value)}") from None
 
 
 def _blocks_for_grid(config: ExperimentConfig) -> BlockSet:
     if config.schedule is None:
-        raise ConfigError(f"experiment {config.name!r} needs a schedule")
+        raise ConfigError(f"experiment {text_name(config.name)} needs a schedule")
     if not config.x_grid:
-        raise ConfigError(f"experiment {config.name!r} needs a non-empty x_grid")
+        raise ConfigError(f"experiment {text_name(config.name)} needs a non-empty x_grid")
     # the grid ascends and block_index is monotone, so its last x needs the deepest blocks
     return BlockSet.covering(config.schedule, config.x_grid[-1])
 
@@ -166,6 +166,7 @@ def bound_chain_point(x: int, blocks: BlockSet) -> dict:
 _GRID_POINTS: dict[str, Callable] = {
     "bounds": lambda x, blocks, budget: bound_chain_point(x, blocks),
     "sumset": lambda x, blocks, budget: c_upper_report(x, blocks, budget),
+    "ratio-scan": lambda x, blocks, budget: ratio_scan((x,), blocks, budget)[0],
 }
 
 
@@ -180,17 +181,9 @@ def _run_grid(config: ExperimentConfig, timing: dict) -> dict:
     return {"schedule": config.schedule.to_json(), "points": points}
 
 
-def _run_ratio_scan(config: ExperimentConfig, timing: dict) -> dict:
-    blocks = _blocks_for_grid(config)
-    start = time.perf_counter()
-    points = ratio_scan(config.x_grid, blocks, config.enum_budget)
-    timing["scan"] = time.perf_counter() - start
-    return {"schedule": config.schedule.to_json(), "points": points}
-
-
 def _run_depolignac(config: ExperimentConfig, timing: dict) -> dict:
     if config.limit is None:
-        raise ConfigError(f"experiment {config.name!r} needs a limit")
+        raise ConfigError(f"experiment {text_name(config.name)} needs a limit")
     system = config.system if config.system is not None else default_covering_system()
     start = time.perf_counter()
     check = covering_verify(system)
@@ -209,7 +202,7 @@ def _run_depolignac(config: ExperimentConfig, timing: dict) -> dict:
 
 def _run_romanov(config: ExperimentConfig, timing: dict) -> dict:
     if config.limit is None:
-        raise ConfigError(f"experiment {config.name!r} needs a limit")
+        raise ConfigError(f"experiment {text_name(config.name)} needs a limit")
     start = time.perf_counter()
     scan = romanov_density_scan(config.limit, config.k_min)
     timing["scan"] = time.perf_counter() - start
@@ -217,9 +210,7 @@ def _run_romanov(config: ExperimentConfig, timing: dict) -> dict:
 
 
 _RUNNERS: dict[str, Callable[[ExperimentConfig, dict], dict]] = {
-    "bounds": _run_grid,
-    "sumset": _run_grid,
-    "ratio-scan": _run_ratio_scan,
+    **dict.fromkeys(_GRID_POINTS, _run_grid),
     "depolignac": _run_depolignac,
     "romanov": _run_romanov,
 }

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
 from ._version import __version__
-from .errors import DEFAULT_BIT_BUDGET, MAX_DECIMAL_DIGITS, CapacityError, ConfigError
+from .errors import DEFAULT_BIT_BUDGET, MAX_DECIMAL_DIGITS, CapacityError, ConfigError, text_name
 
 if TYPE_CHECKING:
     from .depolignac import CoverCheck, CoveringSystem
@@ -62,7 +62,7 @@ def parse_power_expr(text: str | int) -> int:
         return text
     match = _EXPR_RE.match(str(text))
     if not match:
-        raise ConfigError(f"cannot parse integer expression {text!r}")
+        raise ConfigError(f"cannot parse integer expression {text_name(text)}")
     decimal, single, tower = match.groups()
     if len(decimal or single or tower) > MAX_DECIMAL_DIGITS:
         raise CapacityError(f"decimal literal {over}")

@@ -115,13 +115,11 @@ def _mark_sums(members: np.ndarray, blocks: BlockSet, j: int, marked: Sequence[B
         for blk in marked:
             if blk.lo > x - power:
                 break
-            d = blk.modulus
-            b_first = ((blk.lo + d - 1) // d) * d
             end = x if blk.t == j else blocks.blocks[blk.t].lo - 1
             b_last = min(end, x - power)
-            if b_first > b_last:
+            if blk.first > b_last:
                 continue
-            members[power + b_first : power + b_last + 1 : d] = True
+            members[power + blk.first : power + b_last + 1 : blk.modulus] = True
         power <<= 1
 
 
@@ -129,8 +127,8 @@ def _count_top_sums(x: int, blocks: BlockSet, j: int) -> int:
     """Number of distinct sums 2^a + b <= x with b in the top block j.
 
     For one power p the top-block sums are the values congruent to p mod
-    d_j from p + b_first up to x (b_first is the block's first multiple of
-    d_j, itself 0 mod d_j). Two powers with equal residues give nested
+    d_j from p + first up to x (``first`` is the block's first member, a
+    multiple of d_j). Two powers with equal residues give nested
     runs and different residues give disjoint ones, so the smallest power
     of each residue counts its whole class: O(log x) steps, no array.
     """
@@ -138,14 +136,13 @@ def _count_top_sums(x: int, blocks: BlockSet, j: int) -> int:
         return 0
     blk = blocks.blocks[j - 1]
     d = blk.modulus
-    b_first = ((blk.lo + d - 1) // d) * d
     seen = set()
     count = 0
     power = 2
-    while power + b_first <= x:
+    while power + blk.first <= x:
         if power % d not in seen:
             seen.add(power % d)
-            count += (x - power - b_first) // d + 1
+            count += (x - power - blk.first) // d + 1
         power <<= 1
     return count
 
@@ -282,8 +279,8 @@ def ratio_scan(
         raise ValueError(f"grid must be strictly ascending, got {grid}")
     points = []
     for x in grid:
+        c, _ = enumerate_c(x, blocks, budget)  # over budget, fail before counting b
         b = count_b(x, blocks)
-        c, _ = enumerate_c(x, blocks, budget)
         points.append(
             RatioPoint(x=x, b_count=b, c_count=c, ratio=Fraction(c, b) if b else None)
         )

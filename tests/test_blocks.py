@@ -1,7 +1,10 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumsetlab import (
     BlockSet,
@@ -16,8 +19,10 @@ from sumsetlab import (
     count_b_lower_bound,
     grow,
     j_window_check,
+    ratio_scan,
     s1_bound,
     s2_bound,
+    split_s1_s2,
 )
 
 PAPER = GrowthSchedule.paper()
@@ -206,6 +211,76 @@ class TestCountB:
             + (x // 105 - (2**512 - 1) // 105)
         )
         assert count_b(x, paper_blocks) == expected
+
+
+def summed_count_b(x, blocks):
+    """count_b as a sum over windows: floor(upper/d) - floor((lo-1)/d) per block up to x.
+
+    Every lower window ends one below the next block's lo and the top one at x; no
+    quotient is carried from one window to the next, unlike the library's table.
+    """
+    j = block_index(x, blocks.schedule)
+    total = 0
+    for blk in blocks.blocks[:j]:
+        upper = x if blk.t == j else blocks.blocks[blk.t].lo - 1
+        total += upper // blk.modulus - (blk.lo - 1) // blk.modulus
+    return total
+
+
+def assert_table_matches_sum(blocks):
+    """L_t and count_b at G(t) - 1, G(t) and G(t) + 1 for every level, against the sum."""
+    assert len(blocks.below) == blocks.max_t
+    for blk, below in zip(blocks.blocks, blocks.below):
+        assert below == summed_count_b(blk.lo - 1, blocks)
+        for x in (blk.lo - 1, blk.lo, blk.lo + 1):
+            assert count_b(x, blocks) == summed_count_b(x, blocks)
+
+
+class TestLevelTable:
+    """BlockSet.below, L_t = count_b(G(t) - 1), and Block.first, the window's first member."""
+
+    @pytest.mark.parametrize("schedule,max_t", [(PAPER, 4), (POLY, 80)], ids=["paper", "poly"])
+    def test_table_matches_summed_count(self, schedule, max_t):
+        assert_table_matches_sum(BlockSet.materialize(schedule, max_t))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 600), min_size=2, max_size=9, unique=True).map(sorted))
+    def test_table_matches_summed_count_on_custom_schedules(self, exponents):
+        blocks = BlockSet.materialize(GrowthSchedule.custom(exponents), len(exponents) - 1)
+        assert_table_matches_sum(blocks)
+        assert blocks.below[0] == 0
+
+    def test_count_matches_summed_count_at_contract_scale(self):
+        # 499 lower windows of up to 249,001 bits
+        for x in (2**250000 - 1, 2**250000 + 12345):
+            blocks = BlockSet.covering(POLY, x)
+            assert count_b(x, blocks) == summed_count_b(x, blocks)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 14), min_size=2, max_size=6, unique=True).map(sorted))
+    def test_first_is_the_first_multiple_in_the_window(self, exponents):
+        blocks = BlockSet.materialize(GrowthSchedule.custom(exponents), len(exponents) - 1)
+        for blk in blocks.blocks:
+            n = blk.lo
+            while n % blk.modulus:
+                n += 1
+            assert blk.first == n
+
+    def test_table_is_built_on_first_read_only(self):
+        x = 2**999999 - 1
+        start = time.perf_counter()
+        blocks = BlockSet.covering(POLY, x)
+        assert time.perf_counter() - start < 0.1
+        assert blocks.max_t == 999 and "below" not in vars(blocks)
+        # an over-budget enumeration refuses x before it counts anything
+        with pytest.raises(CapacityError):
+            split_s1_s2(x, blocks)
+        with pytest.raises(CapacityError):
+            ratio_scan([x], blocks)
+        assert "below" not in vars(blocks)
+        small = BlockSet.materialize(POLY, 6)
+        assert count_b(10**6, small) == summed_count_b(10**6, small)
+        assert small.below is small.below
 
 
 class TestLowerBound:

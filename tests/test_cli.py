@@ -59,6 +59,7 @@ def leaf_parsers(parser, path=()):
 
 
 LEAVES = leaf_parsers(cli.build_parser())
+LONG = "a" * 5000
 
 
 class TestParsePowerExpr:
@@ -244,6 +245,51 @@ class TestExitCodes:
         assert run_command(["experiment", "run", str(bad)]) == EXIT_CONFIG
         bad.write_text("{not json")
         assert run_command(["experiment", "run", str(bad)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "argv,document,env",
+        [
+            (["count-b", "--schedule", "paper", "--x", LONG], None, None),
+            (["ratio-scan", "--schedule", "paper", "--grid", "10," + LONG], None, None),
+            (["experiment", "run", "{path}"],
+             {"name": "x", "kind": "bounds", "schedule": {"kind": "paper"}, "x_grid": [LONG]},
+             None),
+            (["count-b", "--schedule", "{path}", "--x", "10"], {"kind": LONG}, None),
+            (["count-b", "--schedule", "{path}", "--x", "10"],
+             {"kind": "custom", "exponents": LONG}, None),
+            (["count-b", "--schedule", "{path}", "--x", "10"], [LONG], None),
+            (["experiment", "run", "{path}"], {"name": "x", "kind": LONG}, None),
+            (["experiment", "run", "{path}"], {"name": "x", "kind": [LONG]}, None),
+            (["experiment", "run", "{path}"], {"name": "x", "kind": "bounds", "budgets": LONG},
+             None),
+            (["experiment", "run", "{path}"], {"name": "x", "kind": "bounds", "x_grid": LONG},
+             None),
+            (["experiment", "run", "{path}"],
+             {"name": "x", "kind": "romanov", "limit": 1000, "k_min": [LONG]}, None),
+            (["experiment", "run", "{path}"], {"name": LONG, "kind": "bounds"}, None),
+            (["sumset", "--schedule", "polynomial", "--x", "1000"], None, LONG),
+            (["count-b", "--schedule", LONG, "--x", "10"], None, None),
+            (["experiment", "run", LONG], None, None),
+            (["covering", "verify", "--system", LONG], None, None),
+            (["count-b", "--schedule", "paper", "--x", "10", "--out", LONG], None, None),
+        ],
+        ids=["x", "grid-entry", "config-grid-entry", "schedule-kind", "schedule-exponents",
+             "schedule-spec", "config-kind", "config-kind-list", "budgets", "x_grid",
+             "int-field", "config-name", "enum-cap-env", "schedule-path", "experiment-target",
+             "system-path", "out-path"],
+    )
+    def test_long_outside_text_is_named_not_echoed(self, capsys, tmp_path, monkeypatch, argv,
+                                                   document, env):
+        # past 64 characters a message names the value by its type and length
+        path = tmp_path / "input.json"
+        if document is not None:
+            path.write_text(json.dumps(document))
+        if env is not None:
+            monkeypatch.setenv("SUMSETLAB_ENUM_CAP", env)
+        assert run_command([arg.replace("{path}", str(path)) for arg in argv]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: "), err
+        assert all(len(line.encode()) < 200 for line in err.splitlines()), err
 
     @pytest.mark.parametrize(
         "argv",
