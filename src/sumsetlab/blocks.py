@@ -105,18 +105,10 @@ class GrowthSchedule:
     def from_json(cls, obj: dict) -> "GrowthSchedule":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ConfigError(f"schedule spec must be an object with a 'kind': {text_name(obj)}")
-        kind = obj["kind"]
-        if kind == "custom":
-            exponents = obj.get("exponents", [])
-            if isinstance(exponents, list):
-                try:
-                    return cls.custom(exponents)
-                except TypeError:  # int() of a list, an object or null
-                    pass
-            raise ConfigError(
-                f"custom schedule exponents must be a list of integers, got {text_name(exponents)}"
-            )
-        return cls(kind)
+        exponents = obj.get("exponents", [])
+        if not isinstance(exponents, list):
+            raise ConfigError(f"schedule exponents must be a list, got {text_name(exponents)}")
+        return cls(obj["kind"], tuple(exponents))
 
 
 def grow(schedule: GrowthSchedule, t: int) -> int:

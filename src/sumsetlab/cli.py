@@ -87,10 +87,17 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text_name(text)}") from None
 
 
-def _read_json(path: Path):
-    """A schedule, system or config file; an integer literal past the bit budget is refused."""
+def _read_json(value: str, rule: str):
+    """The schedule, system or config file at ``value``, which must be a regular file.
+
+    ``rule`` opens the message that refuses any other value, naming the argument;
+    an integer literal past the bit budget is refused.
+    """
     import json
 
+    path = Path(value)
+    if not path.is_file():
+        raise ConfigError(f"{rule}, got {text_name(value)}")
     return json.loads(path.read_text(),
                       parse_int=functools.partial(json_int, what="integer literal",
                                                   error=ConfigError))
@@ -101,12 +108,8 @@ def _schedule_from_arg(value: str) -> GrowthSchedule:
 
     if value in ("paper", "polynomial"):
         return GrowthSchedule(value)
-    path = Path(value)
-    if not path.exists():
-        raise ConfigError(
-            f"schedule must be 'paper', 'polynomial', or a JSON file path; got {text_name(value)}"
-        )
-    return GrowthSchedule.from_json(_read_json(path))
+    rule = "--schedule must be 'paper', 'polynomial' or a JSON file"
+    return GrowthSchedule.from_json(_read_json(value, rule))
 
 
 def _system_from_arg(value: str | None) -> CoveringSystem:
@@ -114,7 +117,7 @@ def _system_from_arg(value: str | None) -> CoveringSystem:
 
     if value is None:
         return default_covering_system()
-    return CoveringSystem.from_json(_read_json(Path(value)))
+    return CoveringSystem.from_json(_read_json(value, "--system must be a JSON file"))
 
 
 def _enum_budget(args: argparse.Namespace) -> int:
@@ -125,10 +128,7 @@ def _enum_budget(args: argparse.Namespace) -> int:
         env = os.environ.get(ENUM_CAP_ENV)
         if env is None:
             return DEFAULT_ENUM_BUDGET
-        try:
-            budget = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{ENUM_CAP_ENV} must be an integer, got {text_name(env)}") from exc
+        budget = json_int(env, ENUM_CAP_ENV, ConfigError)
     if budget < 1:
         raise ConfigError("budgets must be positive")
     return budget
@@ -286,10 +286,8 @@ def _cmd_experiment_run(args) -> dict:
     if target in BUILTIN_EXPERIMENTS:
         config = builtin_experiment(target)
     else:
-        path = Path(target)
-        if not path.exists():
-            raise ConfigError(f"no such experiment or config file: {text_name(target)}")
-        config = ExperimentConfig.from_json(_read_json(path))
+        rule = "experiment run takes a built-in experiment or a JSON file"
+        config = ExperimentConfig.from_json(_read_json(target, rule))
     if args.budget is not None or ENUM_CAP_ENV in os.environ:
         config = dataclasses.replace(config, enum_budget=_enum_budget(args))
     return run_experiment(config)

@@ -114,8 +114,6 @@ class CoveringSystem:
             return cls.from_entries((e["residue"], e["modulus"], e["prime"]) for e in entries)
         except KeyError as exc:
             raise MalformedSystemError(f"covering entry missing {exc}") from None
-        except TypeError as exc:  # int() of a list, an object or null
-            raise MalformedSystemError(f"covering entry field is not a number: {exc}") from None
 
 
 class CoverCheck(NamedTuple):

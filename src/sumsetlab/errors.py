@@ -41,16 +41,19 @@ class CRTError(SumsetLabError):
 
 
 def json_int(value, what: str, error: type[SumsetLabError]) -> int:
-    """int(value), but a float or a bool raises ``error`` rather than truncate or overflow.
+    """An int, or text that int() reads; anything else raises ``error`` naming the value.
 
-    A decimal string converts, and one longer than MAX_DECIMAL_DIGITS raises
-    ``error`` before int() reads it; a list, an object or null raises int()'s TypeError.
+    Text longer than MAX_DECIMAL_DIGITS raises before int() reads it; a bool, a
+    float, null, a list, an object or other text raises through ``text_name``.
     """
-    if isinstance(value, (bool, float)):
-        raise error(f"{what} must be an integer, got {value!r}")
     if isinstance(value, str) and len(value) > MAX_DECIMAL_DIGITS:
         raise error(f"{what} of {len(value)} digits exceeds the {DEFAULT_BIT_BUDGET}-bit budget")
-    return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise error(f"{what} must be an integer, got {text_name(value)}")
 
 
 def int_name(name: str, value: int) -> str:

@@ -59,6 +59,8 @@ class ExperimentConfig:
     enum_budget: int = DEFAULT_ENUM_BUDGET
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ConfigError(f"experiment name must be text, got {text_name(self.name)}")
         if not isinstance(self.kind, str) or self.kind not in _RUNNERS:
             raise ConfigError(f"unknown experiment kind {text_name(self.kind)}")
         if any(b <= a for a, b in zip(self.x_grid, self.x_grid[1:])):
@@ -102,18 +104,11 @@ class ExperimentConfig:
             schedule=None if schedule is None else GrowthSchedule.from_json(schedule),
             x_grid=tuple(parse_power_expr(x) for x in x_grid),
             limit=None if limit is None else parse_power_expr(limit),
-            k_min=_int_field(obj, "k_min", 1),
+            k_min=json_int(obj.get("k_min", 1), "k_min", ConfigError),
             system=None if system is None else CoveringSystem.from_json(system),
-            enum_budget=_int_field(budgets, "enumeration", DEFAULT_ENUM_BUDGET),
+            enum_budget=json_int(budgets.get("enumeration", DEFAULT_ENUM_BUDGET), "enumeration",
+                                 ConfigError),
         )
-
-
-def _int_field(obj: dict, key: str, default: int) -> int:
-    value = obj.get(key, default)
-    try:
-        return json_int(value, key, ConfigError)
-    except TypeError:  # a list, an object or null
-        raise ConfigError(f"{key} must be an integer, got {text_name(value)}") from None
 
 
 def _blocks_for_grid(config: ExperimentConfig) -> BlockSet:

@@ -27,7 +27,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
 from ._version import __version__
-from .errors import DEFAULT_BIT_BUDGET, MAX_DECIMAL_DIGITS, CapacityError, ConfigError, text_name
+from .errors import (DEFAULT_BIT_BUDGET, MAX_DECIMAL_DIGITS, CapacityError, ConfigError,
+                     json_int, text_name)
 
 if TYPE_CHECKING:
     from .depolignac import CoverCheck, CoveringSystem
@@ -49,18 +50,19 @@ _EXPR_RE = re.compile(r"^\s*(?:(\d+)|2\^(\d+)|2\^\(2\^(\d+)\))\s*$")
 
 
 def parse_power_expr(text: str | int) -> int:
-    """Parse "12345", "2^k", or "2^(2^k)" into an exact integer.
+    """Parse "12345", "2^k", or "2^(2^k)" into an exact integer; other values go to ``json_int``.
 
     Raises:
-        ConfigError: the text matches none of the three forms.
+        ConfigError: the text matches none of the three forms, or the value is no integer.
         CapacityError: the value would exceed DEFAULT_BIT_BUDGET bits.
     """
     over = f"exceeds the {DEFAULT_BIT_BUDGET}-bit budget"
-    if isinstance(text, int):
-        if text.bit_length() > DEFAULT_BIT_BUDGET:
+    if not isinstance(text, str):
+        value = json_int(text, "integer expression", ConfigError)
+        if value.bit_length() > DEFAULT_BIT_BUDGET:
             raise CapacityError(f"integer {over}")
-        return text
-    match = _EXPR_RE.match(str(text))
+        return value
+    match = _EXPR_RE.match(text)
     if not match:
         raise ConfigError(f"cannot parse integer expression {text_name(text)}")
     decimal, single, tower = match.groups()

@@ -24,7 +24,13 @@ from sumsetlab import (
     mertens_product,
 )
 from sumsetlab.cli import EXIT_CAPACITY, EXIT_CONFIG, EXIT_OK, EXIT_USAGE, run_command
-from sumsetlab.errors import MAX_DECIMAL_DIGITS, CapacityError, ConfigError
+from sumsetlab.errors import (
+    MAX_DECIMAL_DIGITS,
+    CapacityError,
+    ConfigError,
+    MalformedSystemError,
+    json_int,
+)
 from sumsetlab.experiments import (
     BUILTIN_EXPERIMENTS,
     ExperimentConfig,
@@ -60,6 +66,38 @@ def leaf_parsers(parser, path=()):
 
 LEAVES = leaf_parsers(cli.build_parser())
 LONG = "a" * 5000
+# every value a JSON document can hold, with integer text among the strings
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.integers().map(str) | st.from_regex(r"\s*[+-]?\d[\d_]*\s*", fullmatch=True),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=8,
+)
+
+
+def int_reads(value) -> bool:
+    """Whether ``value`` is an int, or a str that int() turns into one."""
+    if type(value) is int:
+        return True
+    if type(value) is not str:
+        return False
+    try:
+        int(value)
+    except ValueError:
+        return False
+    return True
+
+
+class TestJsonInt:
+    @given(JSON_VALUES, st.sampled_from([ConfigError, MalformedSystemError]))
+    def test_an_int_or_integer_text_and_nothing_else(self, value, error):
+        if int_reads(value):
+            assert json_int(value, "field", error) == int(value)
+            return
+        with pytest.raises(error) as caught:
+            json_int(value, "field", error)
+        assert type(caught.value) is error
+        assert len(str(caught.value)) < 200, str(caught.value)
 
 
 class TestParsePowerExpr:
@@ -70,7 +108,9 @@ class TestParsePowerExpr:
     def test_valid_forms(self, text, expected):
         assert parse_power_expr(text) == expected
 
-    @pytest.mark.parametrize("text", ["banana", "2^", "2^(3^4)", "-5", "2^2^2"])
+    @pytest.mark.parametrize(
+        "text", ["banana", "2^", "2^(3^4)", "-5", "2^2^2", True, False, 1.5, None, [1], {"a": 1}]
+    )
     def test_rejects_malformed(self, text):
         with pytest.raises(ConfigError):
             parse_power_expr(text)
@@ -440,6 +480,17 @@ class TestExitCodes:
                          id="modulus-1e400"),
             pytest.param("system", {"entries": [{"residue": True, "modulus": 2, "prime": 3}]},
                          id="residue-bool"),
+            # exponents belong to custom schedules only, as in the constructor
+            pytest.param("schedule", {"kind": "paper", "exponents": [1]},
+                         id="paper-exponents"),
+            pytest.param("schedule", {"kind": "polynomial", "exponents": [1, 4, 9]},
+                         id="polynomial-exponents"),
+            pytest.param("schedule", {"kind": "paper", "exponents": 5},
+                         id="paper-exponents-number"),
+            pytest.param("config", {"name": [1], "kind": "romanov", "limit": 1000},
+                         id="name-list"),
+            pytest.param("config", {"name": 7, "kind": "romanov", "limit": 1000},
+                         id="name-number"),
         ],
     )
     def test_malformed_json_shape_is_config_error(self, capsys, tmp_path, flag, document):
@@ -453,6 +504,60 @@ class TestExitCodes:
         assert run_command(argv) == EXIT_CONFIG  # returns: nothing escapes as a traceback
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "value", [True, 1.5, None, [1], {"a": 1}, "abc", LONG],
+        ids=["true", "float", "null", "list", "object", "text", "long-text"],
+    )
+    @pytest.mark.parametrize(
+        "flag,document",
+        [
+            ("schedule", lambda v: {"kind": "custom", "exponents": [1, v]}),
+            ("config", lambda v: {"name": "x", "kind": "romanov", "limit": 1000, "k_min": v}),
+            ("config", lambda v: {"name": "x", "kind": "sumset", "x_grid": [1000],
+                                  "schedule": {"kind": "polynomial"},
+                                  "budgets": {"enumeration": v}}),
+            ("config", lambda v: {"name": "x", "kind": "depolignac", "limit": v}),
+            ("config", lambda v: {"name": "x", "kind": "bounds", "x_grid": [v],
+                                  "schedule": {"kind": "paper"}}),
+            ("system", lambda v: {"entries": [{"residue": v, "modulus": 2, "prime": 3}]}),
+            ("system", lambda v: {"entries": [{"residue": 0, "modulus": v, "prime": 3}]}),
+            ("system", lambda v: {"entries": [{"residue": 0, "modulus": 2, "prime": v}]}),
+        ],
+        ids=["exponent", "k_min", "enumeration", "limit", "x_grid", "residue", "modulus",
+             "prime"],
+    )
+    def test_every_integer_field_refuses_what_is_not_an_integer(self, capsys, tmp_path, flag,
+                                                                 document, value):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document(value)))
+        argv = {
+            "config": ["experiment", "run", str(path)],
+            "system": ["covering", "verify", "--system", str(path)],
+            "schedule": ["count-b", "--schedule", str(path), "--x", "1000"],
+        }[flag]
+        assert run_command(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert len(err.encode()) < 200, err
+
+    @pytest.mark.parametrize("target", ["", ".", "{dir}"], ids=["empty", "dot", "directory"])
+    @pytest.mark.parametrize(
+        "argv,argument",
+        [
+            (["count-b", "--schedule", "{target}", "--x", "10"], "--schedule"),
+            (["covering", "verify", "--system", "{target}"], "--system"),
+            (["experiment", "run", "{target}"], "experiment run"),
+        ],
+        ids=["schedule", "system", "experiment-run"],
+    )
+    def test_file_argument_must_be_a_regular_file(self, capsys, tmp_path, argv, argument,
+                                                  target):
+        # Path("") is Path("."): neither is read as a directory
+        target = target.replace("{dir}", str(tmp_path))
+        assert run_command([arg.replace("{target}", target) for arg in argv]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {argument} ") and err.count("\n") == 1, err
 
     def test_decimal_strings_in_integer_fields_still_parse(self, capsys, tmp_path):
         schedule = tmp_path / "schedule.json"
