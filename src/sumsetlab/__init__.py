@@ -58,9 +58,10 @@ _HOMES = {
     "SumsetLabError": "errors",
     "RatioPoint": "sumset",
     "SumsetReport": "sumset",
+    "bound_chain_point": "sumset",
     "c_upper_report": "sumset",
     "enumerate_c": "sumset",
-    "ratio_scan": "sumset",
+    "ratio_point": "sumset",
     "s1_bound": "sumset",
     "s2_bound": "sumset",
     "split_s1_s2": "sumset",

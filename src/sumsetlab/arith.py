@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import compress, islice
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .errors import CapacityError, int_name
+from .errors import CapacityError, int_name, text_name
 
 # numpy is imported where an array is allocated or read, so a process
 # that never sieves (a sparse scan, a covering check) never loads it.
@@ -149,7 +149,7 @@ def sieve_primes(limit: int) -> PrimeTable:
             allocation.
     """
     if limit < 2:
-        raise ValueError(f"sieve limit must be >= 2, got {limit}")
+        raise ValueError(f"sieve limit must be >= 2, got {text_name(limit)}")
     check_sieve_limit(limit)
     import numpy as np
 
@@ -190,7 +190,7 @@ def first_odd_primes(count: int) -> tuple[int, ...]:
             any allocation.
     """
     if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+        raise ValueError(f"count must be >= 1, got {text_name(count)}")
     check_sieve_limit(count, "prime count")  # p_n > n, and n past 2^1024 overflows a float
     n = count + 1  # prime index including 2
     limit = 15 if n < 6 else int(n * (math.log(n) + math.log(math.log(n)))) + 10
@@ -321,7 +321,7 @@ def legendre_count(x: int, modulus_primes: Iterable[int]) -> int:
     """
     x = int(x)
     if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+        raise ValueError(f"x must be >= 0, got {text_name(x)}")
     return sum(sign * (x // d) for d, sign in squarefree_divisors_signed(modulus_primes))
 
 
@@ -337,7 +337,7 @@ def big_log2(x: int) -> float:
     """
     x = int(x)
     if x <= 0:
-        raise ValueError(f"log2 needs a positive integer, got {x}")
+        raise ValueError(f"log2 needs a positive integer, got {text_name(x)}")
     bits = x.bit_length()
     if bits <= 53:
         return math.log2(x)

@@ -20,6 +20,7 @@ from .errors import (
     CapacityError,
     ConfigError,
     InapplicableError,
+    int_name,
     json_int,
     text_name,
 )
@@ -85,7 +86,7 @@ class GrowthSchedule:
     def exponent(self, t: int) -> int:
         """e(t) for t >= 1; custom schedules raise CapacityError when exhausted."""
         if t < 1:
-            raise ValueError(f"t must be >= 1, got {t}")
+            raise ValueError(f"t must be >= 1, got {text_name(t)}")
         if self.kind == "paper":
             return 2 ** (t * t)
         if self.kind == "polynomial":
@@ -136,7 +137,7 @@ def block_index(x: int, schedule: GrowthSchedule) -> int:
     """
     x = int(x)
     if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+        raise ValueError(f"x must be >= 0, got {text_name(x)}")
     log2_floor = x.bit_length() - 1
     j = 0
     while True:
@@ -182,7 +183,7 @@ class BlockSet:
         truncates it at x, so G(max_t + 1) itself is never built.
         """
         if max_t < 1:
-            raise ValueError(f"max_t must be >= 1, got {max_t}")
+            raise ValueError(f"max_t must be >= 1, got {text_name(max_t)}")
         schedule.exponent(max_t + 1)
         primes = first_odd_primes(max_t)
         blocks = []
@@ -239,7 +240,7 @@ def b_member(n: int, blocks: BlockSet) -> bool:
     """
     n = int(n)
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {text_name(n)}")
     j = blocks.index(n)
     if j == 0:
         return False
@@ -255,7 +256,7 @@ def count_b(x: int, blocks: BlockSet) -> int:
     """
     x = int(x)
     if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+        raise ValueError(f"x must be >= 0, got {text_name(x)}")
     j = blocks.index(x)
     if j == 0:
         return 0
@@ -276,7 +277,9 @@ def count_b_lower_bound(x: int, blocks: BlockSet) -> Fraction:
     x = int(x)
     j = blocks.index(x)
     if j < 2:
-        raise InapplicableError(f"lower bound needs block index >= 2, got {j} at x={x}")
+        raise InapplicableError(
+            f"lower bound needs block index >= 2, got {j} at {int_name('x', x)}"
+        )
     top = blocks.blocks[j - 1]
     prev = blocks.blocks[j - 2]
     return (
@@ -317,7 +320,7 @@ def conjecture_ratio(x: int, blocks: BlockSet) -> BlockCountReport:
     """Exact count report with ratio a_count * b_count / x at x >= 2."""
     x = int(x)
     if x < 2:
-        raise ValueError(f"x must be >= 2, got {x}")
+        raise ValueError(f"x must be >= 2, got {text_name(x)}")
     j = block_index(x, blocks.schedule)
     b = count_b(x, blocks)
     a = x.bit_length() - 1
@@ -356,7 +359,7 @@ def j_window_check(x: int, schedule: GrowthSchedule) -> WindowCheck:
         raise InapplicableError("the block-index window applies to the paper schedule only")
     x = int(x)
     if x < 4:
-        raise ValueError(f"x must be >= G(1) = 4, got {x}")
+        raise ValueError(f"x must be >= G(1) = 4, got {text_name(x)}")
     ln_x = big_log2(x) * math.log(2.0)
     loglog = math.log(ln_x)
     lower = math.sqrt(loglog)

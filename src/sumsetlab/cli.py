@@ -96,7 +96,11 @@ def _read_json(value: str, rule: str):
     import json
 
     path = Path(value)
-    if not path.is_file():
+    try:
+        regular = path.is_file()
+    except OSError:  # a name too long for the file system, say: no file by that name
+        regular = False
+    if not regular:
         raise ConfigError(f"{rule}, got {text_name(value)}")
     return json.loads(path.read_text(),
                       parse_int=functools.partial(json_int, what="integer literal",
@@ -159,7 +163,7 @@ def _cmd_count_b(args) -> dict:
 
 
 def _cmd_bounds(args) -> dict:
-    from .experiments import bound_chain_point
+    from .sumset import bound_chain_point
 
     return _record_at_x("bounds", args, bound_chain_point)
 

@@ -19,7 +19,8 @@ from importlib import resources
 from typing import NamedTuple
 
 from .arith import check_sieve_limit, is_prime, sieve_primes
-from .errors import CRTError, MalformedSystemError, NotCoveringError, int_name, json_int
+from .errors import (CRTError, MalformedSystemError, NotCoveringError, int_name, json_int,
+                     text_name)
 
 __all__ = [
     "CoveringEntry",
@@ -256,9 +257,9 @@ def ap_scan(cert: APCertificate, limit: int, k_min: int = 1) -> ScanReport:
         CapacityError: limit >= 2^SIEVE_LIMIT_BITS.
     """
     if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+        raise ValueError(f"limit must be >= 1, got {text_name(limit)}")
     if k_min < 0:
-        raise ValueError(f"k_min must be >= 0, got {k_min}")
+        raise ValueError(f"k_min must be >= 0, got {text_name(k_min)}")
     check_sieve_limit(limit, "scan limit")
     if limit < cert.residue:
         return ScanReport(limit=limit, members_scanned=0)
@@ -297,9 +298,9 @@ def romanov_density_scan(limit: int, k_min: int = 1) -> ScanReport:
         CapacityError: limit >= 2^SIEVE_LIMIT_BITS.
     """
     if limit < 3:
-        raise ValueError(f"limit must be >= 3, got {limit}")
+        raise ValueError(f"limit must be >= 3, got {text_name(limit)}")
     if k_min < 0:
-        raise ValueError(f"k_min must be >= 0, got {k_min}")
+        raise ValueError(f"k_min must be >= 0, got {text_name(k_min)}")
     import numpy as np
 
     odd = sieve_primes(limit).odd_flags

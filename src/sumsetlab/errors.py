@@ -71,11 +71,12 @@ def int_name(name: str, value: int) -> str:
 def text_name(value) -> str:
     """How a message shows an outside value: its repr, or its type and length past 64 characters.
 
-    "'2^x'", or "a str of length 5001", "a list of length 3", "an int of 20001 bits";
-    so no message echoes a whole argument, file field or environment variable.
+    "'2^x'", or "a str of length 5001", "a list of length 3", "an int of 20001 bits",
+    "a negative int of 16610 bits"; so no message echoes a whole argument, file field,
+    environment variable or value computed from one. An int of up to 64 bits reads as str().
     """
     if isinstance(value, int) and value.bit_length() > 64:
-        return f"an int of {value.bit_length()} bits"
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
     shown = repr(value)
     if len(shown) <= 64:
         return shown

@@ -2,7 +2,9 @@
 
 An experiment is a named, serializable run description: which pipeline to
 execute (bounds chain, sumset enumeration, ratio scan, covering audit, or
-density scan), over which schedule and grid, under which budgets. Running
+density scan), over which schedule and grid, under which budgets. This
+module only routes: the per-x reports live in ``sumset``, the scans in
+``depolignac``, and a run adds the grid loop and the timing. Running
 one produces a record whose ``payload`` section is a pure function of the
 configuration: byte-identical across repeated runs. Timing lives outside
 the payload for exactly that reason.
@@ -14,25 +16,18 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .arith import check_chebyshev
-from .blocks import BlockSet, GrowthSchedule, conjecture_ratio, j_window_check
+from .blocks import BlockSet, GrowthSchedule
 from .depolignac import (
+    CoverCheck,
     CoveringSystem,
     ap_scan,
-    covering_verify,
     crt_combine,
     default_covering_system,
     romanov_density_scan,
 )
 from .errors import ConfigError, json_int, text_name
 from .serialize import covering_payload, parse_power_expr, report_payload, result_record
-from .sumset import (
-    DEFAULT_ENUM_BUDGET,
-    c_upper_report,
-    ratio_scan,
-    s1_bound,
-    s2_bound,
-)
+from .sumset import DEFAULT_ENUM_BUDGET, bound_chain_point, c_upper_report, ratio_point
 
 __all__ = [
     "ExperimentConfig",
@@ -120,48 +115,12 @@ def _blocks_for_grid(config: ExperimentConfig) -> BlockSet:
     return BlockSet.covering(config.schedule, config.x_grid[-1])
 
 
-def bound_chain_point(x: int, blocks: BlockSet) -> dict:
-    """All analytic checks at one x: window, Chebyshev, count bound, sieve bounds.
-
-    Pure floor/rational arithmetic end to end, so paper-scale x is fine.
-    The reports and Fractions are returned as they are; ``report_payload``
-    encodes the point.
-    """
-    report = conjecture_ratio(x, blocks)
-    j = report.j
-    point: dict = {
-        "x": x,
-        "j": j,
-        "count": report,
-        "b_lower_holds": (
-            None
-            if report.b_lower_bound is None
-            else bool(report.b_count >= report.b_lower_bound)
-        ),
-        "window": None,
-        "chebyshev": None,
-        "s1_bound": None,
-        "s2_bound": None,
-        "c_bound": None,
-        "sqrt_check": (1 << (2 * j)) <= x,
-    }
-    if blocks.schedule.kind == "paper" and x >= 4:
-        point["window"] = j_window_check(x, blocks.schedule)
-    if j >= 1:
-        point["chebyshev"] = check_chebyshev(blocks.primes[:j])
-        point["s1_bound"] = s1_bound(x, blocks)
-        if j >= 2:
-            point["s2_bound"] = s2_bound(x, blocks)
-            point["c_bound"] = point["s1_bound"] + point["s2_bound"]
-    return point
-
-
 # One grid point per kind. The lambdas look the functions up when called, so a
 # wrapper installed on this module's names (a tracer's, say) sees every point.
 _GRID_POINTS: dict[str, Callable] = {
     "bounds": lambda x, blocks, budget: bound_chain_point(x, blocks),
     "sumset": lambda x, blocks, budget: c_upper_report(x, blocks, budget),
-    "ratio-scan": lambda x, blocks, budget: ratio_scan((x,), blocks, budget)[0],
+    "ratio-scan": lambda x, blocks, budget: ratio_point(x, blocks, budget),
 }
 
 
@@ -181,14 +140,13 @@ def _run_depolignac(config: ExperimentConfig, timing: dict) -> dict:
         raise ConfigError(f"experiment {text_name(config.name)} needs a limit")
     system = config.system if config.system is not None else default_covering_system()
     start = time.perf_counter()
-    check = covering_verify(system)
-    cert = crt_combine(system)
+    cert = crt_combine(system)  # scans the system once, and refuses it unless it covers
     timing["certificate"] = time.perf_counter() - start
     start = time.perf_counter()
     scan = ap_scan(cert, config.limit, config.k_min)
     timing["scan"] = time.perf_counter() - start
     return {
-        "covering": covering_payload(system, check),
+        "covering": covering_payload(system, CoverCheck(covers=True, uncovered=())),
         "certificate": cert,
         "scan": scan,
         "k_min": config.k_min,

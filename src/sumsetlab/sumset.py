@@ -11,7 +11,10 @@ for one power form a single residue class mod its modulus, so they are
 counted in closed form, and the bitmap yields the other two classes.
 
 The analytic bounds need no enumeration: they are pure floor/rational
-arithmetic, so they stay checkable at x far beyond any budget.
+arithmetic, so they stay checkable at x far beyond any budget. The
+per-x reports live here too: ``bound_chain_point`` (the analytic chain
+alone), ``c_upper_report`` (exact counts with the chain) and
+``ratio_point`` (c_count / b_count); experiments run them over a grid.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .arith import legendre_count, mertens_product
-from .blocks import Block, BlockSet, block_index, count_b
-from .errors import CapacityError, InapplicableError, int_name
+from .arith import check_chebyshev, legendre_count, mertens_product
+from .blocks import Block, BlockSet, block_index, conjecture_ratio, count_b, j_window_check
+from .errors import CapacityError, InapplicableError, int_name, text_name
 
 # numpy is imported where an array is allocated, so a process that
 # counts nothing by bitmap never loads it.
@@ -38,8 +41,9 @@ __all__ = [
     "split_s1_s2",
     "s1_bound",
     "s2_bound",
+    "bound_chain_point",
     "c_upper_report",
-    "ratio_scan",
+    "ratio_point",
 ]
 
 # Enumeration and the s1/s2 split hold one bitmap of x + 1 bytes, no more.
@@ -77,7 +81,7 @@ class SumsetReport:
 
 @dataclass(frozen=True)
 class RatioPoint:
-    """One grid point of the sumset-to-blockset count ratio scan."""
+    """The sumset-to-blockset count ratio at one x."""
 
     x: int
     b_count: int
@@ -88,15 +92,14 @@ class RatioPoint:
 def _check_x(x: int) -> int:
     x = int(x)
     if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
+        raise ValueError(f"x must be >= 1, got {text_name(x)}")
     return x
 
 
-def _check_scale(x: int, budget: int | None) -> int:
+def _check_scale(x: int, budget: int) -> int:
     x = _check_x(x)
-    cap = DEFAULT_ENUM_BUDGET if budget is None else int(budget)
-    if x > cap:
-        raise CapacityError(f"{int_name('x', x)} exceeds the enumeration budget {cap}")
+    if x > budget:
+        raise CapacityError(f"{int_name('x', x)} exceeds the enumeration budget {budget}")
     return x
 
 
@@ -148,7 +151,7 @@ def _count_top_sums(x: int, blocks: BlockSet, j: int) -> int:
 
 
 def enumerate_c(
-    x: int, blocks: BlockSet, budget: int | None = None
+    x: int, blocks: BlockSet, budget: int = DEFAULT_ENUM_BUDGET
 ) -> tuple[int, np.ndarray]:
     """Exact count of distinct sums 2^a + b <= x, plus the marked value set.
 
@@ -169,7 +172,7 @@ def enumerate_c(
     return int(np.count_nonzero(members)), members
 
 
-def split_s1_s2(x: int, blocks: BlockSet, budget: int | None = None) -> SumsetReport:
+def split_s1_s2(x: int, blocks: BlockSet, budget: int = DEFAULT_ENUM_BUDGET) -> SumsetReport:
     """Partition the sumset at x by top-block witness availability.
 
     A value lands in s1 when some witness pair (a, b) has b in block
@@ -212,7 +215,7 @@ def s1_bound(x: int, blocks: BlockSet) -> Fraction:
     """
     x = int(x)
     if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+        raise ValueError(f"x must be >= 0, got {text_name(x)}")
     j = blocks.index(x)
     if j == 0:
         return Fraction(x)
@@ -232,20 +235,62 @@ def s2_bound(x: int, blocks: BlockSet) -> Fraction:
     x = int(x)
     j = block_index(x, blocks.schedule)
     if j < 2:
-        raise InapplicableError(f"s2 bound needs block index >= 2, got {j} at x={x}")
+        raise InapplicableError(f"s2 bound needs block index >= 2, got {j} at {int_name('x', x)}")
     blocks._require_depth(j - 1)
     a_count = x.bit_length() - 1
     small_b_pairs = blocks.blocks[j - 2].lo * a_count
     return x * mertens_product(blocks.primes[: j - 1]) + (1 << (j - 1)) + small_b_pairs
 
 
-def c_upper_report(x: int, blocks: BlockSet, budget: int | None = None) -> SumsetReport:
+def _sieve_bounds(x: int, blocks: BlockSet, j: int) -> dict:
+    """s1_bound, s2_bound and c_bound = s1_bound + s2_bound at x in window j, or None.
+
+    s1 needs a sieve level (j >= 1) and s2 one below the top (block index
+    >= 2). c_bound is the pre-absorption form, valid under every schedule.
+    """
+    s1b = s1_bound(x, blocks) if j >= 1 else None
+    s2b = s2_bound(x, blocks) if j >= 2 else None
+    return {"s1_bound": s1b, "s2_bound": s2b, "c_bound": None if s2b is None else s1b + s2b}
+
+
+def bound_chain_point(x: int, blocks: BlockSet) -> dict:
+    """All analytic checks at one x: window, Chebyshev, count bound, sieve bounds.
+
+    Pure floor/rational arithmetic end to end, so paper-scale x is fine.
+    The reports and Fractions are returned as they are; ``report_payload``
+    encodes the point.
+    """
+    report = conjecture_ratio(x, blocks)
+    j = report.j
+    return {
+        "x": x,
+        "j": j,
+        "count": report,
+        "b_lower_holds": (
+            None
+            if report.b_lower_bound is None
+            else bool(report.b_count >= report.b_lower_bound)
+        ),
+        "window": (
+            j_window_check(x, blocks.schedule)
+            if blocks.schedule.kind == "paper" and x >= 4
+            else None
+        ),
+        "chebyshev": check_chebyshev(blocks.primes[:j]) if j >= 1 else None,
+        **_sieve_bounds(x, blocks, j),
+        "sqrt_check": (1 << (2 * j)) <= x,
+    }
+
+
+def c_upper_report(x: int, blocks: BlockSet, budget: int = DEFAULT_ENUM_BUDGET) -> SumsetReport:
     """Full report: exact counts, partition, and the analytic bound chain.
 
-    c_bound is s1_bound + s2_bound (the pre-absorption form, valid under
-    every schedule); sqrt_check reports whether 2^j <= sqrt(x), the side
-    condition that lets the 2^j error term be absorbed at paper scale.
-    s1_legendre is the exact coprime count the s1 sieve bound dominates.
+    sqrt_check reports whether 2^j <= sqrt(x), the side condition that
+    lets the 2^j error term be absorbed at paper scale. s1_legendre is
+    the exact coprime count the s1 sieve bound dominates.
+
+    Raises:
+        InapplicableError: block index below 2, checked before the budget.
     """
     x = _check_x(x)
     j = block_index(x, blocks.schedule)
@@ -254,34 +299,17 @@ def c_upper_report(x: int, blocks: BlockSet, budget: int | None = None) -> Sumse
             f"bound chain needs block index >= 2, got {j} at {int_name('x', x)}"
         )
     report = split_s1_s2(x, blocks, budget)
-    s1b = s1_bound(x, blocks)
-    s2b = s2_bound(x, blocks)
     legendre = legendre_count(x, blocks.primes[:j])
-    return dataclasses.replace(
-        report,
-        s1_bound=s1b,
-        s2_bound=s2b,
-        c_bound=s1b + s2b,
-        s1_legendre=legendre,
-    )
+    return dataclasses.replace(report, **_sieve_bounds(x, blocks, j), s1_legendre=legendre)
 
 
-def ratio_scan(
-    x_grid: Sequence[int], blocks: BlockSet, budget: int | None = None
-) -> list[RatioPoint]:
-    """Exact c_count / b_count along an ascending grid.
+def ratio_point(x: int, blocks: BlockSet, budget: int = DEFAULT_ENUM_BUDGET) -> RatioPoint:
+    """Exact c_count / b_count at x.
 
     Evidence gathering for the open question of whether the ratio is
     unbounded for sparse block sets; nothing is asserted about its limit.
     """
-    grid = [int(x) for x in x_grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"grid must be strictly ascending, got {grid}")
-    points = []
-    for x in grid:
-        c, _ = enumerate_c(x, blocks, budget)  # over budget, fail before counting b
-        b = count_b(x, blocks)
-        points.append(
-            RatioPoint(x=x, b_count=b, c_count=c, ratio=Fraction(c, b) if b else None)
-        )
-    return points
+    x = int(x)
+    c, _ = enumerate_c(x, blocks, budget)  # over budget, fail before counting b
+    b = count_b(x, blocks)
+    return RatioPoint(x=x, b_count=b, c_count=c, ratio=Fraction(c, b) if b else None)

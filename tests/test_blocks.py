@@ -19,7 +19,7 @@ from sumsetlab import (
     count_b_lower_bound,
     grow,
     j_window_check,
-    ratio_scan,
+    ratio_point,
     s1_bound,
     s2_bound,
     split_s1_s2,
@@ -276,7 +276,7 @@ class TestLevelTable:
         with pytest.raises(CapacityError):
             split_s1_s2(x, blocks)
         with pytest.raises(CapacityError):
-            ratio_scan([x], blocks)
+            ratio_point(x, blocks)
         assert "below" not in vars(blocks)
         small = BlockSet.materialize(POLY, 6)
         assert count_b(10**6, small) == summed_count_b(10**6, small)

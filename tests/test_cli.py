@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -10,12 +12,13 @@ from typing import NamedTuple
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumsetlab import (
     BlockSet,
     GrowthSchedule,
+    bound_chain_point,
     cli,
     conjecture_ratio,
     crt_combine,
@@ -34,7 +37,6 @@ from sumsetlab.errors import (
 from sumsetlab.experiments import (
     BUILTIN_EXPERIMENTS,
     ExperimentConfig,
-    bound_chain_point,
     builtin_experiment,
     run_experiment,
 )
@@ -227,6 +229,33 @@ class TestCommands:
         argv = [command, "--schedule", config.schedule.kind, "--x", x]
         payload = run_json(capsys, argv)["payload"]
         assert payload == run_experiment(config)["payload"]["points"][index]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(["bounds", "sumset"]),
+        schedule=st.sampled_from(["paper", "polynomial", "custom"]),
+        x=st.integers(0, 2**20) | st.integers(0, 2**20).map(lambda r: 2**100 + r),
+    )
+    def test_cli_point_is_a_one_point_experiment(self, tmp_path_factory, command, schedule, x):
+        # the same per-x report, the same payload; a refused x gets the same message
+        custom = {"kind": "custom", "exponents": [1, 3, 6, 10, 15, 21, 120]}
+        path = tmp_path_factory.getbasetemp() / "custom-schedule.json"
+        path.write_text(json.dumps(custom))
+        argv = [command, "--schedule", str(path) if schedule == "custom" else schedule,
+                "--x", str(x)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(argv)
+        config = ExperimentConfig(name=command, kind=command, x_grid=(x,),
+                                  schedule=GrowthSchedule.from_json(custom)
+                                  if schedule == "custom" else GrowthSchedule(schedule))
+        if code == EXIT_OK:
+            payload = json.loads(out.getvalue())["payload"]
+            assert payload == run_experiment(config)["payload"]["points"][0]
+        else:
+            with pytest.raises(Exception) as refused:
+                run_experiment(config)
+            assert err.getvalue().endswith(f" error: {refused.value}\n"), err.getvalue()
 
     def test_romanov_density_matches_experiment(self, capsys):
         argv = ["romanov-density", "--limit", "100000", "--k-min", "0"]
@@ -541,7 +570,8 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert len(err.encode()) < 200, err
 
-    @pytest.mark.parametrize("target", ["", ".", "{dir}"], ids=["empty", "dot", "directory"])
+    @pytest.mark.parametrize("target", ["", ".", "{dir}", LONG],
+                             ids=["empty", "dot", "directory", "name-too-long"])
     @pytest.mark.parametrize(
         "argv,argument",
         [
@@ -553,11 +583,40 @@ class TestExitCodes:
     )
     def test_file_argument_must_be_a_regular_file(self, capsys, tmp_path, argv, argument,
                                                   target):
-        # Path("") is Path("."): neither is read as a directory
+        # Path("") is Path("."): neither is read as a directory; a 5000-character name is
+        # too long for the file system, and is no file either
         target = target.replace("{dir}", str(tmp_path))
         assert run_command([arg.replace("{target}", target) for arg in argv]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {argument} ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "argv,document",
+        [
+            (["depolignac", "scan", "--limit", "1000", "--k-min", "{n}"], None),
+            (["romanov-density", "--limit", "1000", "--k-min", "{n}"], None),
+            (["mertens", "--j", "{n}"], None),
+            (["chebyshev", "--j", "{n}"], None),
+            (["experiment", "run", "{path}"], '{"name": "x", "kind": "depolignac", "limit": {n}}'),
+            (["experiment", "run", "{path}"],
+             '{"name": "x", "kind": "depolignac", "limit": 1000, "k_min": {n}}'),
+            (["experiment", "run", "{path}"],
+             '{"name": "x", "kind": "bounds", "schedule": {"kind": "paper"}, "x_grid": [{n}]}'),
+        ],
+        ids=["scan-k-min", "romanov-k-min", "mertens-j", "chebyshev-j", "config-limit",
+             "config-k-min", "config-x_grid"],
+    )
+    def test_range_error_names_a_big_integer_by_size(self, capsys, tmp_path, argv, document):
+        # a 5000-digit negative integer is below every range, and is named by its size
+        n = "-" + "7" * 5000
+        path = tmp_path / "config.json"
+        if document is not None:
+            path.write_text(document.replace("{n}", n))
+        argv = [arg.replace("{n}", n).replace("{path}", str(path)) for arg in argv]
+        assert run_command(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.endswith(", got a negative int of 16610 bits\n"), err
+        assert err.count("\n") == 1 and len(err.encode()) < 200, err
 
     def test_decimal_strings_in_integer_fields_still_parse(self, capsys, tmp_path):
         schedule = tmp_path / "schedule.json"
@@ -914,6 +973,24 @@ class TestExperimentConfigs:
                 name="x", kind="ratio-scan", x_grid=(100, 10),
             )
 
+    def test_depolignac_run_scans_its_system_once(self, monkeypatch):
+        from sumsetlab import depolignac
+
+        # covering_verify checks the lcm just before it scans every residue below it
+        scans = []
+        check = depolignac.check_sieve_limit
+
+        def counting(limit, what="sieve limit"):
+            scans.append(what)
+            return check(limit, what)
+
+        monkeypatch.setattr(depolignac, "check_sieve_limit", counting)
+        depolignac.crt_combine.cache_clear()  # combined afresh, as in a new process
+        config = dataclasses.replace(builtin_experiment("depolignac-audit"), limit=10**6)
+        payload = run_experiment(config)["payload"]
+        assert scans.count("covering lcm") == 1
+        assert (payload["covering"]["covers"], payload["covering"]["uncovered"]) == (True, [])
+
     def test_run_experiment_record_shape(self):
         record = run_experiment(builtin_experiment("open-question"))
         assert set(record) == {"name", "config", "payload", "timing", "versions"}
@@ -973,6 +1050,7 @@ _COVERING = sorted([*_SCANS, "sumsetlab.data"])  # reads the packaged covering s
 _LAYERS = sorted([*_SCANS, "sumsetlab.blocks", "sumsetlab.experiments", "sumsetlab.sumset"])
 _EVERY = sorted([*_LAYERS, "sumsetlab.data"])
 _PRIMES = sorted([*_CLI, "sumsetlab.arith", "sumsetlab.serialize"])
+_REPORTS = sorted([*_PRIMES, "sumsetlab.blocks", "sumsetlab.sumset"])  # the per-x reports
 
 # One fresh interpreter per sequence, its commands run in order: each step is
 # (argv, exit code, sumsetlab modules loaded by then, whether numpy is loaded).
@@ -999,7 +1077,7 @@ _STARTUP_SEQUENCES = {
         (["chebyshev", "--j", "8"], 0, _PRIMES, False),
         (["count-b", "--schedule", "paper", "--x", "2^1000"], 0,
          sorted([*_PRIMES, "sumsetlab.blocks"]), False),
-        (["bounds", "--schedule", "paper", "--x", "2^600"], 0, _LAYERS, False),
+        (["bounds", "--schedule", "paper", "--x", "2^600"], 0, _REPORTS, False),
         (["experiment", "run", "paper-chain"], 0, _LAYERS, False),
         (["sieve-count", "--limit", "1000"], 0, _LAYERS, True),
     ],

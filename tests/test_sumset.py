@@ -19,7 +19,7 @@ from sumsetlab import (
     enumerate_c,
     grow,
     legendre_count,
-    ratio_scan,
+    ratio_point,
     s1_bound,
     s2_bound,
     split_s1_s2,
@@ -243,35 +243,27 @@ class TestBounds:
 
 class TestRatioScan:
     def test_three_point_grid(self, poly_blocks):
-        points = ratio_scan([10**3, 10**4, 10**5], poly_blocks)
+        points = [ratio_point(x, poly_blocks) for x in (10**3, 10**4, 10**5)]
         assert [p.x for p in points] == [10**3, 10**4, 10**5]
         for p in points:
             assert p.ratio is not None and p.ratio > 0
             assert p.ratio == Fraction(p.c_count, p.b_count)
 
     def test_singleton_grid(self, poly_blocks):
-        (point,) = ratio_scan([5], poly_blocks)
+        point = ratio_point(5, poly_blocks)
         assert (point.b_count, point.c_count) == (1, 1)
         assert point.ratio == 1
 
-    def test_empty_grid(self, poly_blocks):
-        assert ratio_scan([], poly_blocks) == []
-
-    def test_unordered_grid_rejected(self, poly_blocks):
-        with pytest.raises(ValueError):
-            ratio_scan([100, 50], poly_blocks)
-
     def test_empty_blockset_gives_none_ratio(self):
         blocks = BlockSet.materialize(POLY, 1)
-        (point,) = ratio_scan([2], blocks)
+        point = ratio_point(2, blocks)
         assert point.b_count == 0 and point.ratio is None
 
 
 class TestConsistencyWithCounts:
     def test_counts_agree_with_blocks_module(self, poly_blocks):
         for x in (50, 700, 12000):
-            points = ratio_scan([x], poly_blocks)
-            assert points[0].b_count == count_b(x, poly_blocks)
+            assert ratio_point(x, poly_blocks).b_count == count_b(x, poly_blocks)
 
 
 ODD_PRIMES = (3, 5, 7, 11, 13)
