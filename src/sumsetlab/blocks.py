@@ -8,6 +8,7 @@ arithmetic, so it stays exact for x thousands of bits wide.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -181,11 +182,20 @@ class BlockSet:
 
         The top window must have a defined end e(max_t + 1), but counting
         truncates it at x, so G(max_t + 1) itself is never built.
+
+        Raises:
+            CapacityError: a modulus d_t would pass DEFAULT_BIT_BUDGET bits; decided
+                before any modulus is built, from a float sum of log2 p over the primes
+                (d_56117, the first past 10^6 bits, has 1000011 of them; d_56116 999991).
         """
         if max_t < 1:
             raise ValueError(f"max_t must be >= 1, got {text_name(max_t)}")
         schedule.exponent(max_t + 1)
         primes = first_odd_primes(max_t)
+        for t, log2_d in enumerate(itertools.accumulate(map(math.log2, primes)), 1):
+            if log2_d >= DEFAULT_BIT_BUDGET:
+                raise CapacityError(f"d_{t} needs {math.floor(log2_d) + 1} bits, "
+                                    f"over the {DEFAULT_BIT_BUDGET}-bit budget")
         blocks = []
         modulus = 1
         for t, p in enumerate(primes, 1):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import NamedTuple
 
-from .arith import check_sieve_limit, is_prime, sieve_primes
+from .arith import SIEVE_LIMIT_BITS, check_sieve_limit, is_prime, sieve_primes
 from .errors import (CRTError, MalformedSystemError, NotCoveringError, int_name, json_int,
                      text_name)
 
@@ -126,14 +126,20 @@ def covering_verify(system: CoveringSystem) -> CoverCheck:
     """Decide whether the residue classes cover every integer.
 
     Scans all residues modulo the lcm of the moduli; the empty system
-    covers nothing.
+    covers nothing. The lcm is taken one modulus at a time and stops at
+    the first partial lcm past the cap, so huge moduli are never all
+    multiplied out.
 
     Raises:
         MalformedSystemError: structural invariant violated.
-        CapacityError: lcm >= 2^SIEVE_LIMIT_BITS; raised before the scan.
+        CapacityError: a partial lcm >= 2^SIEVE_LIMIT_BITS; raised before the scan.
     """
     system.validate()
-    L = system.lcm
+    L = 1
+    for e in system.entries:
+        L = math.lcm(L, e.modulus)
+        if L.bit_length() > SIEVE_LIMIT_BITS:
+            break
     check_sieve_limit(L, "covering lcm")
     uncovered = tuple(
         k

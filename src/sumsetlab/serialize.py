@@ -1,10 +1,11 @@
 """Report serialization: deterministic JSON payloads and lossy-marked CSV.
 
 Pipelines return library objects (reports, Fractions, covering systems,
-certificates) in plain dicts; ``result_record`` is the one place they
-are encoded, through ``report_payload``, into the record the CLI and
-the experiments emit. ``parse_power_expr`` reads integer arguments under
-the library's bit budget.
+certificates) in plain dicts, and ``result_record`` keeps them as they
+are until the record is written: ``payload_json`` encodes the record
+through ``report_payload``, and ``payload_csv`` reads the objects
+directly. ``parse_power_expr`` reads integer arguments under the
+library's bit budget.
 
 Exact rationals always serialize as {"num": ..., "den": ...} decimal
 strings, so no precision is laundered through floats; integers stay
@@ -38,7 +39,6 @@ __all__ = [
     "parse_power_expr",
     "result_record",
     "fraction_payload",
-    "fraction_from_payload",
     "decimal15",
     "payload_json",
     "report_payload",
@@ -85,14 +85,14 @@ def parse_power_expr(text: str | int) -> int:
 
 
 def result_record(name: str, config: dict, payload, timing: dict | None = None) -> dict:
-    """The record every run emits, with ``config`` and ``payload`` encoded by ``report_payload``.
+    """The record every run emits; ``config`` and ``payload`` hold library objects until written.
 
     Only ``payload`` must be byte-identical across runs.
     """
     return {
         "name": name,
-        "config": report_payload(config),
-        "payload": report_payload(payload),
+        "config": config,
+        "payload": payload,
         "timing": {} if timing is None else timing,
         "versions": {"sumsetlab": __version__},
     }
@@ -100,13 +100,6 @@ def result_record(name: str, config: dict, payload, timing: dict | None = None) 
 
 def fraction_payload(value: Fraction) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
-
-
-def fraction_from_payload(obj: dict) -> Fraction:
-    try:
-        return Fraction(int(obj["num"]), int(obj["den"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"not a rational payload: {obj!r}") from exc
 
 
 def decimal15(value: Fraction | int | float) -> str:
@@ -120,27 +113,34 @@ def decimal15(value: Fraction | int | float) -> str:
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-def payload_json(payload: Any) -> str:
-    """Canonical JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def payload_json(record: Any) -> str:
+    """Canonical JSON of the encoded record: sorted keys, fixed separators, trailing newline."""
+    return json.dumps(report_payload(record), sort_keys=True, indent=2) + "\n"
+
+
+def _fields(obj: Any) -> dict | None:
+    """A dict, or a dataclass's or named tuple's fields in declaration order; else None."""
+    if isinstance(obj, dict):
+        return obj
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        return obj._asdict()
+    return None
 
 
 def report_payload(obj: Any) -> Any:
     """Encode a report for JSON, recursing into its fields.
 
-    Dataclass and named-tuple fields keep their declaration order, which
-    sets the CSV column order; a Fraction becomes ``fraction_payload``, a
-    dict keeps its keys and a tuple or list becomes a list. Other values
-    pass through unchanged, so an already encoded payload comes back equal.
+    A Fraction becomes ``fraction_payload``, ``_fields`` keep their order and
+    a tuple or list becomes a list. Other values pass through unchanged, so an
+    already encoded payload comes back equal.
     """
     if isinstance(obj, Fraction):
         return fraction_payload(obj)
-    if isinstance(obj, dict):
-        return {key: report_payload(value) for key, value in obj.items()}
-    if dataclasses.is_dataclass(obj):
-        return {f.name: report_payload(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
-        return {name: report_payload(value) for name, value in zip(obj._fields, obj)}
+    fields = _fields(obj)
+    if fields is not None:
+        return {key: report_payload(value) for key, value in fields.items()}
     if isinstance(obj, (tuple, list)):
         return [report_payload(value) for value in obj]
     return obj
@@ -151,34 +151,32 @@ def covering_payload(system: CoveringSystem, check: CoverCheck) -> dict:
 
 
 def payload_csv(payload: Any) -> str:
-    """Flatten an encoded payload into CSV rows, appending a per-row `lossy` column.
+    """Flatten a record's payload into CSV rows, appending a per-row `lossy` column.
 
-    A payload's ``points`` list, or any list of per-x dicts, becomes one
-    row per x; a single dict becomes one row. Rational sub-objects render
-    as 15-digit decimals, and a row is marked lossy when it holds one or a
-    float; exact integers and strings keep `no`.
+    A payload's ``points`` list, or any list of per-x reports, becomes one
+    row per x, and a single report one row, columns in field order. Fractions
+    render as 15-digit decimals and a nested report or list as its JSON; a row
+    holding a Fraction or a float is marked lossy.
     """
     if isinstance(payload, dict) and "points" in payload:
         payload = payload["points"]
-    records = payload if isinstance(payload, list) else [payload]
+    records = [_fields(rec) for rec in (payload if isinstance(payload, list) else [payload])]
     if not records:
         return "\n"
-    header = list(records[0].keys())
+    header = list(records[0])
     buf = io.StringIO()
     buf.write(",".join([*header, "lossy"]) + "\n")
     for rec in records:
         cells, lossy = [], False
         for key in header:
             value = rec.get(key)
-            if isinstance(value, dict) and set(value) == {"num", "den"}:
-                value = fraction_from_payload(value)
-            elif isinstance(value, (dict, list)):
-                value = json.dumps(value, sort_keys=True).replace(",", ";")
             lossy = lossy or isinstance(value, (Fraction, float))
             if isinstance(value, (Fraction, float, int)) and not isinstance(value, bool):
                 cells.append(decimal15(value))
             elif value is None:
                 cells.append("")
+            elif isinstance(value, (tuple, list)) or _fields(value) is not None:
+                cells.append(json.dumps(report_payload(value), sort_keys=True).replace(",", ";"))
             else:
                 cells.append(str(value))
         cells.append("yes" if lossy else "no")

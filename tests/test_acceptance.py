@@ -9,7 +9,6 @@ budgets.
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines.
 """
 
-import json
 import math
 import time
 from fractions import Fraction
@@ -20,6 +19,7 @@ import pytest
 
 import sumsetlab as sl
 from sumsetlab.experiments import BUILTIN_EXPERIMENTS, builtin_experiment, run_experiment
+from sumsetlab.serialize import payload_json
 
 PAPER = sl.GrowthSchedule.paper()
 POLY = sl.GrowthSchedule.polynomial()
@@ -255,8 +255,8 @@ def test_criterion_11_determinism():
     for name in sorted(BUILTIN_EXPERIMENTS):
         first = run_experiment(builtin_experiment(name))
         second = run_experiment(builtin_experiment(name))
-        blob1 = json.dumps(first["payload"], sort_keys=True).encode()
-        blob2 = json.dumps(second["payload"], sort_keys=True).encode()
+        blob1 = payload_json(first["payload"]).encode()
+        blob2 = payload_json(second["payload"]).encode()
         assert blob1 == blob2, f"experiment {name} payload not deterministic"
     elapsed = time.perf_counter() - start
     _report(11, "byte-identical payloads for all named experiments", elapsed, 300)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumsetlab import blocks as blocks_module
 from sumsetlab import (
     BlockSet,
     CapacityError,
@@ -392,3 +393,30 @@ class TestPaperScale:
         assert blocks.primes == (3, 5, 7, 11)
         with pytest.raises(CapacityError):
             BlockSet.materialize(PAPER, 5)  # G(5) has 2^25 + 1 bits
+
+
+class TestModulusBudget:
+    """Block moduli d_t, like boundaries G(t), stay within the bit budget."""
+
+    def test_paper_and_polynomial_at_the_top_of_the_budget(self, odd_primes_ref):
+        # the deepest block sets the contract reaches are built in full, as before
+        x = 2**999_999
+        paper, poly = BlockSet.covering(PAPER, x), BlockSet.covering(POLY, x)
+        assert (paper.max_t, poly.max_t) == (4, 999)
+        for blocks in (paper, poly):
+            assert blocks.blocks[-1].modulus == math.prod(odd_primes_ref[: blocks.max_t])
+
+    def test_first_modulus_past_the_budget_is_refused(self, monkeypatch, odd_primes_ref):
+        monkeypatch.setattr(blocks_module, "DEFAULT_BIT_BUDGET", 10**5)
+        # the first odd primorial past 10^5 bits, multiplied out exactly
+        d, t = 1, 0
+        while d.bit_length() <= 10**5:
+            d *= odd_primes_ref[t]
+            t += 1
+        linear = GrowthSchedule.custom(range(1, 8002))  # 8000 windows below 2^8001
+        with pytest.raises(CapacityError) as refused:
+            BlockSet.materialize(linear, 8000)
+        assert str(refused.value) == (
+            f"d_{t} needs {d.bit_length()} bits, over the 100000-bit budget"
+        )
+        assert BlockSet.materialize(linear, t - 1).blocks[-1].modulus == d // odd_primes_ref[t - 1]

@@ -1,11 +1,17 @@
 import argparse
 import contextlib
 import dataclasses
+import functools
+import hashlib
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -41,10 +47,10 @@ from sumsetlab.experiments import (
     run_experiment,
 )
 from sumsetlab.serialize import (
-    fraction_from_payload,
     fraction_payload,
     parse_power_expr,
     payload_csv,
+    payload_json,
     report_payload,
     result_record,
 )
@@ -55,6 +61,16 @@ def run_json(capsys, argv):
     out = capsys.readouterr().out
     assert code == EXIT_OK, out
     return json.loads(out)
+
+
+def written(record: dict) -> dict:
+    """``record`` as the CLI writes it in JSON, read back."""
+    return json.loads(payload_json(record))
+
+
+def rational(obj: dict) -> Fraction:
+    """The Fraction a {"num", "den"} pair of JSON strings spells."""
+    return Fraction(int(obj["num"]), int(obj["den"]))
 
 
 def leaf_parsers(parser, path=()):
@@ -228,7 +244,7 @@ class TestCommands:
         assert config.x_grid[index] == parse_power_expr(x)
         argv = [command, "--schedule", config.schedule.kind, "--x", x]
         payload = run_json(capsys, argv)["payload"]
-        assert payload == run_experiment(config)["payload"]["points"][index]
+        assert payload == written(run_experiment(config))["payload"]["points"][index]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -251,7 +267,7 @@ class TestCommands:
                                   if schedule == "custom" else GrowthSchedule(schedule))
         if code == EXIT_OK:
             payload = json.loads(out.getvalue())["payload"]
-            assert payload == run_experiment(config)["payload"]["points"][0]
+            assert payload == written(run_experiment(config))["payload"]["points"][0]
         else:
             with pytest.raises(Exception) as refused:
                 run_experiment(config)
@@ -261,7 +277,20 @@ class TestCommands:
         argv = ["romanov-density", "--limit", "100000", "--k-min", "0"]
         payload = run_json(capsys, argv)["payload"]
         config = ExperimentConfig(name="romanov", kind="romanov", limit=100000, k_min=0)
-        assert payload == run_experiment(config)["payload"]
+        assert payload == written(run_experiment(config))["payload"]
+
+
+@functools.cache
+def _huge_moduli_system() -> tuple[str, int]:
+    """A valid 16-entry system's JSON, each modulus ord_q(2) times a random odd 300,000-bit
+    number, and the first modulus's bit length; the lcm of all 16 takes tens of seconds."""
+    rng = random.Random(20)
+    entries = []
+    for q in first_odd_primes(16):
+        order = next(d for d in range(1, q) if pow(2, d, q) == 1)
+        entries.append((order * (rng.getrandbits(300_000) | 1 << 299_999 | 1), q))
+    text = ", ".join('{"residue": 0, "modulus": %d, "prime": %d}' % e for e in entries)
+    return '{"entries": [%s]}' % text, entries[0][0].bit_length()
 
 
 class TestExitCodes:
@@ -395,6 +424,50 @@ class TestExitCodes:
             "capacity error: covering lcm=3000000000000 is beyond the supported range"
             " (below 2^34)\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["covering", "verify", "--system", "{root}/system.json"],
+            ["covering", "crt", "--system", "{root}/system.json"],
+            ["depolignac", "scan", "--limit", "1000", "--system", "{root}/system.json"],
+            ["experiment", "run", "{root}/config.json"],
+        ],
+        ids=["covering-verify", "covering-crt", "depolignac-scan", "experiment"],
+    )
+    @pytest.mark.usefixtures("any_digits")
+    def test_covering_lcm_stops_at_the_first_partial_past_the_cap(self, capsys, tmp_path, argv):
+        # the first modulus alone is past 2^34, so the lcm goes no further; the whole lcm of
+        # these moduli took 26 s to form (2-core Xeon), the refusal about 1 s, mostly parsing
+        system, first = _huge_moduli_system()
+        (tmp_path / "system.json").write_text(system)
+        (tmp_path / "config.json").write_text(
+            '{"name": "huge", "kind": "depolignac", "limit": 1000, "system": %s}' % system)
+        start = time.perf_counter()
+        assert run_command([arg.replace("{root}", str(tmp_path)) for arg in argv]) == EXIT_CAPACITY
+        assert time.perf_counter() - start < 10
+        assert capsys.readouterr().err == (
+            f"capacity error: covering lcm of {first} bits is beyond the supported range"
+            " (below 2^34)\n"
+        )
+
+    def test_deep_custom_schedule_is_refused_before_its_moduli_are_built(self, capsys,
+                                                                         tmp_path):
+        # 60,000 windows below 2^60001: the moduli d_1..d_56116 inside the budget hold about
+        # 3 GiB, and d_56117 is the first past it
+        path = tmp_path / "linear.json"
+        path.write_text(json.dumps({"kind": "custom", "exponents": list(range(1, 60_002))}))
+        tracemalloc.start()
+        try:
+            code = run_command(["count-b", "--schedule", str(path), "--x", "2^60000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CAPACITY
+        assert capsys.readouterr().err == (
+            "capacity error: d_56117 needs 1000011 bits, over the 1000000-bit budget\n"
+        )
+        assert peak < 32 * 2**20, peak
 
     @pytest.mark.parametrize("kind", ["depolignac", "romanov"])
     def test_experiment_scan_limit_cap_is_capacity_error(self, capsys, tmp_path, kind):
@@ -672,6 +745,91 @@ CSV_CASES = {
 }
 
 
+# sha256 of what each call printed when a record was still encoded as it was built: the
+# exact text of the "config" and "payload" members of its JSON record, and its whole CSV.
+# These pin the bytes across commits, where a comparison with the same encoder cannot.
+FROZEN_OUTPUT = {
+    "count-b --schedule paper --x 100000": (
+        "819d09b8ff2c5d4ce5e4bb6055928d0206f4abd1d58abdfe0908ac2d554e1840",
+        "b9a5081ea77709cc6ff1f7e9b33c6e2262279615fce98cd344a735d8a03bc52b",
+    ),
+    "count-b --schedule paper --x 2^70000": (
+        "c090b8b92968458f5820e427de830efc7e1f7658f6d241581371a67b62c40a60",
+        "79c7f48ca99aadff31e15c994ded57e4f5c6cea457b330b4780535f586a328fc",
+    ),
+    "bounds --schedule paper --x 2^600": (
+        "52537243678aec4d2667135740a6ef7bf9f741a9c6632f9d0f959d599a30cb8a",
+        "4894887f53db24dadefc4c607c41e6c85c656a063eeb26e2ff02dbee56b33eb4",
+    ),
+    "bounds --schedule paper --x 2^70000": (
+        "b19edade02d5afe4467d957c61b4163e807c73c66d7e13e7e6c7a829561b8363",
+        "ff03baca1a6d2deb99ee202a5c52897d2d609d33c3f1487dd96ac871041128e2",
+    ),
+    "sumset --schedule polynomial --x 100000": (
+        "a807d721fcbb1f306a8538462ad29c3d5338ddb62437642995bedc3f14aee8a9",
+        "69200a661790780bf47f31e0b4899a210835398ea7db01d901aa07f841c04cb0",
+    ),
+    "ratio-scan --schedule polynomial --grid 1000,10000,100000": (
+        "0da7704f590067a25b59a0ce4190d4dd2af2dbec96a6441d2b44c163a0dd428e",
+        "ba454c88026f7e9012650698493cc8f5b7a3d8c381b5b465fe42bfa0518c16ea",
+    ),
+    "sieve-count --limit 1000000": (
+        "b7aaab1ec07f80ea3bd4e2cb5243581316d1ce02853dfc792f3592943293bb03",
+        "2ea32a67abc162b583cf61825cb31c227e8e3399de36096e9ee2244644311ae1",
+    ),
+    "mertens --j 200 --include-two": (
+        "0b403b416183151f61c4a1ed2da1f500eeca605fc5dd001931a4bf2565b0db07",
+        "fddfd84f44b6a1a16ae40aeff165e042f9f009a9787a26b1bdeed5e2a0198065",
+    ),
+    "chebyshev --j 100": (
+        "d28f7cc4772de425bf3818d8ab81e07783c8fbabfb7a3a80ba950bef8ea8ca97",
+        "ce0fdc9def4e514ab24ac94c3d90312a81196942b8f0b70b80ec3599f13343fe",
+    ),
+    "covering verify": (
+        "123dd8d8a83a4871da302b8911807cda37cdce1905faa83b365c9fd43e585fa0",
+        "2828ffd709b258f563fc42d574994efeb750f98fe54d9e25b0013f4ed2526fe6",
+    ),
+    "covering crt": (
+        "edf2694d32a7b17cbeecaafcf6602431c07795ec6a71509f35084ee4787fbee6",
+        "fce9b47b99a96dcd9c7c01bb3e1670e177a02e87b8e817724942b7ed72c1531c",
+    ),
+    "depolignac scan --limit 1000000": (
+        "3ac698e3511bbcf4f503bed56d299a9e63920c64f08040be2255eb00b4e72ce1",
+        "8f668bd26e03d2d95588ff7beebbd082c709e89486e08bdc390a6aa1c20beff9",
+    ),
+    "romanov-density --limit 100000 --k-min 0": (
+        "0bdb969ff2ec59936a8fcf890d79d206a95ebe2a37b671cd145d148c6d1c5ddf",
+        "874974a2c855e306847772a6ea0feea29f832df96374afe64660c2d914f98ad4",
+    ),
+    "experiment list": (
+        "d08306743a5e66ae1e850ec656d6cab090316e4a33dacccc4334f9e3f3ed6e2a",
+        "da0d500811a6fd9f0e87d2f660ba8e4f8b20753f37461b5ad9601b6c5cf7e36b",
+    ),
+    "experiment run paper-chain": (
+        "bb4e9dedd5a6ca8f0d2ca280edf3766780574387db3e0b45aa4001ef647f86a3",
+        "426bb3dc0b4e2d70856ab032e6a5b376d7fbc9aadeee2ab061e7570a1fe08b58",
+    ),
+    "experiment run desk-density": (
+        "440408f7ed02cd51fbb04a68cc246b7b75b98ac3ea6994d4d79665c68694c5ff",
+        "94c111fab523ba792f83ed85003874b33fbef4203ad4a699d4c7ca1a36832b0b",
+    ),
+    "experiment run depolignac-audit": (
+        "fa206f964213051e3668fdabbeb35cc7d86a62658f7cd27b2363534a654ba6b9",
+        "163e239ffc2fa8f41b3aa9c31d309b54b743354dade003955554241ce587b754",
+    ),
+    "experiment run open-question": (
+        "89b50a414077e378d49e807e8e66da4733e8c32feaa7d745b3aeb14ef2f0b046",
+        "862a80571dbe4adadd68d7d7588c4cbc07563a33b952fab638f49920d3a3f3b9",
+    ),
+}
+
+
+def record_members(text: str) -> dict:
+    """The top-level members of a JSON record as printed, by key: each one's exact text."""
+    parts = re.split(r'\n  (?="\w+": )', text)  # nested keys are indented further
+    return {part[1 : part.index('"', 1)]: part for part in parts[1:]}
+
+
 class TestOutputContract:
     def test_out_file_and_round_trip(self, capsys, tmp_path):
         out = tmp_path / "record.json"
@@ -721,6 +879,17 @@ class TestOutputContract:
         if header is not None:
             assert lines[0] == header
 
+    @pytest.mark.parametrize("command", FROZEN_OUTPUT)
+    def test_output_bytes_are_frozen(self, capsys, command):
+        json_digest, csv_digest = FROZEN_OUTPUT[command]
+        assert run_command(command.split()) == EXIT_OK
+        members = record_members(capsys.readouterr().out)
+        assert set(members) == {"config", "name", "payload", "timing", "versions"}
+        frozen = (members["config"] + members["payload"]).encode()
+        assert hashlib.sha256(frozen).hexdigest() == json_digest
+        assert run_command([*command.split(), "--format", "csv"]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == csv_digest
+
     def test_result_record_encodes_library_objects(self):
         report = _Report(x=10, ratio=Fraction(3, 7), bound=None)
         check = _Check(holds=True, witnesses=((5, 3, 1), (7, 5, 1)))
@@ -748,11 +917,14 @@ class TestOutputContract:
                             "source": {"entries": entries}},
         }
         record = result_record("unit", config, payload, {"total": 0.5})
-        assert record["config"] == expected_config
-        assert record["payload"] == expected
-        assert list(record["payload"]["report"]) == ["x", "ratio", "bound"]
-        assert record["timing"] == {"total": 0.5}
-        again = result_record("unit", record["config"], record["payload"])
+        # the record holds the objects; payload_json encodes them when it is written
+        assert record["config"] is config and record["payload"] is payload
+        out = written(record)
+        assert out["config"] == expected_config
+        assert out["payload"] == expected
+        assert list(report_payload(payload)["report"]) == ["x", "ratio", "bound"]
+        assert out["timing"] == {"total": 0.5}
+        again = written(result_record("unit", out["config"], out["payload"]))
         assert again["config"] == expected_config and again["payload"] == expected
 
     @pytest.mark.parametrize(
@@ -770,8 +942,8 @@ class TestOutputContract:
     @pytest.mark.usefixtures("any_digits")
     def test_mertens_prints_products_past_the_digit_limit(self, capsys, j):
         record = run_json(capsys, ["mertens", "--j", str(j)])
-        product = fraction_from_payload(record["payload"]["product"])
-        assert product == mertens_product(first_odd_primes(j))
+        product = mertens_product(first_odd_primes(j))
+        assert record["payload"]["product"] == fraction_payload(product)
         assert len(record["payload"]["product"]["den"]) > 4300
         assert run_command(["mertens", "--j", str(j), "--format", "csv"]) == EXIT_OK
         row = capsys.readouterr().out.splitlines()[1].split(",")
@@ -780,15 +952,8 @@ class TestOutputContract:
     @pytest.mark.usefixtures("any_digits")
     def test_rational_payloads_round_trip_at_any_size(self):
         value = Fraction(7**20_000 + 1, 3**15_000)
-        assert fraction_from_payload(fraction_payload(value)) == value
+        assert rational(fraction_payload(value)) == value
         assert fraction_payload(Fraction(-120698, 5)) == {"num": "-120698", "den": "5"}
-        parsed = fraction_from_payload({"num": " -1_000 ", "den": 3})
-        assert parsed == Fraction(int(" -1_000 "), 3)
-
-    @pytest.mark.parametrize("num", ["1.5", "1e3", "NaN", "Infinity", "", "1__0", None, [1]])
-    def test_rational_payload_takes_only_integers(self, num):
-        with pytest.raises(ConfigError):
-            fraction_from_payload({"num": num, "den": "1"})
 
     def test_rationals_serialize_as_string_pairs(self, capsys):
         record = run_json(capsys, ["count-b", "--schedule", "paper", "--x", "100000"])
@@ -797,12 +962,12 @@ class TestOutputContract:
         assert bound == {"num": "120698", "den": "5"}
 
 
-def library_payload(command: str, schedule: str, x: int) -> dict:
-    """What ``count-b``/``bounds`` should print at x, computed by the library directly."""
+def library_report(command: str, schedule: str, x: int):
+    """The report ``count-b``/``bounds`` should print at x, computed by the library directly."""
     blocks = BlockSet.covering(GrowthSchedule(schedule), x)
     if command == "count-b":
-        return report_payload(conjecture_ratio(x, blocks))
-    return report_payload(bound_chain_point(x, blocks))
+        return conjecture_ratio(x, blocks)
+    return bound_chain_point(x, blocks)
 
 
 @pytest.mark.usefixtures("any_digits")
@@ -824,11 +989,11 @@ class TestContractSizes:
         argv = [command, "--schedule", schedule, "--x", x, "--format", fmt]
         assert run_command(argv) == EXIT_OK
         out = capsys.readouterr().out
-        expected = library_payload(command, schedule, parse_power_expr(x))
+        expected = library_report(command, schedule, parse_power_expr(x))
         if fmt == "json":
             record = json.loads(out)
             assert record["config"]["x"] == parse_power_expr(x)
-            assert record["payload"] == expected
+            assert record["payload"] == report_payload(expected)
         else:
             assert out == payload_csv(expected)
 
@@ -842,7 +1007,7 @@ class TestContractSizes:
         for name, value in payload.items():
             expected = getattr(report, name)
             if isinstance(expected, Fraction):
-                value = fraction_from_payload(value)
+                value = rational(value)
             assert value == expected, name
 
     def test_out_record_reads_back(self, capsys, tmp_path):
@@ -850,7 +1015,7 @@ class TestContractSizes:
         argv = ["count-b", "--schedule", "paper", "--x", "2^70000", "--out", str(out)]
         assert run_command(argv) == EXIT_OK
         record = json.loads(out.read_text())
-        assert record["payload"] == library_payload("count-b", "paper", 2**70000)
+        assert record["payload"] == report_payload(library_report("count-b", "paper", 2**70000))
 
     @pytest.mark.parametrize(
         "flag,template",
@@ -987,7 +1152,7 @@ class TestExperimentConfigs:
         monkeypatch.setattr(depolignac, "check_sieve_limit", counting)
         depolignac.crt_combine.cache_clear()  # combined afresh, as in a new process
         config = dataclasses.replace(builtin_experiment("depolignac-audit"), limit=10**6)
-        payload = run_experiment(config)["payload"]
+        payload = written(run_experiment(config))["payload"]
         assert scans.count("covering lcm") == 1
         assert (payload["covering"]["covers"], payload["covering"]["uncovered"]) == (True, [])
 
@@ -998,10 +1163,12 @@ class TestExperimentConfigs:
 
     def test_experiment_record_round_trips_losslessly(self):
         record = run_experiment(builtin_experiment("paper-chain"))
-        assert json.loads(json.dumps(record)) == record
+        out = written(record)
+        assert out == report_payload(record)
         # rationals survive as exact string pairs even at 1000-bit scale
-        last = record["payload"]["points"][-1]
-        assert int(last["count"]["b_lower_bound"]["num"]) > 2**900
+        bound = out["payload"]["points"][-1]["count"]["b_lower_bound"]
+        assert int(bound["num"]) > 2**900
+        assert rational(bound) == record["payload"]["points"][-1]["count"].b_lower_bound
 
 
 def _fresh_python(*argv: str, env=None, **kwargs) -> subprocess.CompletedProcess:
