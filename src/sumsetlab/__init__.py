@@ -50,8 +50,8 @@ _HOMES = {
     "default_covering_system": "depolignac",
     "romanov_density_scan": "depolignac",
     "CapacityError": "errors",
+    "ClaimError": "errors",
     "ConfigError": "errors",
-    "CRTError": "errors",
     "InapplicableError": "errors",
     "MalformedSystemError": "errors",
     "NotCoveringError": "errors",

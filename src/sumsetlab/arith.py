@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import compress, islice
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .errors import CapacityError, int_name, text_name
+from .errors import CapacityError, ConfigError, at_least, int_name, text_name
 
 # numpy is imported where an array is allocated or read, so a process
 # that never sieves (a sparse scan, a covering check) never loads it.
@@ -32,6 +32,7 @@ __all__ = [
     "PrimeTable",
     "ChebyshevCheck",
     "SIEVE_LIMIT_BITS",
+    "MR_BOUND",
     "check_sieve_limit",
     "sieve_primes",
     "first_odd_primes",
@@ -63,6 +64,7 @@ _MR_PSI = (
     318_665_857_834_031_151_167_461,
     3_317_044_064_679_887_385_961_981,
 )
+MR_BOUND = _MR_PSI[-1]  # is_prime decides every n below it
 
 # Every sieve and every scan that sieves stays below 2^SIEVE_LIMIT_BITS.
 SIEVE_LIMIT_BITS = 34
@@ -144,13 +146,11 @@ def sieve_primes(limit: int) -> PrimeTable:
         A PrimeTable covering [2, limit].
 
     Raises:
-        ValueError: limit < 2 (the table would be empty).
+        ConfigError: limit < 2 (the table would be empty).
         CapacityError: limit >= 2^SIEVE_LIMIT_BITS; raised before any
             allocation.
     """
-    if limit < 2:
-        raise ValueError(f"sieve limit must be >= 2, got {text_name(limit)}")
-    check_sieve_limit(limit)
+    check_sieve_limit(at_least("sieve limit", limit, 2))
     import numpy as np
 
     size = (limit + 1) // 2
@@ -185,12 +185,11 @@ def first_odd_primes(count: int) -> tuple[int, ...]:
     imports no numpy: block moduli and the bound chain read only a few.
 
     Raises:
-        ValueError: count < 1.
+        ConfigError: count < 1.
         CapacityError: the bound reaches 2^SIEVE_LIMIT_BITS; raised before
             any allocation.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {text_name(count)}")
+    at_least("count", count, 1)
     check_sieve_limit(count, "prime count")  # p_n > n, and n past 2^1024 overflows a float
     n = count + 1  # prime index including 2
     limit = 15 if n < 6 else int(n * (math.log(n) + math.log(math.log(n)))) + 10
@@ -211,10 +210,10 @@ def is_prime(n: int) -> bool:
     below 3215031751, all 13 only from 3.2e23 up.
 
     Raises:
-        ValueError: n is beyond the deterministic witness bound.
+        ConfigError: n is beyond the deterministic witness bound, MR_BOUND.
     """
-    if n >= _MR_PSI[-1]:
-        raise ValueError(f"{int_name('n', n)} exceeds the deterministic Miller-Rabin bound")
+    if n >= MR_BOUND:
+        raise ConfigError(f"{int_name('n', n)} exceeds the deterministic Miller-Rabin bound")
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -253,9 +252,7 @@ def check_chebyshev(primes: Sequence[int]) -> ChebyshevCheck:
     theta <= 2*j*log(j). At j = 1 the bound is 0, so holds is False:
     the estimate only kicks in from j = 2.
     """
-    j = len(primes)
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
+    j = at_least("j", len(primes), 1)
     # one prime at a time, in order: the same rounding as a running prefix sum
     theta = 0.0
     for p in primes:
@@ -285,9 +282,7 @@ def mertens_product(primes: Sequence[int], include_two: bool = False) -> Fractio
         The product as a Fraction in lowest terms, reduced once from
         prod(p - 1) / prod(p).
     """
-    j = len(primes)
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
+    at_least("j", len(primes), 1)
     product = Fraction(_product([p - 1 for p in primes]), _product(primes))
     return product / 2 if include_two else product
 
@@ -299,11 +294,11 @@ def squarefree_divisors_signed(modulus_primes: Iterable[int]) -> list[tuple[int,
     of prime factors). The empty input yields [(1, +1)].
 
     Raises:
-        ValueError: the input contains duplicates.
+        ConfigError: the input contains duplicates.
     """
     primes = sorted(int(p) for p in modulus_primes)
     if len(primes) != len(set(primes)):
-        raise ValueError(f"modulus primes must be distinct, got {primes}")
+        raise ConfigError(f"modulus primes must be distinct, got {primes}")
     divisors = [(1, 1)]
     for p in primes:
         divisors.extend([(d * p, -sign) for d, sign in divisors])
@@ -317,11 +312,9 @@ def legendre_count(x: int, modulus_primes: Iterable[int]) -> int:
     integer arithmetic, valid for x of any bit length.
 
     Raises:
-        ValueError: x < 0.
+        ConfigError: x < 0.
     """
-    x = int(x)
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {text_name(x)}")
+    x = at_least("x", int(x), 0)
     return sum(sign * (x // d) for d, sign in squarefree_divisors_signed(modulus_primes))
 
 
@@ -333,11 +326,11 @@ def big_log2(x: int) -> float:
     1e-12 for any practical input.
 
     Raises:
-        ValueError: x <= 0.
+        ConfigError: x <= 0.
     """
     x = int(x)
     if x <= 0:
-        raise ValueError(f"log2 needs a positive integer, got {text_name(x)}")
+        raise ConfigError(f"log2 needs a positive integer, got {text_name(x)}")
     bits = x.bit_length()
     if bits <= 53:
         return math.log2(x)

@@ -19,8 +19,10 @@ from .arith import big_log2, first_odd_primes
 from .errors import (
     DEFAULT_BIT_BUDGET,
     CapacityError,
+    ClaimError,
     ConfigError,
     InapplicableError,
+    at_least,
     int_name,
     json_int,
     text_name,
@@ -86,8 +88,7 @@ class GrowthSchedule:
 
     def exponent(self, t: int) -> int:
         """e(t) for t >= 1; custom schedules raise CapacityError when exhausted."""
-        if t < 1:
-            raise ValueError(f"t must be >= 1, got {text_name(t)}")
+        at_least("t", t, 1)
         if self.kind == "paper":
             return 2 ** (t * t)
         if self.kind == "polynomial":
@@ -136,9 +137,7 @@ def block_index(x: int, schedule: GrowthSchedule) -> int:
     last defined exponent; block operations raise CapacityError when the
     window containing x is undefined.
     """
-    x = int(x)
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {text_name(x)}")
+    x = at_least("x", int(x), 0)
     log2_floor = x.bit_length() - 1
     j = 0
     while True:
@@ -188,8 +187,7 @@ class BlockSet:
                 before any modulus is built, from a float sum of log2 p over the primes
                 (d_56117, the first past 10^6 bits, has 1000011 of them; d_56116 999991).
         """
-        if max_t < 1:
-            raise ValueError(f"max_t must be >= 1, got {text_name(max_t)}")
+        at_least("max_t", max_t, 1)
         schedule.exponent(max_t + 1)
         primes = first_odd_primes(max_t)
         for t, log2_d in enumerate(itertools.accumulate(map(math.log2, primes)), 1):
@@ -248,9 +246,7 @@ def b_member(n: int, blocks: BlockSet) -> bool:
         CapacityError: n is beyond the materialized windows (membership is
             never silently reported false there).
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {text_name(n)}")
+    n = at_least("n", int(n), 1)
     j = blocks.index(n)
     if j == 0:
         return False
@@ -264,9 +260,7 @@ def count_b(x: int, blocks: BlockSet) -> int:
     the top window's first member up to x. Pure integer arithmetic at any
     bit length.
     """
-    x = int(x)
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {text_name(x)}")
+    x = at_least("x", int(x), 0)
     j = blocks.index(x)
     if j == 0:
         return 0
@@ -305,7 +299,8 @@ class BlockCountReport:
 
     a_count is floor(log2 x), the number of powers 2^a <= x with a >= 1;
     conjecture_ratio is a_count * b_count / x, the quantity whose positive
-    lower bound the density conjectures hypothesize.
+    lower bound the density conjectures hypothesize. A count below zero or
+    below its certified bound raises ClaimError, so no such report exists.
     """
 
     x: int
@@ -318,19 +313,20 @@ class BlockCountReport:
 
     def __post_init__(self) -> None:
         if self.b_count < 0:
-            raise ValueError("b_count must be >= 0")
+            raise ClaimError(f"b_count must be >= 0: {int_name('b_count', self.b_count)} "
+                             f"at {int_name('x', self.x)}")
         if self.b_lower_bound is not None and self.b_count < self.b_lower_bound:
-            raise ValueError(
-                f"count {self.b_count} fell below its certified bound "
-                f"{self.b_lower_bound} at x={self.x}"
+            raise ClaimError(
+                f"b_count fell below its certified lower bound: "
+                f"{int_name('b_count', self.b_count)} < "
+                f"{int_name('ceil(bound)', math.ceil(self.b_lower_bound))} "
+                f"at {int_name('x', self.x)}"
             )
 
 
 def conjecture_ratio(x: int, blocks: BlockSet) -> BlockCountReport:
     """Exact count report with ratio a_count * b_count / x at x >= 2."""
-    x = int(x)
-    if x < 2:
-        raise ValueError(f"x must be >= 2, got {text_name(x)}")
+    x = at_least("x", int(x), 2)
     j = block_index(x, blocks.schedule)
     b = count_b(x, blocks)
     a = x.bit_length() - 1
@@ -363,13 +359,11 @@ def j_window_check(x: int, schedule: GrowthSchedule) -> WindowCheck:
 
     Raises:
         InapplicableError: schedule is not the paper kind.
-        ValueError: x below G(1) = 4.
+        ConfigError: x below G(1) = 4.
     """
     if schedule.kind != "paper":
         raise InapplicableError("the block-index window applies to the paper schedule only")
-    x = int(x)
-    if x < 4:
-        raise ValueError(f"x must be >= G(1) = 4, got {text_name(x)}")
+    x = at_least("x", int(x), 4, "G(1) = 4")
     ln_x = big_log2(x) * math.log(2.0)
     loglog = math.log(ln_x)
     lower = math.sqrt(loglog)

@@ -4,8 +4,11 @@ Every run emits a result record with a deterministic ``payload`` section
 (stable key order, no timestamps); timing sits outside it. Exit codes:
 0 success, 1 usage error, 2 malformed input or configuration, 3 capacity
 or budget violation, including a scan limit or covering lcm at or past
-2^34 and running out of memory. The enumeration budget can be overridden
-with the SUMSETLAB_ENUM_CAP environment variable or a --budget flag.
+2^34 and running out of memory, 4 a failed certified claim or counting
+invariant. The error classes carry codes 2 to 4; any other exception is
+a bug and ends with its traceback. The enumeration budget can be
+overridden with the SUMSETLAB_ENUM_CAP environment variable or a
+--budget flag.
 """
 
 from __future__ import annotations
@@ -23,11 +26,8 @@ from .errors import (
     DEFAULT_BIT_BUDGET,
     MAX_DECIMAL_DIGITS,
     CapacityError,
+    ClaimError,
     ConfigError,
-    CRTError,
-    InapplicableError,
-    MalformedSystemError,
-    NotCoveringError,
     json_int,
     text_name,
 )
@@ -38,22 +38,12 @@ if TYPE_CHECKING:
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_CONFIG = 2
-EXIT_CAPACITY = 3
+EXIT_CONFIG = ConfigError.exit_code
+EXIT_CAPACITY = CapacityError.exit_code
+EXIT_CLAIM = ClaimError.exit_code
 EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for a writer killed by SIGPIPE
 
 ENUM_CAP_ENV = "SUMSETLAB_ENUM_CAP"
-
-# json.JSONDecodeError is a ValueError; a closed stdout pipe (BrokenPipeError) is caught first
-_CONFIG_ERRORS = (
-    ConfigError,
-    InapplicableError,
-    MalformedSystemError,
-    NotCoveringError,
-    CRTError,
-    ValueError,
-    OSError,
-)
 
 
 class _UsageError(Exception):
@@ -91,7 +81,8 @@ def _read_json(value: str, rule: str):
     """The schedule, system or config file at ``value``, which must be a regular file.
 
     ``rule`` opens the message that refuses any other value, naming the argument;
-    an integer literal past the bit budget is refused.
+    an integer literal past the bit budget, text that is not UTF-8 and malformed
+    JSON are refused with ConfigError.
     """
     import json
 
@@ -102,9 +93,12 @@ def _read_json(value: str, rule: str):
         regular = False
     if not regular:
         raise ConfigError(f"{rule}, got {text_name(value)}")
-    return json.loads(path.read_text(),
-                      parse_int=functools.partial(json_int, what="integer literal",
-                                                  error=ConfigError))
+    try:
+        return json.loads(path.read_text(),
+                          parse_int=functools.partial(json_int, what="integer literal",
+                                                      error=ConfigError))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _schedule_from_arg(value: str) -> GrowthSchedule:
@@ -377,7 +371,10 @@ def _write(record: dict, args: argparse.Namespace) -> None:
 
     text = payload_csv(record["payload"]) if args.format == "csv" else payload_json(record)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except ValueError as exc:  # a path holding a NUL byte, refused before any system call
+            raise ConfigError(str(exc)) from None
     else:
         sys.stdout.write(text)
 
@@ -411,7 +408,10 @@ def run_command(argv: Sequence[str]) -> int:
     except MemoryError:
         print(f"capacity error: {command} ran out of memory", file=sys.stderr)
         return EXIT_CAPACITY
-    except _CONFIG_ERRORS as exc:
+    except ClaimError as exc:
+        print(f"claim error: {exc}", file=sys.stderr)
+        return EXIT_CLAIM
+    except (ConfigError, OSError) as exc:  # a closed stdout pipe (BrokenPipeError) is caught first
         message = str(exc)
         if isinstance(exc, OSError) and exc.filename is not None:  # as str(exc), path shortened
             message = f"[Errno {exc.errno}] {exc.strerror}: {text_name(exc.filename)}"

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import NamedTuple
 
-from .arith import SIEVE_LIMIT_BITS, check_sieve_limit, is_prime, sieve_primes
-from .errors import (CRTError, MalformedSystemError, NotCoveringError, int_name, json_int,
-                     text_name)
+from .arith import MR_BOUND, SIEVE_LIMIT_BITS, check_sieve_limit, is_prime, sieve_primes
+from .errors import (ConfigError, MalformedSystemError, NotCoveringError, at_least, int_name,
+                     json_int)
 
 __all__ = [
     "CoveringEntry",
@@ -71,8 +71,8 @@ class CoveringSystem:
     def validate(self) -> None:
         """Structural audit; raises MalformedSystemError on any violation.
 
-        Checks per entry: modulus >= 2, prime is actually prime, primes
-        pairwise distinct, and 2^modulus == 1 (mod prime). Messages name
+        Checks per entry: modulus >= 2, prime below MR_BOUND and actually
+        prime, primes pairwise distinct, and 2^modulus == 1 (mod prime). Messages name
         the entry by its index and each field through ``int_name``.
         """
         seen: set[int] = set()
@@ -80,6 +80,9 @@ class CoveringSystem:
             modulus, q = int_name("modulus", e.modulus), int_name("q", e.prime)
             if e.modulus < 2:
                 raise MalformedSystemError(f"{modulus} < 2 in entry {i}")
+            if e.prime >= MR_BOUND:
+                raise MalformedSystemError(f"{q} exceeds the deterministic Miller-Rabin bound "
+                                           f"in entry {i}")
             if e.prime < 2 or not is_prime(e.prime):
                 raise MalformedSystemError(f"{q} is not prime in entry {i}")
             if e.prime in seen:
@@ -162,16 +165,16 @@ class APCertificate:
         # a residue or modulus given on the command line may run to 333,335 digits
         residue = int_name("residue", self.residue)
         if not 0 < self.residue < self.modulus:
-            raise ValueError(
+            raise ConfigError(
                 f"residue must lie in (0, modulus), got {residue}, "
                 f"{int_name('modulus', self.modulus)}"
             )
         if self.residue % 2 == 0:
-            raise ValueError(f"certificate residue must be odd, got {residue}")
+            raise ConfigError(f"certificate residue must be odd, got {residue}")
         if self.source is not None:
             for i, e in enumerate(self.source.entries):
                 if self.residue % e.prime != pow(2, e.residue, e.prime):
-                    raise ValueError(
+                    raise ConfigError(
                         f"{residue} != 2^a (mod q) with {int_name('a', e.residue)}, "
                         f"{int_name('q', e.prime)} in entry {i}"
                     )
@@ -181,8 +184,6 @@ def _crt(residues: list[int], moduli: list[int]) -> tuple[int, int]:
     """Solve the simultaneous congruences; moduli must be pairwise coprime."""
     r, m = 0, 1
     for a, n in zip(residues, moduli):
-        if math.gcd(m, n) != 1:
-            raise CRTError(f"moduli {m} and {n} are not coprime")
         r += m * ((a - r) * pow(m, -1, n) % n)
         m *= n
     return r % m, m
@@ -205,7 +206,6 @@ def crt_combine(system: CoveringSystem) -> APCertificate:
         MalformedSystemError: invalid entry data.
         NotCoveringError: the system leaves some k uncovered.
         CapacityError: the lcm of the moduli is at or past 2^SIEVE_LIMIT_BITS.
-        CRTError: non-coprime moduli (distinct odd primes never trigger this).
     """
     check = covering_verify(system)
     if not check.covers:
@@ -259,13 +259,11 @@ def ap_scan(cert: APCertificate, limit: int, k_min: int = 1) -> ScanReport:
     same report.
 
     Raises:
-        ValueError: limit < 1 or k_min < 0.
+        ConfigError: limit < 1 or k_min < 0.
         CapacityError: limit >= 2^SIEVE_LIMIT_BITS.
     """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {text_name(limit)}")
-    if k_min < 0:
-        raise ValueError(f"k_min must be >= 0, got {text_name(k_min)}")
+    at_least("limit", limit, 1)
+    at_least("k_min", k_min, 0)
     check_sieve_limit(limit, "scan limit")
     if limit < cert.residue:
         return ScanReport(limit=limit, members_scanned=0)
@@ -300,13 +298,11 @@ def romanov_density_scan(limit: int, k_min: int = 1) -> ScanReport:
     number up to the limit (the sieve) plus one segment.
 
     Raises:
-        ValueError: limit < 3 or k_min < 0.
+        ConfigError: limit < 3 or k_min < 0.
         CapacityError: limit >= 2^SIEVE_LIMIT_BITS.
     """
-    if limit < 3:
-        raise ValueError(f"limit must be >= 3, got {text_name(limit)}")
-    if k_min < 0:
-        raise ValueError(f"k_min must be >= 0, got {text_name(k_min)}")
+    at_least("limit", limit, 3)
+    at_least("k_min", k_min, 0)
     import numpy as np
 
     odd = sieve_primes(limit).odd_flags

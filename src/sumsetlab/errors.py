@@ -1,8 +1,10 @@
 """Exception hierarchy, the bit budget and the integer checks shared across the package.
 
-The CLI maps these onto distinct exit codes: configuration problems
-(bad expressions, malformed input files, inapplicable operations) exit
-with 2, capacity/budget violations with 3.
+Each error class carries the exit code the CLI ends with. A ConfigError
+(malformed input, an inapplicable operation, a bad covering system) exits
+with 2, a CapacityError (a budget or cap reached) with 3, and a
+ClaimError (a certified inequality or counting invariant that failed)
+with 4. Any other exception is a bug and keeps its traceback.
 """
 
 # Largest integer the library will materialize, in bits.
@@ -16,28 +18,38 @@ class SumsetLabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class CapacityError(SumsetLabError):
-    """A materialization depth, bit budget, or enumeration budget was exceeded."""
+class ConfigError(SumsetLabError, ValueError):
+    """Malformed input, expression or configuration; a ValueError, as the range checks were."""
+    exit_code = 2
 
 
-class InapplicableError(SumsetLabError):
+class InapplicableError(ConfigError):
     """The operation's precondition (schedule kind, block index range) is not met."""
 
 
-class ConfigError(SumsetLabError):
-    """Malformed CLI input, expression, or experiment configuration."""
-
-
-class MalformedSystemError(SumsetLabError):
+class MalformedSystemError(ConfigError):
     """A covering system violates its structural invariants."""
 
 
-class NotCoveringError(SumsetLabError):
+class NotCoveringError(ConfigError):
     """A residue system does not cover all integers, so no certificate exists."""
 
 
-class CRTError(SumsetLabError):
-    """Chinese-remainder combination failed (non-coprime moduli)."""
+class CapacityError(SumsetLabError):
+    """A materialization depth, bit budget, or enumeration budget was exceeded."""
+    exit_code = 3
+
+
+class ClaimError(SumsetLabError):
+    """A certified inequality or a counting invariant failed: a refuted claim or a bug."""
+    exit_code = 4
+
+
+def at_least(name: str, value: int, minimum: int, shown: str | None = None) -> int:
+    """``value``, or ConfigError "name must be >= minimum, got value"; ``shown`` names minimum."""
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {shown or minimum}, got {text_name(value)}")
+    return value
 
 
 def json_int(value, what: str, error: type[SumsetLabError]) -> int:

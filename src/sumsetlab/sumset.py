@@ -20,13 +20,14 @@ alone), ``c_upper_report`` (exact counts with the chain) and
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .arith import check_chebyshev, legendre_count, mertens_product
 from .blocks import Block, BlockSet, block_index, conjecture_ratio, count_b, j_window_check
-from .errors import CapacityError, InapplicableError, int_name, text_name
+from .errors import CapacityError, ClaimError, InapplicableError, at_least, int_name
 
 # numpy is imported where an array is allocated, so a process that
 # counts nothing by bitmap never loads it.
@@ -58,7 +59,8 @@ class SumsetReport:
     s2_count the rest; s1_overlap counts values having witnesses of both
     kinds, which is why the two raw classes only bound the total from
     above. The bound fields are filled by c_upper_report; split_s1_s2
-    counts only, so it leaves them None.
+    counts only, so it leaves them None. Counts that are no partition
+    raise ClaimError.
     """
 
     x: int
@@ -76,7 +78,11 @@ class SumsetReport:
 
     def __post_init__(self) -> None:
         if self.s1_count + self.s2_count != self.c_count:
-            raise ValueError("s1_count + s2_count must equal c_count")
+            raise ClaimError(
+                f"s1_count + s2_count must equal c_count: "
+                f"{int_name('s1_count + s2_count', self.s1_count + self.s2_count)} != "
+                f"{int_name('c_count', self.c_count)} at {int_name('x', self.x)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -89,17 +95,13 @@ class RatioPoint:
     ratio: Fraction | None  # None when the block set is empty below x
 
 
-def _check_x(x: int) -> int:
-    x = int(x)
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {text_name(x)}")
-    return x
-
-
 def _check_scale(x: int, budget: int) -> int:
-    x = _check_x(x)
+    x = at_least("x", int(x), 1)
     if x > budget:
         raise CapacityError(f"{int_name('x', x)} exceeds the enumeration budget {budget}")
+    if x >= sys.maxsize:
+        raise CapacityError(f"{int_name('x', x)} needs a bitmap of more than {sys.maxsize} "
+                            "bytes, past what an array can index")
     return x
 
 
@@ -160,8 +162,8 @@ def enumerate_c(
         count = number of True entries (collisions counted once).
 
     Raises:
-        CapacityError: x exceeds the enumeration budget or the block set
-            is too shallow.
+        CapacityError: x exceeds the enumeration budget or what an array
+            can index, or the block set is too shallow.
     """
     x = _check_scale(x, budget)
     import numpy as np
@@ -213,9 +215,7 @@ def s1_bound(x: int, blocks: BlockSet) -> Fraction:
     per squarefree divisor). With j = 0 there is no sieve and the bound
     degenerates to x itself. CapacityError if x lies above the top block.
     """
-    x = int(x)
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {text_name(x)}")
+    x = at_least("x", int(x), 0)
     j = blocks.index(x)
     if j == 0:
         return Fraction(x)
@@ -258,7 +258,8 @@ def bound_chain_point(x: int, blocks: BlockSet) -> dict:
 
     Pure floor/rational arithmetic end to end, so paper-scale x is fine.
     The reports and Fractions are returned as they are; ``report_payload``
-    encodes the point.
+    encodes the point. ``b_lower_holds`` is None below block index 2 and
+    never False: a count below its certified bound raises ClaimError first.
     """
     report = conjecture_ratio(x, blocks)
     j = report.j
@@ -292,7 +293,7 @@ def c_upper_report(x: int, blocks: BlockSet, budget: int = DEFAULT_ENUM_BUDGET) 
     Raises:
         InapplicableError: block index below 2, checked before the budget.
     """
-    x = _check_x(x)
+    x = at_least("x", int(x), 1)
     j = block_index(x, blocks.schedule)
     if j < 2:
         raise InapplicableError(

@@ -27,12 +27,14 @@ from sumsetlab import (
     bound_chain_point,
     cli,
     conjecture_ratio,
+    count_b,
     crt_combine,
     default_covering_system,
     first_odd_primes,
     mertens_product,
 )
-from sumsetlab.cli import EXIT_CAPACITY, EXIT_CONFIG, EXIT_OK, EXIT_USAGE, run_command
+from sumsetlab.cli import (EXIT_CAPACITY, EXIT_CLAIM, EXIT_CONFIG, EXIT_OK, EXIT_USAGE,
+                           run_command)
 from sumsetlab.errors import (
     MAX_DECIMAL_DIGITS,
     CapacityError,
@@ -708,6 +710,81 @@ class TestExitCodes:
                 "--residue", "1", "--modulus", "2", "--limit", "50"]
         assert run_command(argv) == EXIT_CONFIG
         assert "--system" in capsys.readouterr().err
+
+
+class TestWhoseFault:
+    """The exit code says whose fault a failure is: 2 the input's, 3 the budget's, 4 a claim's."""
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["sieve-count", "--limit", "1"], "sieve limit must be >= 2, got 1"),
+            (["count-b", "--schedule", "paper", "--x", "1"], "x must be >= 2, got 1"),
+            (["sumset", "--schedule", "paper", "--x", "0"], "x must be >= 1, got 0"),
+            (["mertens", "--j", "0"], "count must be >= 1, got 0"),
+            (["depolignac", "scan", "--limit", "100", "--residue", "4", "--modulus", "9"],
+             "certificate residue must be odd, got residue=4"),
+            (["covering", "verify", "--system", "{truncated}"],
+             "Expecting value: line 1 column 14 (char 13)"),
+            (["covering", "verify", "--system", "{binary}"],
+             "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            (["count-b", "--schedule", "paper", "--x", "10", "--out", "{dir}/a\0b"],
+             "embedded null byte"),
+        ],
+        ids=["sieve-limit", "count-b-x", "sumset-x", "mertens-j", "even-residue",
+             "truncated-json", "not-utf-8", "nul-in-out-path"],
+    )
+    def test_input_errors_exit_2_with_the_same_message(self, capsys, tmp_path, argv, err):
+        (tmp_path / "truncated.json").write_text('{"entries": [')
+        (tmp_path / "binary.json").write_bytes(b"\xff\xfe garbage")
+        paths = {"{truncated}": str(tmp_path / "truncated.json"),
+                 "{binary}": str(tmp_path / "binary.json")}
+        argv = [paths.get(arg, arg.replace("{dir}", str(tmp_path))) for arg in argv]
+        assert run_command(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {err}\n"
+
+    @pytest.mark.parametrize("x", ["2^100", "2^999999"])
+    def test_failed_certified_bound_exits_4_on_one_short_line(self, capsys, monkeypatch, x):
+        # half the true count falls far below the bound from the top two blocks
+        monkeypatch.setattr("sumsetlab.blocks.count_b", lambda x, b: count_b(x, b) // 2)
+        assert run_command(["count-b", "--schedule", "paper", "--x", x]) == EXIT_CLAIM
+        err = capsys.readouterr().err
+        assert err.startswith("claim error: b_count fell below its certified lower bound: ")
+        assert err.count("\n") == 1 and len(err.encode()) < 200, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sumset", "--schedule", "polynomial", "--x", str(10**20), "--budget", str(10**21)],
+            ["ratio-scan", "--schedule", "polynomial", "--grid", str(10**20),
+             "--budget", str(10**21)],
+        ],
+        ids=["sumset", "ratio-scan"],
+    )
+    def test_bitmap_past_array_indexing_is_capacity_error(self, capsys, argv):
+        # refused before numpy is asked for the array
+        assert run_command(argv) == EXIT_CAPACITY
+        assert capsys.readouterr().err == (
+            f"capacity error: x of 67 bits needs a bitmap of more than {sys.maxsize} bytes, "
+            "past what an array can index\n"
+        )
+
+    def test_prime_past_the_miller_rabin_bound_is_named_in_its_entry(self, capsys, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text('{"entries": [{"residue": 0, "modulus": 2, '
+                        '"prime": 3317044064679887385961983}]}')
+        assert run_command(["covering", "verify", "--system", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: q of 82 bits exceeds the deterministic Miller-Rabin bound in entry 0\n"
+        )
+
+    def test_a_stray_value_error_is_a_bug_and_keeps_its_traceback(self, monkeypatch):
+        def broken(args):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(cli, "_cmd_count_b", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            run_command(["count-b", "--schedule", "paper", "--x", "10"])
 
 
 @dataclasses.dataclass(frozen=True)

@@ -12,7 +12,6 @@ import sumsetlab.depolignac as depolignac
 from sumsetlab import (
     APCertificate,
     CoveringSystem,
-    CRTError,
     MalformedSystemError,
     NotCoveringError,
     ap_scan,
@@ -22,7 +21,6 @@ from sumsetlab import (
     is_prime,
     romanov_density_scan,
 )
-from sumsetlab.depolignac import _crt
 
 # Per-candidate primality from sympy, the oracle for the scan properties;
 # it shares no code with either of ap_scan's primality sources.
@@ -130,10 +128,6 @@ class TestCrtCombine:
                 crt_combine(not_covering)
             with pytest.raises(MalformedSystemError):
                 crt_combine(malformed)
-
-    def test_crt_solver_rejects_non_coprime(self):
-        with pytest.raises(CRTError):
-            _crt([1, 2], [6, 9])
 
     def test_certificate_validation(self, erdos):
         with pytest.raises(ValueError):
