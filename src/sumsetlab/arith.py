@@ -18,10 +18,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, islice
+from itertools import accumulate, compress, islice
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .errors import CapacityError, ConfigError, at_least, int_name, text_name
+from .errors import DEFAULT_BIT_BUDGET, CapacityError, ConfigError, at_least, int_name, text_name
 
 # numpy is imported where an array is allocated or read, so a process
 # that never sieves (a sparse scan, a covering check) never loads it.
@@ -36,6 +36,7 @@ __all__ = [
     "check_sieve_limit",
     "sieve_primes",
     "first_odd_primes",
+    "primorial_primes",
     "is_prime",
     "check_chebyshev",
     "mertens_product",
@@ -201,6 +202,18 @@ def first_odd_primes(count: int) -> tuple[int, ...]:
             p = 2 * i + 1
             odd[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(odd), p)))
     return tuple(islice(compress(range(1, limit + 1, 2), odd), count))
+
+
+def primorial_primes(count: int) -> tuple[int, ...]:
+    """The first ``count`` odd primes, or CapacityError if the product d_t of the first t passes
+    the bit budget for a t <= count: decided from log2 p, sieving no more primes than d_t > 3^t
+    allows."""
+    primes = first_odd_primes(min(count, math.ceil(DEFAULT_BIT_BUDGET / math.log2(3))))
+    for t, log2_d in enumerate(accumulate(map(math.log2, primes)), 1):
+        if log2_d >= DEFAULT_BIT_BUDGET:
+            raise CapacityError(f"d_{t} needs {math.floor(log2_d) + 1} bits, "
+                                f"over the {DEFAULT_BIT_BUDGET}-bit budget")
+    return primes
 
 
 def is_prime(n: int) -> bool:

@@ -8,14 +8,13 @@ arithmetic, so it stays exact for x thousands of bits wide.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .arith import big_log2, first_odd_primes
+from .arith import big_log2, primorial_primes
 from .errors import (
     DEFAULT_BIT_BUDGET,
     CapacityError,
@@ -118,9 +117,12 @@ def grow(schedule: GrowthSchedule, t: int) -> int:
     """Window boundary G(t) = 2^e(t) as an exact integer.
 
     Raises:
-        CapacityError: e(t) reaches DEFAULT_BIT_BUDGET, or a custom
-            schedule is exhausted.
+        CapacityError: e(t) reaches DEFAULT_BIT_BUDGET, or a custom schedule is
+            exhausted; a paper e(t) = 2^(t*t) past 64 bits is judged by t, never built.
     """
+    if schedule.kind == "paper" and at_least("t", t, 1) * t > 64:
+        raise CapacityError(f"G({t}) needs 2^{t * t} + 1 bits, "
+                            f"over the {DEFAULT_BIT_BUDGET}-bit budget")
     e = schedule.exponent(t)
     if e >= DEFAULT_BIT_BUDGET:
         raise CapacityError(
@@ -183,17 +185,15 @@ class BlockSet:
         truncates it at x, so G(max_t + 1) itself is never built.
 
         Raises:
-            CapacityError: a modulus d_t would pass DEFAULT_BIT_BUDGET bits; decided
-                before any modulus is built, from a float sum of log2 p over the primes
-                (d_56117, the first past 10^6 bits, has 1000011 of them; d_56116 999991).
+            CapacityError: a custom schedule ends below e(max_t + 1), G(max_t) or a
+                modulus d_t would pass DEFAULT_BIT_BUDGET bits; each decided before
+                any boundary or modulus is built (see ``grow``, ``primorial_primes``).
         """
         at_least("max_t", max_t, 1)
-        schedule.exponent(max_t + 1)
-        primes = first_odd_primes(max_t)
-        for t, log2_d in enumerate(itertools.accumulate(map(math.log2, primes)), 1):
-            if log2_d >= DEFAULT_BIT_BUDGET:
-                raise CapacityError(f"d_{t} needs {math.floor(log2_d) + 1} bits, "
-                                    f"over the {DEFAULT_BIT_BUDGET}-bit budget")
+        if schedule.kind == "custom":  # paper and polynomial windows all have an end
+            schedule.exponent(max_t + 1)
+        grow(schedule, max_t)  # the highest boundary
+        primes = primorial_primes(max_t)
         blocks = []
         modulus = 1
         for t, p in enumerate(primes, 1):

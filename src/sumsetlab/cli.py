@@ -29,6 +29,7 @@ from .errors import (
     ClaimError,
     ConfigError,
     json_int,
+    text_int,
     text_name,
 )
 
@@ -62,17 +63,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _integer(text: str) -> int:
-    """int(text) for every integer option; run_command parses them with the digit limit lifted.
+    """``text_int(text)`` for every integer option, at any length up to MAX_DECIMAL_DIGITS.
 
-    Text past MAX_DECIMAL_DIGITS is refused before int() reads it, as for --x; the
-    value itself is judged by the handler that uses it.
+    Longer text is refused before it is read, as for --x; the value itself is judged by
+    the handler that uses it.
     """
     if len(text) > MAX_DECIMAL_DIGITS:
         raise CapacityError(
             f"integer option of {len(text)} digits exceeds the {DEFAULT_BIT_BUDGET}-bit budget"
         )
     try:
-        return int(text)
+        return text_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text_name(text)}") from None
 
@@ -196,10 +197,11 @@ def _cmd_sieve_count(args) -> dict:
 
 
 def _cmd_mertens(args) -> dict:
-    from .arith import first_odd_primes, mertens_product
+    from .arith import mertens_product, primorial_primes
     from .serialize import result_record
 
-    product = mertens_product(first_odd_primes(args.j), include_two=args.include_two)
+    # the product is prod (p - 1) / d_j, so j is held to the block moduli's bit budget
+    product = mertens_product(primorial_primes(args.j), include_two=args.include_two)
     payload = {
         "j": args.j,
         "include_two": args.include_two,
@@ -381,14 +383,8 @@ def _write(record: dict, args: argparse.Namespace) -> None:
 
 def run_command(argv: Sequence[str]) -> int:
     """Execute one CLI invocation; returns the process exit code."""
-    # Integers are bounded by the bit budget where they are read, not by CPython's
-    # int<->str digit limit (3.10.7 on), so the run, its integer options included,
-    # lifts that limit and restores the caller's.
-    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     command = "sumsetlab"  # until the arguments name the subcommand
     try:
-        if digits is not None:
-            sys.set_int_max_str_digits(0)
         args = build_parser().parse_args(list(argv))
         command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
         started = time.perf_counter()
@@ -417,9 +413,6 @@ def run_command(argv: Sequence[str]) -> int:
             message = f"[Errno {exc.errno}] {exc.strerror}: {text_name(exc.filename)}"
         print(f"config error: {message}", file=sys.stderr)
         return EXIT_CONFIG
-    finally:
-        if digits is not None:
-            sys.set_int_max_str_digits(digits)
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy, the bit budget and the integer checks shared across the package.
+"""Exception hierarchy, the bit budget, and integer checks and text shared across the package.
 
 Each error class carries the exit code the CLI ends with. A ConfigError
 (malformed input, an inapplicable operation, a bad covering system) exits
@@ -7,11 +7,15 @@ ClaimError (a certified inequality or counting invariant that failed)
 with 4. Any other exception is a bug and keeps its traceback.
 """
 
+import re
+
 # Largest integer the library will materialize, in bits.
 DEFAULT_BIT_BUDGET = 1_000_000
 # Longest decimal text read as an integer. A d-digit value is at least 10^(d-1) > 2^(3(d-1)),
 # so a longer text is past the bit budget; refusing it first bounds what int() reads.
 MAX_DECIMAL_DIGITS = DEFAULT_BIT_BUDGET // 3 + 2
+_SPLIT_BITS, _SPLIT_DIGITS = 4096, 1024  # integer text past these sizes splits in pieces
+_INT_TEXT = re.compile(r"\s*([+-]?)(\d+(?:_\d+)*)\s*")  # what int() reads in base 10
 
 
 class SumsetLabError(Exception):
@@ -55,17 +59,53 @@ def at_least(name: str, value: int, minimum: int, shown: str | None = None) -> i
 def json_int(value, what: str, error: type[SumsetLabError]) -> int:
     """An int, or text that int() reads; anything else raises ``error`` naming the value.
 
-    Text longer than MAX_DECIMAL_DIGITS raises before int() reads it; a bool, a
-    float, null, a list, an object or other text raises through ``text_name``.
+    Text longer than MAX_DECIMAL_DIGITS raises before ``text_int`` reads it; a bool,
+    a float, null, a list, an object or other text raises through ``text_name``.
     """
     if isinstance(value, str) and len(value) > MAX_DECIMAL_DIGITS:
         raise error(f"{what} of {len(value)} digits exceeds the {DEFAULT_BIT_BUDGET}-bit budget")
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
-            return int(value)
+            return text_int(value) if isinstance(value, str) else int(value)
         except ValueError:
             pass
     raise error(f"{what} must be an integer, got {text_name(value)}")
+
+
+def _join(parts: list, power):
+    """parts[0] + parts[1] * power + parts[2] * power^2 + ..., adding up pairs level by level."""
+    while len(parts) > 1:
+        parts = [lo + hi * power for lo, hi in zip(parts[::2], parts[1::2] + [0])]
+        power = power * power if len(parts) > 1 else power
+    return parts[0]
+
+
+def text_int(text: str) -> int:
+    """int(text) in base 10 at any length, in quasi-linear time; ValueError where int() fails."""
+    match = len(text) > _SPLIT_DIGITS and _INT_TEXT.fullmatch(text)
+    if not match:
+        return int(text)
+    digits, size = match[2].replace("_", ""), _SPLIT_DIGITS
+    parts = [int(digits[max(end - size, 0) : end]) for end in range(len(digits), 0, -size)]
+    return (-1 if match[1] == "-" else 1) * _join(parts, 10**size)
+
+
+def int_decimal(n: int):
+    """n as an exact Decimal, in quasi-linear time past _SPLIT_BITS bits; str() of it is str(n)."""
+    from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
+
+    if n.bit_length() <= _SPLIT_BITS:
+        return Decimal(n)
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX  # exact: no value in memory has MAX_PREC digits
+        m, size = abs(n), _SPLIT_BITS
+        parts = [Decimal(m >> at & (1 << size) - 1) for at in range(0, m.bit_length(), size)]
+        return (-1 if n < 0 else 1) * _join(parts, Decimal(2) ** size)
+
+
+def int_text(n: int) -> str:
+    """str(n) at any length: plain str() up to _SPLIT_BITS bits, then str(int_decimal(n))."""
+    return str(n) if n.bit_length() <= _SPLIT_BITS else str(int_decimal(n))
 
 
 def int_name(name: str, value: int) -> str:

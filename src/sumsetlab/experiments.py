@@ -182,48 +182,20 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return result_record(config.name, config.to_json(), payload, timing)
 
 
-def _paper_chain() -> ExperimentConfig:
-    return ExperimentConfig(
-        name="paper-chain",
-        kind="bounds",
-        schedule=GrowthSchedule.paper(),
-        x_grid=(2**20, 2**100, 2**600, 2**1000),
-    )
-
-
-def _desk_density() -> ExperimentConfig:
-    return ExperimentConfig(
-        name="desk-density",
-        kind="sumset",
-        schedule=GrowthSchedule.polynomial(),
-        x_grid=(10**3, 10**4, 10**5, 10**6),
-    )
-
-
-def _depolignac_audit() -> ExperimentConfig:
-    return ExperimentConfig(
-        name="depolignac-audit",
-        kind="depolignac",
-        system=default_covering_system(),
-        limit=30_000_000,
-        k_min=1,
-    )
-
-
-def _open_question() -> ExperimentConfig:
-    return ExperimentConfig(
-        name="open-question",
-        kind="ratio-scan",
-        schedule=GrowthSchedule.polynomial(),
-        x_grid=(10**3, 10**4, 10**5, 10**6),
-    )
-
-
+# Each built-in is built on request, so every caller gets its own config.
 BUILTIN_EXPERIMENTS: dict[str, Callable[[], ExperimentConfig]] = {
-    "paper-chain": _paper_chain,
-    "desk-density": _desk_density,
-    "depolignac-audit": _depolignac_audit,
-    "open-question": _open_question,
+    "paper-chain": lambda: ExperimentConfig(
+        name="paper-chain", kind="bounds", schedule=GrowthSchedule.paper(),
+        x_grid=(2**20, 2**100, 2**600, 2**1000)),
+    "desk-density": lambda: ExperimentConfig(
+        name="desk-density", kind="sumset", schedule=GrowthSchedule.polynomial(),
+        x_grid=(10**3, 10**4, 10**5, 10**6)),
+    "depolignac-audit": lambda: ExperimentConfig(
+        name="depolignac-audit", kind="depolignac", system=default_covering_system(),
+        limit=30_000_000, k_min=1),
+    "open-question": lambda: ExperimentConfig(
+        name="open-question", kind="ratio-scan", schedule=GrowthSchedule.polynomial(),
+        x_grid=(10**3, 10**4, 10**5, 10**6)),
 }
 
 

@@ -9,12 +9,10 @@ library's bit budget.
 
 Exact rationals always serialize as {"num": ..., "den": ...} decimal
 strings, so no precision is laundered through floats; integers stay
-JSON integers (arbitrary precision survives a round trip). Integer text
-goes through plain int() and str(): a CLI run lifts CPython's int<->str
-digit limit around its handler and output, and outside one they follow
-the interpreter's limit like any Python int. CSV rows render rationals
-as 15-significant-digit decimals and carry an explicit marker column
-saying whether anything in the row was rounded.
+JSON integers (arbitrary precision survives a round trip), whose text
+``errors.text_int`` reads and ``errors.int_text`` writes. CSV rows
+render rationals as 15-significant-digit decimals and carry an explicit
+marker column saying whether anything in the row was rounded.
 """
 
 from __future__ import annotations
@@ -22,14 +20,15 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import os
 import re
-from decimal import Decimal, localcontext
+from decimal import localcontext
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from ._version import __version__
-from .errors import (DEFAULT_BIT_BUDGET, MAX_DECIMAL_DIGITS, CapacityError, ConfigError,
-                     json_int, text_name)
+from .errors import (_SPLIT_BITS, DEFAULT_BIT_BUDGET, MAX_DECIMAL_DIGITS, CapacityError,
+                     ConfigError, int_decimal, int_text, json_int, text_int, text_name)
 
 if TYPE_CHECKING:
     from .depolignac import CoverCheck, CoveringSystem
@@ -66,22 +65,21 @@ def parse_power_expr(text: str | int) -> int:
     if not match:
         raise ConfigError(f"cannot parse integer expression {text_name(text)}")
     decimal, single, tower = match.groups()
-    if len(decimal or single or tower) > MAX_DECIMAL_DIGITS:
+    digits = decimal or single or tower
+    if len(digits) > MAX_DECIMAL_DIGITS:
         raise CapacityError(f"decimal literal {over}")
+    value = text_int(digits)
     if decimal is not None:
-        value = int(decimal)
         if value.bit_length() > DEFAULT_BIT_BUDGET:
             raise CapacityError(f"decimal literal {over}")
         return value
     if single is not None:
-        e = int(single)
-        if e >= DEFAULT_BIT_BUDGET:
-            raise CapacityError(f"2^{e} {over}")
-        return 1 << e
-    e = int(tower)
-    if e > 60 or (1 << e) >= DEFAULT_BIT_BUDGET:
-        raise CapacityError(f"2^(2^{e}) {over}")
-    return 1 << (1 << e)
+        if value >= DEFAULT_BIT_BUDGET:
+            raise CapacityError(f"2^{int_text(value)} {over}")
+        return 1 << value
+    if value > 60 or (1 << value) >= DEFAULT_BIT_BUDGET:
+        raise CapacityError(f"2^(2^{int_text(value)}) {over}")
+    return 1 << (1 << value)
 
 
 def result_record(name: str, config: dict, payload, timing: dict | None = None) -> dict:
@@ -99,23 +97,40 @@ def result_record(name: str, config: dict, payload, timing: dict | None = None) 
 
 
 def fraction_payload(value: Fraction) -> dict:
-    return {"num": str(value.numerator), "den": str(value.denominator)}
+    return {"num": int_text(value.numerator), "den": int_text(value.denominator)}
 
 
 def decimal15(value: Fraction | int | float) -> str:
     """Decimal rendering at 15 significant digits (CSV only; lossy)."""
     if isinstance(value, int):
-        return str(value)
+        return int_text(value)
     if isinstance(value, float):
         return f"{value:.15g}"
     with localcontext() as ctx:
         ctx.prec = 15
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+        return str(int_decimal(value.numerator) / int_decimal(value.denominator))
+
+
+def _dumps(obj: Any, **options) -> str:
+    """json.dumps of report_payload(obj), with each int past _SPLIT_BITS written by int_text:
+    it goes in as a string of a token fresh to this call, which no outside string matches."""
+    token, texts = os.urandom(16).hex(), []
+
+    def big(value: Any) -> Any:
+        if isinstance(value, int) and value.bit_length() > _SPLIT_BITS:
+            texts.append(int_text(value))
+            return f"{token}{len(texts) - 1}"
+        return value
+
+    text = json.dumps(report_payload(obj, big), **options)
+    for i, digits in enumerate(texts):
+        text = text.replace(f'"{token}{i}"', digits, 1)
+    return text
 
 
 def payload_json(record: Any) -> str:
     """Canonical JSON of the encoded record: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(report_payload(record), sort_keys=True, indent=2) + "\n"
+    return _dumps(record, sort_keys=True, indent=2) + "\n"
 
 
 def _fields(obj: Any) -> dict | None:
@@ -129,21 +144,21 @@ def _fields(obj: Any) -> dict | None:
     return None
 
 
-def report_payload(obj: Any) -> Any:
+def report_payload(obj: Any, leaf: Callable[[Any], Any] = lambda value: value) -> Any:
     """Encode a report for JSON, recursing into its fields.
 
     A Fraction becomes ``fraction_payload``, ``_fields`` keep their order and
-    a tuple or list becomes a list. Other values pass through unchanged, so an
-    already encoded payload comes back equal.
+    a tuple or list becomes a list. Other values go through ``leaf``, by default
+    unchanged, so an already encoded payload comes back equal.
     """
     if isinstance(obj, Fraction):
         return fraction_payload(obj)
     fields = _fields(obj)
     if fields is not None:
-        return {key: report_payload(value) for key, value in fields.items()}
+        return {key: report_payload(value, leaf) for key, value in fields.items()}
     if isinstance(obj, (tuple, list)):
-        return [report_payload(value) for value in obj]
-    return obj
+        return [report_payload(value, leaf) for value in obj]
+    return leaf(obj)
 
 
 def covering_payload(system: CoveringSystem, check: CoverCheck) -> dict:
@@ -176,7 +191,7 @@ def payload_csv(payload: Any) -> str:
             elif value is None:
                 cells.append("")
             elif isinstance(value, (tuple, list)) or _fields(value) is not None:
-                cells.append(json.dumps(report_payload(value), sort_keys=True).replace(",", ";"))
+                cells.append(_dumps(value, sort_keys=True).replace(",", ";"))
             else:
                 cells.append(str(value))
         cells.append("yes" if lossy else "no")

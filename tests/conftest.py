@@ -1,25 +1,8 @@
-import sys
-
 import numpy as np
 import pytest
 import sympy
 
 from sumsetlab import BlockSet, GrowthSchedule, block_index
-
-
-@pytest.fixture
-def any_digits():
-    """Lift CPython's int<->str digit limit for one test, as a CLI run does for itself.
-
-    Tests that read a record's integers back in this process need it: outside
-    a run, the library's int() and str() follow the interpreter's limit.
-    """
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 @pytest.fixture(scope="session")

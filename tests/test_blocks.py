@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumsetlab import blocks as blocks_module
+from sumsetlab import arith as arith_module
+from sumsetlab.arith import primorial_primes
 from sumsetlab import (
     BlockSet,
     CapacityError,
@@ -398,6 +399,31 @@ class TestPaperScale:
 class TestModulusBudget:
     """Block moduli d_t, like boundaries G(t), stay within the bit budget."""
 
+    @pytest.mark.parametrize("t,message", [
+        (5, "G(5) needs 33554433 bits"),
+        (9, "G(9) needs 2^81 + 1 bits"),
+        (20_000, "G(20000) needs 2^400000000 + 1 bits"),
+        (10**6, "G(1000000) needs 2^1000000000000 + 1 bits"),
+    ])
+    def test_paper_depth_past_the_budget_is_refused_from_t(self, t, message):
+        # e(t) = 2^(t*t) is not built: at t = 20000 it alone took 2.9 s and 50 MB
+        for build in (grow, BlockSet.materialize):
+            start = time.perf_counter()
+            with pytest.raises(CapacityError) as refused:
+                build(PAPER, t)
+            assert time.perf_counter() - start < 0.05
+            assert str(refused.value) == f"{message}, over the 1000000-bit budget"
+
+    def test_the_first_primorial_past_the_budget(self, odd_primes_ref):
+        # d_56116 has 999,991 bits and d_56117 1,000,011; a longer count sieves no further
+        assert primorial_primes(56_116) == odd_primes_ref[:56_116]
+        for count in (56_117, 10**6, 2**40):
+            with pytest.raises(CapacityError) as refused:
+                primorial_primes(count)
+            assert str(refused.value) == (
+                "d_56117 needs 1000011 bits, over the 1000000-bit budget"
+            )
+
     def test_paper_and_polynomial_at_the_top_of_the_budget(self, odd_primes_ref):
         # the deepest block sets the contract reaches are built in full, as before
         x = 2**999_999
@@ -407,7 +433,7 @@ class TestModulusBudget:
             assert blocks.blocks[-1].modulus == math.prod(odd_primes_ref[: blocks.max_t])
 
     def test_first_modulus_past_the_budget_is_refused(self, monkeypatch, odd_primes_ref):
-        monkeypatch.setattr(blocks_module, "DEFAULT_BIT_BUDGET", 10**5)
+        monkeypatch.setattr(arith_module, "DEFAULT_BIT_BUDGET", 10**5)
         # the first odd primorial past 10^5 bits, multiplied out exactly
         d, t = 1, 0
         while d.bit_length() <= 10**5:

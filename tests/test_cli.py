@@ -40,7 +40,9 @@ from sumsetlab.errors import (
     CapacityError,
     ConfigError,
     MalformedSystemError,
+    int_decimal,
     json_int,
+    text_int,
 )
 from sumsetlab.experiments import (
     BUILTIN_EXPERIMENTS,
@@ -58,21 +60,27 @@ from sumsetlab.serialize import (
 )
 
 
+def loads(text: str):
+    """JSON text read back with integer literals of any size, as the CLI reads its files."""
+    return json.loads(text, parse_int=functools.partial(json_int, what="integer literal",
+                                                        error=ConfigError))
+
+
 def run_json(capsys, argv):
     code = run_command(argv)
     out = capsys.readouterr().out
     assert code == EXIT_OK, out
-    return json.loads(out)
+    return loads(out)
 
 
 def written(record: dict) -> dict:
     """``record`` as the CLI writes it in JSON, read back."""
-    return json.loads(payload_json(record))
+    return loads(payload_json(record))
 
 
 def rational(obj: dict) -> Fraction:
     """The Fraction a {"num", "den"} pair of JSON strings spells."""
-    return Fraction(int(obj["num"]), int(obj["den"]))
+    return Fraction(text_int(obj["num"]), text_int(obj["den"]))
 
 
 def leaf_parsers(parser, path=()):
@@ -291,7 +299,8 @@ def _huge_moduli_system() -> tuple[str, int]:
     for q in first_odd_primes(16):
         order = next(d for d in range(1, q) if pow(2, d, q) == 1)
         entries.append((order * (rng.getrandbits(300_000) | 1 << 299_999 | 1), q))
-    text = ", ".join('{"residue": 0, "modulus": %d, "prime": %d}' % e for e in entries)
+    text = ", ".join('{"residue": 0, "modulus": %s, "prime": %d}' % (int_decimal(modulus), q)
+                     for modulus, q in entries)
     return '{"entries": [%s]}' % text, entries[0][0].bit_length()
 
 
@@ -437,7 +446,6 @@ class TestExitCodes:
         ],
         ids=["covering-verify", "covering-crt", "depolignac-scan", "experiment"],
     )
-    @pytest.mark.usefixtures("any_digits")
     def test_covering_lcm_stops_at_the_first_partial_past_the_cap(self, capsys, tmp_path, argv):
         # the first modulus alone is past 2^34, so the lcm goes no further; the whole lcm of
         # these moduli took 26 s to form (2-core Xeon), the refusal about 1 s, mostly parsing
@@ -1016,7 +1024,6 @@ class TestOutputContract:
         assert cli.build_parser() is cli.build_parser()
 
     @pytest.mark.parametrize("j", [1500, 3000, 10_000])
-    @pytest.mark.usefixtures("any_digits")
     def test_mertens_prints_products_past_the_digit_limit(self, capsys, j):
         record = run_json(capsys, ["mertens", "--j", str(j)])
         product = mertens_product(first_odd_primes(j))
@@ -1026,7 +1033,6 @@ class TestOutputContract:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[2] == row[3] == f"{float(product):.15g}"
 
-    @pytest.mark.usefixtures("any_digits")
     def test_rational_payloads_round_trip_at_any_size(self):
         value = Fraction(7**20_000 + 1, 3**15_000)
         assert rational(fraction_payload(value)) == value
@@ -1047,7 +1053,6 @@ def library_report(command: str, schedule: str, x: int):
     return bound_chain_point(x, blocks)
 
 
-@pytest.mark.usefixtures("any_digits")
 class TestContractSizes:
     """Records holding integers of more than 4300 digits, up to the 10^6-bit budget."""
 
@@ -1068,17 +1073,17 @@ class TestContractSizes:
         out = capsys.readouterr().out
         expected = library_report(command, schedule, parse_power_expr(x))
         if fmt == "json":
-            record = json.loads(out)
+            record = loads(out)
             assert record["config"]["x"] == parse_power_expr(x)
             assert record["payload"] == report_payload(expected)
         else:
             assert out == payload_csv(expected)
 
     def test_decimal_x_at_the_top_of_the_budget(self, capsys):
-        # 2^999999 - 1 has 301,030 decimal digits, all read from --x; the rationals are read
-        # back rather than the report's printed, as int() is about twice as fast as str()
+        # 2^999999 - 1 has 301,030 decimal digits, all read from --x
         x = 2**999_999 - 1
-        payload = run_json(capsys, ["count-b", "--schedule", "paper", "--x", str(x)])["payload"]
+        argv = ["count-b", "--schedule", "paper", "--x", str(int_decimal(x))]
+        payload = run_json(capsys, argv)["payload"]
         report = conjecture_ratio(x, BlockSet.covering(GrowthSchedule.paper(), x))
         assert sorted(payload) == sorted(field.name for field in dataclasses.fields(report))
         for name, value in payload.items():
@@ -1091,8 +1096,23 @@ class TestContractSizes:
         out = tmp_path / "record.json"
         argv = ["count-b", "--schedule", "paper", "--x", "2^70000", "--out", str(out)]
         assert run_command(argv) == EXIT_OK
-        record = json.loads(out.read_text())
+        record = loads(out.read_text())
         assert record["payload"] == report_payload(library_report("count-b", "paper", 2**70000))
+
+    @pytest.mark.parametrize("command", ["count-b", "bounds"])
+    def test_records_at_the_top_of_the_budget_match_the_library(self, capsys, command):
+        # the run and this process both keep the interpreter's int<->str digit limit
+        x = 2**999_999
+        argv = [command, "--schedule", "paper", "--x", "2^999999"]
+        assert run_command(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        record = loads(out)
+        report = library_report(command, "paper", x)
+        assert record["payload"] == report_payload(report)
+        config = {"schedule": {"kind": "paper"}, "x": x}
+        assert out == payload_json(result_record(command, config, report, record["timing"]))
+        assert run_command([*argv, "--format", "csv"]) == EXIT_OK
+        assert capsys.readouterr().out == payload_csv(report)
 
     @pytest.mark.parametrize(
         "flag,template",
@@ -1169,7 +1189,7 @@ class TestContractSizes:
              "past-the-digit-bound", "not-an-integer"],
     )
     def test_integer_option_of_many_digits(self, capsys, argv, code):
-        # read under the run's lifted digit limit: the exit code is the one the value earns
+        # read in full at the interpreter's digit limit: the exit code is the one the value earns
         if argv[0] in ("depolignac", "romanov-density"):
             argv = [*argv, "--limit", "1000"]
         assert run_command(argv) == code
@@ -1177,11 +1197,24 @@ class TestContractSizes:
         assert len(err) < 200, err
         assert (err == "") == (code == EXIT_OK), err
 
+    def test_mertens_j_is_held_to_the_modulus_budget(self, capsys):
+        # the product's terms are d_j = prod p and prod (p - 1); d_56116 is the last of them
+        # inside 10^6 bits, and a longer --j is refused without sieving its primes
+        assert run_command(["mertens", "--j", "56116", "--format", "csv"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1].startswith("56116,False,")
+        for j in ("56117", "100000", "9" * 30):
+            start = time.perf_counter()
+            assert run_command(["mertens", "--j", j]) == EXIT_CAPACITY
+            assert time.perf_counter() - start < 1
+            assert capsys.readouterr().err == (
+                "capacity error: d_56117 needs 1000011 bits, over the 1000000-bit budget\n"
+            )
+
     def test_integer_inside_the_budget_in_a_file_parses(self, capsys, tmp_path):
         residue = 10**5000
         path = tmp_path / "system.json"
-        path.write_text('{"entries": [{"residue": %d, "modulus": 2, "prime": 3}, '
-                        '{"residue": 1, "modulus": 4, "prime": 5}]}' % residue)
+        path.write_text('{"entries": [{"residue": %s, "modulus": 2, "prime": 3}, '
+                        '{"residue": 1, "modulus": 4, "prime": 5}]}' % int_decimal(residue))
         record = run_json(capsys, ["covering", "verify", "--system", str(path)])
         assert record["payload"]["system"]["entries"][0]["residue"] == residue
         assert record["payload"]["uncovered"] == [3]

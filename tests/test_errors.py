@@ -1,5 +1,7 @@
 """The error classes, the range-check helper, and what the integer entry points may raise."""
 
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -43,7 +45,8 @@ from sumsetlab import (
     sieve_primes,
     split_s1_s2,
 )
-from sumsetlab.errors import at_least
+from sumsetlab.errors import at_least, int_decimal, text_int
+from sumsetlab.serialize import decimal15
 
 
 class TestHierarchy:
@@ -101,7 +104,8 @@ class TestReportInvariants:
 # Draws stay small enough that no call allocates more than a few MB: sieve and scan
 # limits below 10^6 or from 2^34 (refused at the cap), prime counts up to 10^4 or from
 # 2^34, enumerated x below 10^6 or from 2^63 (refused before any bitmap), and block set
-# depths up to 200, whose window boundaries 2^(t*t) take 0.3 MB together.
+# depths up to 200, whose window boundaries 2^(t*t) take 0.3 MB together. Paper depths
+# run to 2^34: past 4 they are refused from t, before e(t) = 2^(t*t) is built.
 ANY = st.integers(-(2**100), 2**100)
 BEYOND = st.integers(2**34, 2**100)
 LIMIT = st.integers(-(2**100), 10**6) | BEYOND
@@ -111,6 +115,7 @@ BLOCKS = st.sampled_from([BlockSet.materialize(GrowthSchedule.paper(), 3),
                           BlockSet.materialize(GrowthSchedule.polynomial(), 30)])
 SCHEDULES = st.sampled_from([GrowthSchedule.paper(), GrowthSchedule.polynomial(),
                              GrowthSchedule.custom([1, 3, 6, 10])])
+PAPER_DEPTH = st.integers(-(2**100), 2**34)
 CERT = APCertificate(residue=3, modulus=10)
 
 
@@ -127,8 +132,10 @@ CALLS = st.one_of(
     call(j_window_check, ANY, st.just(GrowthSchedule.paper())),
     call(grow, SCHEDULES, st.integers(-(2**100), 40)),
     call(grow, st.just(GrowthSchedule.polynomial()), ANY),
+    call(grow, st.just(GrowthSchedule.paper()), PAPER_DEPTH),
     call(BlockSet.materialize, SCHEDULES, st.integers(-(2**100), 200)),
     call(BlockSet.materialize, st.just(GrowthSchedule.polynomial()), BEYOND),
+    call(BlockSet.materialize, st.just(GrowthSchedule.paper()), PAPER_DEPTH),
     call(sieve_primes, LIMIT),
     call(first_odd_primes, COUNT),
     call(is_prime, ANY),
@@ -157,3 +164,76 @@ def test_integer_entry_points_raise_only_package_errors(drawn):
         func(*args)
     except SumsetLabError:
         pass
+
+
+# Integers on both sides of the split at a few thousand bits: random ones up to 40,000 bits,
+# and 10^k and 10^k - 1 up to 12,000 digits, of either sign.
+MAGNITUDES = st.one_of(
+    st.builds(lambda bits, seed: random.Random(seed).getrandbits(bits),
+              st.integers(0, 40_000), st.integers(0, 2**32)),
+    st.integers(0, 12_000).map(lambda k: 10**k),
+    st.integers(1, 12_000).map(lambda k: 10**k - 1),
+)
+INTEGERS = st.builds(lambda n, sign: sign * n, MAGNITUDES, st.sampled_from([1, -1]))
+
+
+def decimal15_by_division(value: Fraction) -> str:
+    """``decimal15`` of a Fraction as it was: Decimal() of both terms, divided at 15 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 15
+        return str(Decimal(value.numerator) / Decimal(value.denominator))
+
+
+class TestIntegerText:
+    """int_decimal and text_int, at the interpreter's own digit limit, against Decimal.
+
+    Neither str(Decimal(n)) nor int(Decimal(s)) is held to that limit, and neither
+    shares code with the split in halves.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(INTEGERS)
+    def test_int_decimal_writes_what_decimal_writes(self, n):
+        assert str(int_decimal(n)) == str(Decimal(n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(INTEGERS, st.sampled_from(["", " ", "\t\n"]), st.booleans(), st.booleans())
+    def test_text_int_reads_what_decimal_reads(self, n, pad, plus, grouped):
+        digits = str(Decimal(abs(n)))
+        if grouped:
+            digits = "_".join(digits[i : i + 3] for i in range(0, len(digits), 3))
+        text = f"{pad}{'-' if n < 0 else '+' if plus else ''}{digits}{pad}"
+        assert text_int(text) == int(Decimal(text)) == n
+
+    @pytest.mark.parametrize("form", ["", "-", "{}_", "_{}", "{}__1", "{} {}", "+-{}", "{}.0",
+                                      "{}e5", "{}x", "0x{}"])
+    @pytest.mark.parametrize("digits", ["12", "1" * 5000], ids=["short", "long"])
+    def test_text_int_refuses_what_int_refuses(self, form, digits):
+        text = form.format(digits, digits)
+        with pytest.raises(ValueError):
+            int(text.replace(digits, "12"))
+        with pytest.raises(ValueError):
+            text_int(text)
+
+    def test_text_int_reads_any_decimal_digit(self):
+        assert text_int("\u0663" * 5000) == text_int("3" * 5000) == int(Decimal("3" * 5000))
+
+    def test_the_top_of_the_budget(self):
+        n = 2**999_999
+        text = str(int_decimal(n))
+        assert text == str(Decimal(n)) and len(text) == 301_030
+        assert str(int_decimal(-n)) == "-" + text
+        assert text_int(text) == n and text_int("-" + text) == -n
+        assert text_int(str(int_decimal(n - 1))) == n - 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.builds(Fraction, INTEGERS, INTEGERS.filter(bool)),
+        st.builds(lambda q, d: Fraction(q * d, d), INTEGERS, INTEGERS.filter(bool)),
+        st.builds(lambda m, e: Fraction(m) * Fraction(10) ** e,
+                  st.integers(-(10**20), 10**20), st.integers(-30, 30)),
+        st.builds(lambda m, e: (10 * m + 5) / Fraction(10) ** e,  # a tie at the 16th digit
+                  st.integers(10**14, 10**15 - 1), st.integers(-30, 30)),
+    ))
+    def test_decimal15_rounds_as_decimal_division(self, value):
+        assert decimal15(value) == decimal15_by_division(value)
