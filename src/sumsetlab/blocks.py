@@ -9,12 +9,13 @@ arithmetic, so it stays exact for x thousands of bits wide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .arith import big_log2, primorial_primes
+from .arith import _product, big_log2, primorial_primes
 from .errors import (
     DEFAULT_BIT_BUDGET,
     CapacityError,
@@ -134,24 +135,19 @@ def grow(schedule: GrowthSchedule, t: int) -> int:
 def block_index(x: int, schedule: GrowthSchedule) -> int:
     """Largest j >= 1 with G(j) <= x, or 0 when x < G(1).
 
-    Compares exponents against floor(log2 x), so no boundary ever has to
-    be materialized. For a custom schedule the result is capped at the
+    Solves e(j) <= L = floor(log2 x) in closed form, so no boundary ever has
+    to be materialized. For a custom schedule the result is capped at the
     last defined exponent; block operations raise CapacityError when the
     window containing x is undefined.
     """
-    x = at_least("x", int(x), 0)
-    log2_floor = x.bit_length() - 1
-    j = 0
-    while True:
-        try:
-            e = schedule.exponent(j + 1)
-        except CapacityError:
-            break
-        if e <= log2_floor:
-            j += 1
-        else:
-            break
-    return j
+    log2_floor = at_least("x", int(x), 0).bit_length() - 1
+    if log2_floor < 1:
+        return 0
+    if schedule.kind == "paper":  # 2^(j*j) <= L  <=>  j*j <= floor(log2 L)
+        return math.isqrt(log2_floor.bit_length() - 1)
+    if schedule.kind == "polynomial":
+        return math.isqrt(log2_floor)
+    return bisect_right(schedule.exponents, log2_floor)
 
 
 @dataclass(frozen=True)
@@ -170,16 +166,19 @@ class Block:
 
 @dataclass(frozen=True, eq=False)
 class BlockSet:
-    """Blocks 1..max_t of a schedule and the max_t odd primes of their moduli, immutable."""
+    """Blocks 1..max_t of a schedule and the max_t odd primes of their moduli.
+
+    It keeps only its schedule, depth and primes, and the blocks ``level`` built when read.
+    """
 
     schedule: GrowthSchedule
-    blocks: tuple[Block, ...]
     max_t: int
     primes: tuple[int, ...]
+    _levels: dict[int, Block] = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def materialize(cls, schedule: GrowthSchedule, max_t: int) -> "BlockSet":
-        """Build blocks 1..max_t from boundaries G(1)..G(max_t).
+        """The block set of depth max_t, its budgets checked; no block is built until read.
 
         The top window must have a defined end e(max_t + 1), but counting
         truncates it at x, so G(max_t + 1) itself is never built.
@@ -193,18 +192,20 @@ class BlockSet:
         if schedule.kind == "custom":  # paper and polynomial windows all have an end
             schedule.exponent(max_t + 1)
         grow(schedule, max_t)  # the highest boundary
-        primes = primorial_primes(max_t)
-        blocks = []
-        modulus = 1
-        for t, p in enumerate(primes, 1):
-            modulus *= p
-            blocks.append(Block(t=t, modulus=modulus, lo=grow(schedule, t)))
-        return cls(schedule=schedule, blocks=tuple(blocks), max_t=max_t, primes=primes)
+        return cls(schedule=schedule, max_t=max_t, primes=primorial_primes(max_t))
 
     @classmethod
     def covering(cls, schedule: GrowthSchedule, x: int) -> "BlockSet":
         """Materialize just deep enough that queries up to x are answerable."""
         return cls.materialize(schedule, max(block_index(x, schedule), 1))
+
+    def level(self, t: int) -> Block:
+        """Block t, d_t the product of the first t primes and G(t) = 2^e(t), built on its first
+        read and kept; ConfigError for t below 1, CapacityError past max_t."""
+        if t not in self._levels:
+            self._require_depth(at_least("t", t, 1))
+            self._levels[t] = Block(t, modulus=_product(self.primes[:t]), lo=grow(self.schedule, t))
+        return self._levels[t]
 
     @cached_property
     def below(self) -> tuple[int, ...]:
@@ -213,16 +214,19 @@ class BlockSet:
         No boundary is divided by a modulus. With G(t) = q*d_t + r, r > 0 as d_t is odd, window
         t holds u - q multiples: u*d_t + r' = G(t)*2^k = G(t+1), so u = q*2^k + (r*2^k) // d_t.
         Then u = q'*p + s, p the next prime, gives G(t+1) = q'*d_(t+1) + (s*d_t + r') next.
+        Only the running d_t and one quotient are held, never the boundaries or moduli.
         """
         counts = [0]
-        q, r = divmod(self.blocks[0].lo, self.blocks[0].modulus)
-        for blk, nxt, p in zip(self.blocks, self.blocks[1:], self.primes[1:]):
-            k = nxt.lo.bit_length() - blk.lo.bit_length()
-            carry, r = divmod(r << k, blk.modulus)
+        d = self.primes[0]
+        q, r = divmod(grow(self.schedule, 1), d)
+        for t, p in enumerate(self.primes[1:], 1):
+            k = self.schedule.exponent(t + 1) - self.schedule.exponent(t)
+            carry, r = divmod(r << k, d)
             u = (q << k) + carry
             counts.append(counts[-1] + u - q)
             q, s = divmod(u, p)
-            r += s * blk.modulus
+            r += s * d
+            d *= p
         return tuple(counts)
 
     def index(self, x: int) -> int:
@@ -234,7 +238,7 @@ class BlockSet:
     def _require_depth(self, j: int) -> None:
         if j > self.max_t:
             raise CapacityError(
-                f"block {j} not materialized (max_t={self.max_t}); "
+                f"block {text_name(j)} not materialized (max_t={self.max_t}); "
                 "extend the block set to cover this x"
             )
 
@@ -250,7 +254,7 @@ def b_member(n: int, blocks: BlockSet) -> bool:
     j = blocks.index(n)
     if j == 0:
         return False
-    return n % blocks.blocks[j - 1].modulus == 0
+    return n % blocks.level(j).modulus == 0
 
 
 def count_b(x: int, blocks: BlockSet) -> int:
@@ -264,7 +268,7 @@ def count_b(x: int, blocks: BlockSet) -> int:
     j = blocks.index(x)
     if j == 0:
         return 0
-    top = blocks.blocks[j - 1]
+    top = blocks.level(j)
     return blocks.below[j - 1] + (x - top.first) // top.modulus + 1
 
 
@@ -284,8 +288,7 @@ def count_b_lower_bound(x: int, blocks: BlockSet) -> Fraction:
         raise InapplicableError(
             f"lower bound needs block index >= 2, got {j} at {int_name('x', x)}"
         )
-    top = blocks.blocks[j - 1]
-    prev = blocks.blocks[j - 2]
+    top, prev = blocks.level(j), blocks.level(j - 1)
     return (
         Fraction(x - top.lo, top.modulus)
         + Fraction(top.lo - prev.lo, prev.modulus)

@@ -14,7 +14,7 @@ DEFAULT_BIT_BUDGET = 1_000_000
 # Longest decimal text read as an integer. A d-digit value is at least 10^(d-1) > 2^(3(d-1)),
 # so a longer text is past the bit budget; refusing it first bounds what int() reads.
 MAX_DECIMAL_DIGITS = DEFAULT_BIT_BUDGET // 3 + 2
-_SPLIT_BITS, _SPLIT_DIGITS = 4096, 1024  # integer text past these sizes splits in pieces
+_SPLIT_DIGITS = 1024  # integer text longer than this is read in pieces
 _INT_TEXT = re.compile(r"\s*([+-]?)(\d+(?:_\d+)*)\s*")  # what int() reads in base 10
 
 
@@ -88,24 +88,6 @@ def text_int(text: str) -> int:
     digits, size = match[2].replace("_", ""), _SPLIT_DIGITS
     parts = [int(digits[max(end - size, 0) : end]) for end in range(len(digits), 0, -size)]
     return (-1 if match[1] == "-" else 1) * _join(parts, 10**size)
-
-
-def int_decimal(n: int):
-    """n as an exact Decimal, in quasi-linear time past _SPLIT_BITS bits; str() of it is str(n)."""
-    from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
-
-    if n.bit_length() <= _SPLIT_BITS:
-        return Decimal(n)
-    with localcontext() as ctx:
-        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX  # exact: no value in memory has MAX_PREC digits
-        m, size = abs(n), _SPLIT_BITS
-        parts = [Decimal(m >> at & (1 << size) - 1) for at in range(0, m.bit_length(), size)]
-        return (-1 if n < 0 else 1) * _join(parts, Decimal(2) ** size)
-
-
-def int_text(n: int) -> str:
-    """str(n) at any length: plain str() up to _SPLIT_BITS bits, then str(int_decimal(n))."""
-    return str(n) if n.bit_length() <= _SPLIT_BITS else str(int_decimal(n))
 
 
 def int_name(name: str, value: int) -> str:

@@ -10,7 +10,7 @@ library's bit budget.
 Exact rationals always serialize as {"num": ..., "den": ...} decimal
 strings, so no precision is laundered through floats; integers stay
 JSON integers (arbitrary precision survives a round trip), whose text
-``errors.text_int`` reads and ``errors.int_text`` writes. CSV rows
+``errors.text_int`` reads and ``int_text`` writes. CSV rows
 render rationals as 15-significant-digit decimals and carry an explicit
 marker column saying whether anything in the row was rounded.
 """
@@ -22,13 +22,13 @@ import io
 import json
 import os
 import re
-from decimal import localcontext
+from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable
 
 from ._version import __version__
-from .errors import (_SPLIT_BITS, DEFAULT_BIT_BUDGET, MAX_DECIMAL_DIGITS, CapacityError,
-                     ConfigError, int_decimal, int_text, json_int, text_int, text_name)
+from .errors import (DEFAULT_BIT_BUDGET, MAX_DECIMAL_DIGITS, CapacityError, ConfigError, _join,
+                     int_name, json_int, text_int, text_name)
 
 if TYPE_CHECKING:
     from .depolignac import CoverCheck, CoveringSystem
@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _EXPR_RE = re.compile(r"^\s*(?:(\d+)|2\^(\d+)|2\^\(2\^(\d+)\))\s*$")
+_SPLIT_BITS = 4096  # an integer past this size is written in pieces
 
 
 def parse_power_expr(text: str | int) -> int:
@@ -75,11 +76,27 @@ def parse_power_expr(text: str | int) -> int:
         return value
     if single is not None:
         if value >= DEFAULT_BIT_BUDGET:
-            raise CapacityError(f"2^{int_text(value)} {over}")
+            raise CapacityError(f"2^e with {int_name('e', value)} {over}")
         return 1 << value
     if value > 60 or (1 << value) >= DEFAULT_BIT_BUDGET:
-        raise CapacityError(f"2^(2^{int_text(value)}) {over}")
+        raise CapacityError(f"2^(2^e) with {int_name('e', value)} {over}")
     return 1 << (1 << value)
+
+
+def int_decimal(n: int) -> Decimal:
+    """n as an exact Decimal, in quasi-linear time past _SPLIT_BITS bits; str() of it is str(n)."""
+    if n.bit_length() <= _SPLIT_BITS:
+        return Decimal(n)
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX  # exact: no value in memory has MAX_PREC digits
+        m, size = abs(n), _SPLIT_BITS
+        parts = [Decimal(m >> at & (1 << size) - 1) for at in range(0, m.bit_length(), size)]
+        return (-1 if n < 0 else 1) * _join(parts, Decimal(2) ** size)
+
+
+def int_text(n: int) -> str:
+    """str(n) at any length: plain str() up to _SPLIT_BITS bits, then str(int_decimal(n))."""
+    return str(n) if n.bit_length() <= _SPLIT_BITS else str(int_decimal(n))
 
 
 def result_record(name: str, config: dict, payload, timing: dict | None = None) -> dict:

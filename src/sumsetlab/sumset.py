@@ -23,10 +23,10 @@ import dataclasses
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .arith import check_chebyshev, legendre_count, mertens_product
-from .blocks import Block, BlockSet, block_index, conjecture_ratio, count_b, j_window_check
+from .blocks import BlockSet, block_index, conjecture_ratio, count_b, j_window_check
 from .errors import CapacityError, ClaimError, InapplicableError, at_least, int_name
 
 # numpy is imported where an array is allocated, so a process that
@@ -105,8 +105,8 @@ def _check_scale(x: int, budget: int) -> int:
     return x
 
 
-def _mark_sums(members: np.ndarray, blocks: BlockSet, j: int, marked: Sequence[Block]) -> None:
-    """Mark every 2^a + b <= x (a >= 1, b a member of a ``marked`` block) in ``members``.
+def _mark_sums(members: np.ndarray, blocks: BlockSet, j: int, levels: range) -> None:
+    """Mark every 2^a + b <= x (a >= 1, b a member of a block t in ``levels``) in ``members``.
 
     ``members`` is a boolean array over [0, x]; j = block_index(x) decides
     where each block's window ends (the top block j runs up to x). Each
@@ -117,10 +117,10 @@ def _mark_sums(members: np.ndarray, blocks: BlockSet, j: int, marked: Sequence[B
     x = members.size - 1
     power = 2
     while power < x:
-        for blk in marked:
+        for blk in map(blocks.level, levels):
             if blk.lo > x - power:
                 break
-            end = x if blk.t == j else blocks.blocks[blk.t].lo - 1
+            end = x if blk.t == j else blocks.level(blk.t + 1).lo - 1
             b_last = min(end, x - power)
             if blk.first > b_last:
                 continue
@@ -139,7 +139,7 @@ def _count_top_sums(x: int, blocks: BlockSet, j: int) -> int:
     """
     if j == 0:
         return 0
-    blk = blocks.blocks[j - 1]
+    blk = blocks.level(j)
     d = blk.modulus
     seen = set()
     count = 0
@@ -170,7 +170,7 @@ def enumerate_c(
 
     j = blocks.index(x)
     members = np.zeros(x + 1, dtype=bool)
-    _mark_sums(members, blocks, j, blocks.blocks[:j])
+    _mark_sums(members, blocks, j, range(1, j + 1))
     return int(np.count_nonzero(members)), members
 
 
@@ -188,11 +188,11 @@ def split_s1_s2(x: int, blocks: BlockSet, budget: int = DEFAULT_ENUM_BUDGET) -> 
     import numpy as np
 
     j = blocks.index(x)
-    marked = blocks.blocks[:j]
+    levels = range(1, j + 1)
     members = np.zeros(x + 1, dtype=bool)
-    _mark_sums(members, blocks, j, marked[:-1])
+    _mark_sums(members, blocks, j, levels[:-1])
     lower = int(np.count_nonzero(members))
-    _mark_sums(members, blocks, j, marked[-1:])
+    _mark_sums(members, blocks, j, levels[-1:])
     c = int(np.count_nonzero(members))
     s1 = _count_top_sums(x, blocks, j)
     return SumsetReport(
@@ -227,7 +227,7 @@ def s2_bound(x: int, blocks: BlockSet) -> Fraction:
 
     Level-(j-1) sieve term x * prod(1 - 1/p over j-1 odd primes) + 2^(j-1),
     plus G(j-1) * floor(log2 x) for the pairs whose b lies below G(j-1).
-    Only blocks 1..j-1 are read, so only they must be materialized.
+    Block j-1 is the highest read, so the set need only reach depth j-1.
 
     Raises:
         InapplicableError: block index below 2.
@@ -236,9 +236,7 @@ def s2_bound(x: int, blocks: BlockSet) -> Fraction:
     j = block_index(x, blocks.schedule)
     if j < 2:
         raise InapplicableError(f"s2 bound needs block index >= 2, got {j} at {int_name('x', x)}")
-    blocks._require_depth(j - 1)
-    a_count = x.bit_length() - 1
-    small_b_pairs = blocks.blocks[j - 2].lo * a_count
+    small_b_pairs = blocks.level(j - 1).lo * (x.bit_length() - 1)
     return x * mertens_product(blocks.primes[: j - 1]) + (1 << (j - 1)) + small_b_pairs
 
 

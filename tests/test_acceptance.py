@@ -70,18 +70,18 @@ def test_criterion_01_legendre_identity():
     _report(1, "Legendre identity on 32 prime subsets, x <= 1e4, zero tolerance", elapsed, 10)
 
 
-def test_criterion_02_count_oracle(paper_blocks, poly_blocks):
+def test_criterion_02_count_oracle(paper_blocks, poly_blocks, odd_primes_ref):
     """count_b == membership-scan enumeration (poly to 1e6, paper to 1e5)."""
     start = time.perf_counter()
 
-    # polynomial oracle: locate each n's window by boundary search, test divisibility
+    # polynomial oracle: locate each n's window [2^e(t), 2^e(t+1)) by boundary search,
+    # then test divisibility by the product of the first t odd primes (sympy's)
     top = 10**6
     ns = np.arange(0, top + 1, dtype=np.int64)
-    boundaries = np.array(
-        [blk.lo for blk in poly_blocks.blocks] + [sl.grow(POLY, poly_blocks.max_t + 1)],
-        dtype=np.int64,
-    )
-    moduli = np.array([blk.modulus for blk in poly_blocks.blocks], dtype=np.int64)
+    levels = range(1, poly_blocks.max_t + 1)
+    boundaries = np.array([2 ** POLY.exponent(t) for t in [*levels, levels[-1] + 1]],
+                          dtype=np.int64)
+    moduli = np.array([math.prod(odd_primes_ref[:t]) for t in levels], dtype=np.int64)
     idx = np.searchsorted(boundaries, ns, side="right") - 1
     member = np.zeros(top + 1, dtype=bool)
     inside = (idx >= 0) & (idx < len(moduli))
@@ -134,7 +134,7 @@ def test_criterion_04_ratio_predicate(paper_blocks):
     _report(4, "ratio predicate > 1 at paper scale, pinned 1.66664 at 2^20", elapsed, 5)
 
 
-def test_criterion_05_split_and_sieve_bounds(poly_blocks, split_oracle):
+def test_criterion_05_split_and_sieve_bounds(poly_blocks, split_oracle, odd_primes_ref):
     """Partition identity, witness coprimality, and sieve bounds at desk scale."""
     start = time.perf_counter()
     for x in (10**3, 10**4, 10**5, 10**6):
@@ -144,8 +144,8 @@ def test_criterion_05_split_and_sieve_bounds(poly_blocks, split_oracle):
         assert Fraction(report.s2_count) <= report.s2_bound
         assert Fraction(report.c_count) <= report.c_bound
 
-        j, top_mask, _ = split_oracle(x, poly_blocks)
-        d_j = poly_blocks.blocks[j - 1].modulus
+        j, top_mask, _ = split_oracle(x, POLY)
+        d_j = math.prod(odd_primes_ref[:j])
         values = np.flatnonzero(top_mask)
         assert values.size == report.s1_count
         assert bool(np.all(np.gcd(values, d_j) == 1))

@@ -198,11 +198,11 @@ class TestOddPrimorial:
     def test_small_values(self, t, expected):
         assert math.prod(first_odd_primes(t)) == expected
         blocks = BlockSet.materialize(GrowthSchedule.polynomial(), t)
-        assert blocks.blocks[-1].modulus == expected
+        assert blocks.level(t).modulus == expected
 
     def test_chain_invariant(self, odd_primes_ref):
         blocks = BlockSet.materialize(GrowthSchedule.polynomial(), 60)
-        moduli = [blk.modulus for blk in blocks.blocks]
+        moduli = [blocks.level(t).modulus for t in range(1, 61)]
         for t in range(1, 60):
             assert moduli[t - 1] * odd_primes_ref[t] == moduli[t]
 

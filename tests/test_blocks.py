@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,29 @@ class TestBlockIndex:
             assert block_index(boundary, POLY) == t
             assert block_index(boundary + 1, POLY) == t
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_closed_form_matches_a_loop_over_boundaries(self, data):
+        schedule = data.draw(st.one_of(
+            st.just(PAPER),
+            st.just(POLY),
+            st.lists(st.integers(1, 3000), min_size=1, max_size=12, unique=True)
+            .map(sorted).map(GrowthSchedule.custom),
+        ))
+        exponents = schedule.exponents or map(schedule.exponent, range(1, 56))
+        starts = [e for e in exponents if e <= 3000]
+        x = data.draw(st.one_of(
+            st.integers(0, 2**3000),
+            st.sampled_from([0, 1]),
+            st.builds(lambda e, delta: 2**e + delta,
+                      st.sampled_from(starts), st.sampled_from([-1, 0, 1])),
+        ))
+        j = 0  # count the window starts 2^e(t) <= x, up to the schedule's last
+        last = len(schedule.exponents) if schedule.kind == "custom" else math.inf
+        while j < last and 2 ** schedule.exponent(j + 1) <= x:
+            j += 1
+        assert block_index(x, schedule) == j
+
 
 class TestJWindow:
     def test_at_2_pow_16(self):
@@ -148,22 +172,25 @@ class TestMembership:
         with pytest.raises(CapacityError, match="^block 3 not materialized"):
             shallow.index(512)
 
-    def test_member_lies_in_exactly_one_block(self, poly_blocks):
+    def test_member_lies_in_exactly_one_block(self, poly_blocks, odd_primes_ref):
         for n in range(1, 3000):
             containing = [
-                blk
-                for blk in poly_blocks.blocks
-                if blk.lo <= n < grow(POLY, blk.t + 1) and n % blk.modulus == 0
+                t
+                for t in range(1, poly_blocks.max_t + 1)
+                if 2 ** POLY.exponent(t) <= n < 2 ** POLY.exponent(t + 1)
+                and n % math.prod(odd_primes_ref[:t]) == 0
             ]
             assert len(containing) == (1 if b_member(n, poly_blocks) else 0)
 
     def test_windows_tile_without_gaps(self, poly_blocks):
-        for prev, nxt in zip(poly_blocks.blocks, poly_blocks.blocks[1:]):
+        for t in range(1, poly_blocks.max_t):
+            prev, nxt = poly_blocks.level(t), poly_blocks.level(t + 1)
             assert nxt.lo == grow(POLY, prev.t + 1)
             assert prev.lo < nxt.lo
 
     def test_block_moduli_are_odd_primorials(self, poly_blocks, odd_primes_ref):
-        for blk in poly_blocks.blocks:
+        for t in range(1, poly_blocks.max_t + 1):
+            blk = poly_blocks.level(t)
             assert blk.modulus == math.prod(odd_primes_ref[: blk.t])
             assert blk.lo == grow(POLY, blk.t)
 
@@ -191,11 +218,11 @@ class TestCountB:
         counts = [count_b(x, poly_blocks) for x in xs]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
-    def test_block_increment_is_exact_multiple_count(self, poly_blocks):
+    def test_block_increment_is_exact_multiple_count(self, poly_blocks, odd_primes_ref):
         for t in range(2, 6):
             hi = grow(POLY, t)
             lo = grow(POLY, t - 1)
-            d = poly_blocks.blocks[t - 2].modulus
+            d = math.prod(odd_primes_ref[: t - 1])
             increment = count_b(hi - 1, poly_blocks) - count_b(lo - 1, poly_blocks)
             multiples = (hi - 1) // d - (lo - 1) // d
             assert increment == multiples
@@ -215,60 +242,63 @@ class TestCountB:
         assert count_b(x, paper_blocks) == expected
 
 
-def summed_count_b(x, blocks):
-    """count_b as a sum over windows: floor(upper/d) - floor((lo-1)/d) per block up to x.
+def summed_count_b(x, schedule, primes):
+    """count_b as a sum over windows: floor(upper/d) - floor((lo-1)/d) per window up to x.
 
-    Every lower window ends one below the next block's lo and the top one at x; no
-    quotient is carried from one window to the next, unlike the library's table.
+    Window t is [2^e(t), 2^e(t+1)) and d the product of the first t of ``primes``, cut at
+    x; nothing is read from a block set, and no quotient is carried from one window to
+    the next, unlike the library's table.
     """
-    j = block_index(x, blocks.schedule)
-    total = 0
-    for blk in blocks.blocks[:j]:
-        upper = x if blk.t == j else blocks.blocks[blk.t].lo - 1
-        total += upper // blk.modulus - (blk.lo - 1) // blk.modulus
+    total, t, d = 0, 1, 1
+    while (lo := 2 ** schedule.exponent(t)) <= x:
+        d *= primes[t - 1]
+        upper = min(x, 2 ** schedule.exponent(t + 1) - 1)
+        total += upper // d - (lo - 1) // d
+        t += 1
     return total
 
 
-def assert_table_matches_sum(blocks):
+def assert_table_matches_sum(blocks, primes):
     """L_t and count_b at G(t) - 1, G(t) and G(t) + 1 for every level, against the sum."""
     assert len(blocks.below) == blocks.max_t
-    for blk, below in zip(blocks.blocks, blocks.below):
-        assert below == summed_count_b(blk.lo - 1, blocks)
-        for x in (blk.lo - 1, blk.lo, blk.lo + 1):
-            assert count_b(x, blocks) == summed_count_b(x, blocks)
+    for t, below in enumerate(blocks.below, 1):
+        lo = 2 ** blocks.schedule.exponent(t)
+        assert below == summed_count_b(lo - 1, blocks.schedule, primes)
+        for x in (lo - 1, lo, lo + 1):
+            assert count_b(x, blocks) == summed_count_b(x, blocks.schedule, primes)
 
 
 class TestLevelTable:
     """BlockSet.below, L_t = count_b(G(t) - 1), and Block.first, the window's first member."""
 
     @pytest.mark.parametrize("schedule,max_t", [(PAPER, 4), (POLY, 80)], ids=["paper", "poly"])
-    def test_table_matches_summed_count(self, schedule, max_t):
-        assert_table_matches_sum(BlockSet.materialize(schedule, max_t))
+    def test_table_matches_summed_count(self, schedule, max_t, odd_primes_ref):
+        assert_table_matches_sum(BlockSet.materialize(schedule, max_t), odd_primes_ref)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 600), min_size=2, max_size=9, unique=True).map(sorted))
-    def test_table_matches_summed_count_on_custom_schedules(self, exponents):
+    def test_table_matches_summed_count_on_custom_schedules(self, odd_primes_ref, exponents):
         blocks = BlockSet.materialize(GrowthSchedule.custom(exponents), len(exponents) - 1)
-        assert_table_matches_sum(blocks)
+        assert_table_matches_sum(blocks, odd_primes_ref)
         assert blocks.below[0] == 0
 
-    def test_count_matches_summed_count_at_contract_scale(self):
+    def test_count_matches_summed_count_at_contract_scale(self, odd_primes_ref):
         # 499 lower windows of up to 249,001 bits
         for x in (2**250000 - 1, 2**250000 + 12345):
             blocks = BlockSet.covering(POLY, x)
-            assert count_b(x, blocks) == summed_count_b(x, blocks)
+            assert count_b(x, blocks) == summed_count_b(x, POLY, odd_primes_ref)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(1, 14), min_size=2, max_size=6, unique=True).map(sorted))
     def test_first_is_the_first_multiple_in_the_window(self, exponents):
         blocks = BlockSet.materialize(GrowthSchedule.custom(exponents), len(exponents) - 1)
-        for blk in blocks.blocks:
+        for blk in map(blocks.level, range(1, blocks.max_t + 1)):
             n = blk.lo
             while n % blk.modulus:
                 n += 1
             assert blk.first == n
 
-    def test_table_is_built_on_first_read_only(self):
+    def test_table_is_built_on_first_read_only(self, odd_primes_ref):
         x = 2**999999 - 1
         start = time.perf_counter()
         blocks = BlockSet.covering(POLY, x)
@@ -281,8 +311,59 @@ class TestLevelTable:
             ratio_point(x, blocks)
         assert "below" not in vars(blocks)
         small = BlockSet.materialize(POLY, 6)
-        assert count_b(10**6, small) == summed_count_b(10**6, small)
+        assert count_b(10**6, small) == summed_count_b(10**6, POLY, odd_primes_ref)
         assert small.below is small.below
+
+
+class TestLevel:
+    """BlockSet.level(t), block t built where it is read, against windows and moduli from
+    2^e(t) and sympy's primes."""
+
+    @pytest.mark.parametrize("schedule,max_t", [
+        (PAPER, 4), (POLY, 80), (GrowthSchedule.custom([3, 7, 20, 64, 65, 300, 2000]), 6),
+    ], ids=["paper", "poly", "custom"])
+    def test_level_matches_oracle(self, schedule, max_t, odd_primes_ref):
+        blocks = BlockSet.materialize(schedule, max_t)
+        for t in range(1, max_t + 1):
+            blk = blocks.level(t)
+            lo, d = 2 ** schedule.exponent(t), math.prod(odd_primes_ref[:t])
+            assert (blk.t, blk.lo, blk.modulus) == (t, lo, d)
+            assert blk.first % d == 0 and 0 <= blk.first - lo < d
+
+    def test_depth_is_checked(self, poly_blocks):
+        with pytest.raises(ConfigError, match="^t must be >= 1, got 0$"):
+            poly_blocks.level(0)
+        with pytest.raises(CapacityError, match="^block 7 not materialized"):
+            poly_blocks.level(poly_blocks.max_t + 1)
+
+    def test_a_level_is_built_once(self):
+        blocks = BlockSet.materialize(POLY, 6)
+        blk = blocks.level(3)
+        assert blocks.level(3) is blk
+        assert blk.first is blk.first
+
+    def test_a_count_holds_only_the_level_it_read(self):
+        blocks = BlockSet.covering(POLY, 10**6)
+        assert blocks.max_t == 4 and blocks._levels == {}
+        count_b(10**6, blocks)
+        assert list(blocks._levels) == [4]
+
+    @staticmethod
+    def _peak(x, schedule):
+        tracemalloc.start()
+        try:
+            count_b(x, BlockSet.covering(schedule, x))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_linear_schedule_count_holds_no_table_of_moduli(self):
+        # 20,000 windows; the moduli d_1..d_20000 alone take about 420 MiB together
+        assert self._peak(2**20000, GrowthSchedule.custom(range(1, 20002))) < 16 * 2**20
+
+    def test_polynomial_count_at_the_top_of_the_budget(self):
+        # the table of counts below 999 windows takes about 40 MiB; the boundaries as much again
+        assert self._peak(2**999999 - 1, POLY) < 64 * 2**20
 
 
 class TestLowerBound:
@@ -389,8 +470,8 @@ class TestPaperScale:
 
     def test_materialize_depth(self):
         blocks = BlockSet.materialize(PAPER, 4)
-        assert [blk.lo for blk in blocks.blocks] == PAPER_G
-        assert [blk.modulus for blk in blocks.blocks] == PAPER_D
+        assert [blocks.level(t).lo for t in (1, 2, 3, 4)] == PAPER_G
+        assert [blocks.level(t).modulus for t in (1, 2, 3, 4)] == PAPER_D
         assert blocks.primes == (3, 5, 7, 11)
         with pytest.raises(CapacityError):
             BlockSet.materialize(PAPER, 5)  # G(5) has 2^25 + 1 bits
@@ -430,7 +511,7 @@ class TestModulusBudget:
         paper, poly = BlockSet.covering(PAPER, x), BlockSet.covering(POLY, x)
         assert (paper.max_t, poly.max_t) == (4, 999)
         for blocks in (paper, poly):
-            assert blocks.blocks[-1].modulus == math.prod(odd_primes_ref[: blocks.max_t])
+            assert blocks.level(blocks.max_t).modulus == math.prod(odd_primes_ref[: blocks.max_t])
 
     def test_first_modulus_past_the_budget_is_refused(self, monkeypatch, odd_primes_ref):
         monkeypatch.setattr(arith_module, "DEFAULT_BIT_BUDGET", 10**5)
@@ -445,4 +526,5 @@ class TestModulusBudget:
         assert str(refused.value) == (
             f"d_{t} needs {d.bit_length()} bits, over the 100000-bit budget"
         )
-        assert BlockSet.materialize(linear, t - 1).blocks[-1].modulus == d // odd_primes_ref[t - 1]
+        deepest = BlockSet.materialize(linear, t - 1)
+        assert deepest.level(t - 1).modulus == d // odd_primes_ref[t - 1]

@@ -40,7 +40,6 @@ from sumsetlab.errors import (
     CapacityError,
     ConfigError,
     MalformedSystemError,
-    int_decimal,
     json_int,
     text_int,
 )
@@ -52,6 +51,7 @@ from sumsetlab.experiments import (
 )
 from sumsetlab.serialize import (
     fraction_payload,
+    int_decimal,
     parse_power_expr,
     payload_csv,
     payload_json,
@@ -144,12 +144,16 @@ class TestParsePowerExpr:
             parse_power_expr(text)
 
     def test_bit_budget(self):
-        # digits past MAX_DECIMAL_DIGITS are refused before int() reads them, in any form
-        long = "9" * (MAX_DECIMAL_DIGITS + 1)
+        # digits past MAX_DECIMAL_DIGITS are refused before int() reads them, in any form;
+        # an exponent is named by its size, so no message spells out 5001 digits
+        long, ones = "9" * (MAX_DECIMAL_DIGITS + 1), "1" * 5001
         for text in ("2^1000000", "2^(2^20)", "2^(2^30)", "2^(2^99999999999999)",
-                     long, f"2^{long}", f"2^(2^{long})"):
-            with pytest.raises(CapacityError):
+                     long, f"2^{long}", f"2^(2^{long})", f"2^{ones}", f"2^(2^{ones})"):
+            with pytest.raises(CapacityError) as refused:
                 parse_power_expr(text)
+            assert len(str(refused.value)) < 200
+        with pytest.raises(CapacityError, match=r"^2\^e with e of 16610 bits exceeds"):
+            parse_power_expr(f"2^{ones}")
         assert parse_power_expr("2^999999") == 1 << 999999
         assert parse_power_expr("2^(2^19)") == 1 << 2**19
         assert parse_power_expr("2^(2^9)") == 2**512
@@ -478,6 +482,22 @@ class TestExitCodes:
             "capacity error: d_56117 needs 1000011 bits, over the 1000000-bit budget\n"
         )
         assert peak < 32 * 2**20, peak
+
+    def test_deepest_custom_schedule_in_the_budget_is_counted(self, capsys, tmp_path):
+        # 56,116 windows below 2^56117, the last with d_56116 of 999,991 bits: the moduli
+        # together take about 3.2 GiB, but a count builds only the top one
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"kind": "custom", "exponents": list(range(1, 56_118))}))
+        assert run_command(["count-b", "--schedule", str(path), "--x", "2^56116"]) == EXIT_OK
+        assert loads(capsys.readouterr().out)["payload"]["j"] == 56_116
+
+    @pytest.mark.parametrize("command", ["sumset", "bounds"])
+    def test_top_window_ends_at_x_past_the_budget(self, capsys, tmp_path, command):
+        # x = 1000 lies in window 3, whose end G(4) = 2^1000000 is past the bit budget
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps({"kind": "custom", "exponents": [1, 2, 3, 1_000_000]}))
+        assert run_command([command, "--schedule", str(path), "--x", "1000"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["payload"]["j"] == 3
 
     @pytest.mark.parametrize("kind", ["depolignac", "romanov"])
     def test_experiment_scan_limit_cap_is_capacity_error(self, capsys, tmp_path, kind):

@@ -45,8 +45,8 @@ from sumsetlab import (
     sieve_primes,
     split_s1_s2,
 )
-from sumsetlab.errors import at_least, int_decimal, text_int
-from sumsetlab.serialize import decimal15
+from sumsetlab.errors import at_least, text_int
+from sumsetlab.serialize import decimal15, int_decimal
 
 
 class TestHierarchy:
@@ -136,6 +136,7 @@ CALLS = st.one_of(
     call(BlockSet.materialize, SCHEDULES, st.integers(-(2**100), 200)),
     call(BlockSet.materialize, st.just(GrowthSchedule.polynomial()), BEYOND),
     call(BlockSet.materialize, st.just(GrowthSchedule.paper()), PAPER_DEPTH),
+    call(BlockSet.level, BLOCKS, ANY | st.just(10**5000)),  # a depth past 4300 digits
     call(sieve_primes, LIMIT),
     call(first_odd_primes, COUNT),
     call(is_prime, ANY),

@@ -45,7 +45,7 @@ def brute_sums(x, blocks):
 def brute_split(x, blocks):
     """Oracle partition: track top-block and lower-block witnesses separately."""
     j = block_index(x, blocks.schedule)
-    top = range(blocks.blocks[j - 1].lo, grow(blocks.schedule, j + 1)) if j >= 1 else range(0)
+    top = range(blocks.level(j).lo, grow(blocks.schedule, j + 1)) if j >= 1 else range(0)
     members = [b for b in range(1, x) if b_member(b, blocks)]
     with_top, with_rest = set(), set()
     a = 1
@@ -83,7 +83,7 @@ class TestEnumerate:
         raw = []
         a = 1
         while 2**a < x:
-            for blk in poly_blocks.blocks:
+            for blk in map(poly_blocks.level, range(1, poly_blocks.max_t + 1)):
                 if blk.lo > x - 2**a:
                     break
                 b = ((blk.lo + blk.modulus - 1) // blk.modulus) * blk.modulus
@@ -125,10 +125,11 @@ class TestSplit:
             assert report.s2_count == len(with_rest - with_top)
             assert report.s1_overlap == len(with_top & with_rest)
 
-    def test_top_witness_values_coprime_to_top_modulus(self, poly_blocks, split_oracle):
+    def test_top_witness_values_coprime_to_top_modulus(self, poly_blocks, split_oracle,
+                                                         odd_primes_ref):
         for x in (600, 2000, 20000):
-            j, top, _ = split_oracle(x, poly_blocks)
-            d = poly_blocks.blocks[j - 1].modulus
+            j, top, _ = split_oracle(x, POLY)
+            d = math.prod(odd_primes_ref[:j])
             values = np.flatnonzero(top)
             assert values.size == split_s1_s2(x, poly_blocks).s1_count
             assert all(math.gcd(int(c), d) == 1 for c in values)
@@ -148,7 +149,7 @@ class TestSplit:
         for x in (1, 2, 3, 20, 32, 100, 1000, 4097, 65535, 65536, 10**5, 2**20 - 1, 10**6):
             blocks = BlockSet.covering(schedule, x)
             report = split_s1_s2(x, blocks)
-            j, top, rest = split_oracle(x, blocks)
+            j, top, rest = split_oracle(x, schedule)
             c = int(np.count_nonzero(top | rest))
             s1 = int(np.count_nonzero(top))
             overlap = int(np.count_nonzero(top & rest))
