@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .arith import _product, big_log2, primorial_primes
+from .arith import big_log2, primorial_primes
 from .errors import (
     DEFAULT_BIT_BUDGET,
     CapacityError,
@@ -152,16 +151,15 @@ def block_index(x: int, schedule: GrowthSchedule) -> int:
 
 @dataclass(frozen=True)
 class Block:
-    """One window [lo, next block's lo) holding the multiples of ``modulus``."""
+    """Window t, [lo, the next window's lo), holding the multiples of ``modulus`` from ``first``
+    on; ``below`` is L_t = count_b(lo - 1), and a carry resumes from ``quotient``, lo // modulus."""
 
     t: int
     modulus: int
     lo: int
-
-    @cached_property
-    def first(self) -> int:
-        """The window's first member: the least multiple of ``modulus`` at or above ``lo``."""
-        return (self.lo + self.modulus - 1) // self.modulus * self.modulus
+    first: int
+    below: int
+    quotient: int = field(repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,34 +198,32 @@ class BlockSet:
         return cls.materialize(schedule, max(block_index(x, schedule), 1))
 
     def level(self, t: int) -> Block:
-        """Block t, d_t the product of the first t primes and G(t) = 2^e(t), built on its first
-        read and kept; ConfigError for t below 1, CapacityError past max_t."""
+        """Block t, built on its first read and kept; ConfigError for t below 1, CapacityError
+        past max_t. One carried pass from the highest level kept below t, or from window 1,
+        yields d_t, G(t) = q*d_t + r (r > 0 as d_t is odd), the first member (q + 1)*d_t and
+        L_t, dividing no boundary by a modulus: window s holds u - q multiples, as G(s)*2^k =
+        G(s + 1) = u*d_s + r' gives u = q*2^k + (r*2^k) // d_s; then u = q'*p + c, p the next
+        prime, gives G(s + 1) = q'*d_(s+1) + (c*d_s + r'). Only the levels read are kept."""
         if t not in self._levels:
             self._require_depth(at_least("t", t, 1))
-            self._levels[t] = Block(t, modulus=_product(self.primes[:t]), lo=grow(self.schedule, t))
+            start = max((s for s in self._levels if s < t), default=0)
+            if start:
+                blk = self._levels[start]
+                d, q, below = blk.modulus, blk.quotient, blk.below
+                r = blk.lo + d - blk.first  # first = (q + 1)*d
+            else:
+                start, d, below = 1, self.primes[0], 0
+                q, r = divmod(grow(self.schedule, 1), d)
+            for s in range(start, t):
+                k = self.schedule.exponent(s + 1) - self.schedule.exponent(s)
+                carry, r = divmod(r << k, d)
+                u = (q << k) + carry
+                below += u - q
+                q, c = divmod(u, self.primes[s])
+                r += c * d
+                d *= self.primes[s]
+            self._levels[t] = Block(t, d, grow(self.schedule, t), (q + 1) * d, below, q)
         return self._levels[t]
-
-    @cached_property
-    def below(self) -> tuple[int, ...]:
-        """L_t = count_b(G(t) - 1), the members below window t, for t = 1..max_t; built lazily.
-
-        No boundary is divided by a modulus. With G(t) = q*d_t + r, r > 0 as d_t is odd, window
-        t holds u - q multiples: u*d_t + r' = G(t)*2^k = G(t+1), so u = q*2^k + (r*2^k) // d_t.
-        Then u = q'*p + s, p the next prime, gives G(t+1) = q'*d_(t+1) + (s*d_t + r') next.
-        Only the running d_t and one quotient are held, never the boundaries or moduli.
-        """
-        counts = [0]
-        d = self.primes[0]
-        q, r = divmod(grow(self.schedule, 1), d)
-        for t, p in enumerate(self.primes[1:], 1):
-            k = self.schedule.exponent(t + 1) - self.schedule.exponent(t)
-            carry, r = divmod(r << k, d)
-            u = (q << k) + carry
-            counts.append(counts[-1] + u - q)
-            q, s = divmod(u, p)
-            r += s * d
-            d *= p
-        return tuple(counts)
 
     def index(self, x: int) -> int:
         """block_index(x); CapacityError if x lies above the top block."""
@@ -260,16 +256,16 @@ def b_member(n: int, blocks: BlockSet) -> bool:
 def count_b(x: int, blocks: BlockSet) -> int:
     """Exact number of block-set members in [1, x].
 
-    L_j from the block set's ``below`` table plus the multiples of d_j from
-    the top window's first member up to x. Pure integer arithmetic at any
-    bit length.
+    L_j, the members below the top window, plus the multiples of d_j from
+    the window's first member up to x. Pure integer arithmetic at any bit
+    length.
     """
     x = at_least("x", int(x), 0)
     j = blocks.index(x)
     if j == 0:
         return 0
     top = blocks.level(j)
-    return blocks.below[j - 1] + (x - top.first) // top.modulus + 1
+    return top.below + (x - top.first) // top.modulus + 1
 
 
 def count_b_lower_bound(x: int, blocks: BlockSet) -> Fraction:
@@ -277,7 +273,8 @@ def count_b_lower_bound(x: int, blocks: BlockSet) -> Fraction:
 
     (x - G(j))/d_j + (G(j) - G(j-1))/d_(j-1) - 2, exact rational. Each
     block contributes at least its window length over its modulus minus
-    one boundary loss; lower blocks are dropped entirely.
+    one boundary loss; lower blocks are dropped entirely. Only block j is
+    built: d_(j-1) = d_j / p_j, and G(j-1) comes from the schedule.
 
     Raises:
         InapplicableError: block index of x is below 2.
@@ -288,12 +285,10 @@ def count_b_lower_bound(x: int, blocks: BlockSet) -> Fraction:
         raise InapplicableError(
             f"lower bound needs block index >= 2, got {j} at {int_name('x', x)}"
         )
-    top, prev = blocks.level(j), blocks.level(j - 1)
-    return (
-        Fraction(x - top.lo, top.modulus)
-        + Fraction(top.lo - prev.lo, prev.modulus)
-        - 2
-    )
+    top = blocks.level(j)
+    return (Fraction(x - top.lo, top.modulus)
+            + Fraction(top.lo - grow(blocks.schedule, j - 1), top.modulus // blocks.primes[j - 1])
+            - 2)
 
 
 @dataclass(frozen=True)

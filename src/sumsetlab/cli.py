@@ -28,6 +28,7 @@ from .errors import (
     CapacityError,
     ClaimError,
     ConfigError,
+    at_least,
     json_int,
     text_int,
     text_name,
@@ -201,7 +202,8 @@ def _cmd_mertens(args) -> dict:
     from .serialize import result_record
 
     # the product is prod (p - 1) / d_j, so j is held to the block moduli's bit budget
-    product = mertens_product(primorial_primes(args.j), include_two=args.include_two)
+    product = mertens_product(primorial_primes(at_least("j", args.j, 1)),
+                              include_two=args.include_two)
     payload = {
         "j": args.j,
         "include_two": args.include_two,
@@ -215,7 +217,7 @@ def _cmd_chebyshev(args) -> dict:
     from .arith import check_chebyshev, first_odd_primes
     from .serialize import result_record
 
-    check = check_chebyshev(first_odd_primes(args.j))
+    check = check_chebyshev(first_odd_primes(at_least("j", args.j, 1)))
     return result_record("chebyshev", {"j": args.j}, {"j": args.j, **check._asdict()})
 
 

@@ -12,6 +12,7 @@ empirical density of odd numbers that ARE representable.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -128,7 +129,8 @@ class CoverCheck(NamedTuple):
 def covering_verify(system: CoveringSystem) -> CoverCheck:
     """Decide whether the residue classes cover every integer.
 
-    Scans all residues modulo the lcm of the moduli; the empty system
+    Clears each class from a flag per residue modulo the lcm of the moduli
+    by one strided slice, then reads the residues left; the empty system
     covers nothing. The lcm is taken one modulus at a time and stops at
     the first partial lcm past the cap, so huge moduli are never all
     multiplied out.
@@ -144,11 +146,11 @@ def covering_verify(system: CoveringSystem) -> CoverCheck:
         if L.bit_length() > SIEVE_LIMIT_BITS:
             break
     check_sieve_limit(L, "covering lcm")
-    uncovered = tuple(
-        k
-        for k in range(L)
-        if not any((k - e.residue) % e.modulus == 0 for e in system.entries)
-    )
+    left = bytearray([1]) * L
+    for e in system.entries:
+        start = e.residue % e.modulus
+        left[start :: e.modulus] = bytes(len(range(start, L, e.modulus)))
+    uncovered = tuple(itertools.compress(range(L), left))
     return CoverCheck(covers=bool(system.entries) and not uncovered, uncovered=uncovered)
 
 

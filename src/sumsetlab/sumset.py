@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .arith import check_chebyshev, legendre_count, mertens_product
-from .blocks import BlockSet, block_index, conjecture_ratio, count_b, j_window_check
+from .blocks import BlockSet, block_index, conjecture_ratio, count_b, grow, j_window_check
 from .errors import CapacityError, ClaimError, InapplicableError, at_least, int_name
 
 # numpy is imported where an array is allocated, so a process that
@@ -227,16 +227,17 @@ def s2_bound(x: int, blocks: BlockSet) -> Fraction:
 
     Level-(j-1) sieve term x * prod(1 - 1/p over j-1 odd primes) + 2^(j-1),
     plus G(j-1) * floor(log2 x) for the pairs whose b lies below G(j-1).
-    Block j-1 is the highest read, so the set need only reach depth j-1.
+    G(j-1) comes from the schedule, so no block is built.
 
     Raises:
         InapplicableError: block index below 2.
+        CapacityError: x lies above the top block.
     """
     x = int(x)
-    j = block_index(x, blocks.schedule)
+    j = blocks.index(x)
     if j < 2:
         raise InapplicableError(f"s2 bound needs block index >= 2, got {j} at {int_name('x', x)}")
-    small_b_pairs = blocks.level(j - 1).lo * (x.bit_length() - 1)
+    small_b_pairs = grow(blocks.schedule, j - 1) * (x.bit_length() - 1)
     return x * mertens_product(blocks.primes[: j - 1]) + (1 << (j - 1)) + small_b_pairs
 
 

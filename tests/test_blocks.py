@@ -247,7 +247,7 @@ def summed_count_b(x, schedule, primes):
 
     Window t is [2^e(t), 2^e(t+1)) and d the product of the first t of ``primes``, cut at
     x; nothing is read from a block set, and no quotient is carried from one window to
-    the next, unlike the library's table.
+    the next, unlike the library's levels.
     """
     total, t, d = 0, 1, 1
     while (lo := 2 ** schedule.exponent(t)) <= x:
@@ -258,29 +258,29 @@ def summed_count_b(x, schedule, primes):
     return total
 
 
-def assert_table_matches_sum(blocks, primes):
+def assert_levels_match_sum(blocks, primes):
     """L_t and count_b at G(t) - 1, G(t) and G(t) + 1 for every level, against the sum."""
-    assert len(blocks.below) == blocks.max_t
-    for t, below in enumerate(blocks.below, 1):
+    for t in range(1, blocks.max_t + 1):
         lo = 2 ** blocks.schedule.exponent(t)
-        assert below == summed_count_b(lo - 1, blocks.schedule, primes)
+        assert blocks.level(t).below == summed_count_b(lo - 1, blocks.schedule, primes)
         for x in (lo - 1, lo, lo + 1):
             assert count_b(x, blocks) == summed_count_b(x, blocks.schedule, primes)
 
 
 class TestLevelTable:
-    """BlockSet.below, L_t = count_b(G(t) - 1), and Block.first, the window's first member."""
+    """L_t = count_b(G(t) - 1) as ``level(t).below``, and ``Block.first``, the window's first
+    member, against the summed count."""
 
     @pytest.mark.parametrize("schedule,max_t", [(PAPER, 4), (POLY, 80)], ids=["paper", "poly"])
     def test_table_matches_summed_count(self, schedule, max_t, odd_primes_ref):
-        assert_table_matches_sum(BlockSet.materialize(schedule, max_t), odd_primes_ref)
+        assert_levels_match_sum(BlockSet.materialize(schedule, max_t), odd_primes_ref)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 600), min_size=2, max_size=9, unique=True).map(sorted))
     def test_table_matches_summed_count_on_custom_schedules(self, odd_primes_ref, exponents):
         blocks = BlockSet.materialize(GrowthSchedule.custom(exponents), len(exponents) - 1)
-        assert_table_matches_sum(blocks, odd_primes_ref)
-        assert blocks.below[0] == 0
+        assert_levels_match_sum(blocks, odd_primes_ref)
+        assert blocks.level(1).below == 0
 
     def test_count_matches_summed_count_at_contract_scale(self, odd_primes_ref):
         # 499 lower windows of up to 249,001 bits
@@ -303,16 +303,47 @@ class TestLevelTable:
         start = time.perf_counter()
         blocks = BlockSet.covering(POLY, x)
         assert time.perf_counter() - start < 0.1
-        assert blocks.max_t == 999 and "below" not in vars(blocks)
+        assert blocks.max_t == 999 and blocks._levels == {}
         # an over-budget enumeration refuses x before it counts anything
         with pytest.raises(CapacityError):
             split_s1_s2(x, blocks)
         with pytest.raises(CapacityError):
             ratio_point(x, blocks)
-        assert "below" not in vars(blocks)
+        assert blocks._levels == {}
         small = BlockSet.materialize(POLY, 6)
         assert count_b(10**6, small) == summed_count_b(10**6, POLY, odd_primes_ref)
-        assert small.below is small.below
+        assert list(small._levels) == [4]
+
+
+@st.composite
+def schedules_and_reads(draw):
+    """A polynomial or custom block set and the levels to read from it, in any order and
+    with repeats, so that each read resumes from whichever lower level is already kept."""
+    if draw(st.booleans()):
+        schedule = POLY
+        max_t = draw(st.integers(1, 40))
+    else:
+        exponents = draw(st.lists(st.integers(1, 400), min_size=2, max_size=10, unique=True))
+        schedule = GrowthSchedule.custom(sorted(exponents))
+        max_t = len(exponents) - 1
+    reads = draw(st.lists(st.integers(1, max_t), min_size=1, max_size=2 * max_t))
+    return BlockSet.materialize(schedule, max_t), reads
+
+
+class TestCarry:
+    """``level`` resumes the carry from the highest level it keeps below t, or from window 1."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(schedules_and_reads())
+    def test_levels_read_in_any_order_match_the_oracle(self, odd_primes_ref, case):
+        blocks, reads = case
+        for t in reads:
+            blk = blocks.level(t)
+            lo, d = 2 ** blocks.schedule.exponent(t), math.prod(odd_primes_ref[:t])
+            expected = (t, d, lo, -(-lo // d) * d, summed_count_b(lo - 1, blocks.schedule,
+                                                                   odd_primes_ref))
+            assert (blk.t, blk.modulus, blk.lo, blk.first, blk.below) == expected
+        assert sorted(blocks._levels) == sorted(set(reads))
 
 
 class TestLevel:
@@ -340,12 +371,18 @@ class TestLevel:
         blocks = BlockSet.materialize(POLY, 6)
         blk = blocks.level(3)
         assert blocks.level(3) is blk
-        assert blk.first is blk.first
+        # level 5 resumes from level 3; level 4, passed on the way, is not kept
+        blocks.level(5)
+        assert list(blocks._levels) == [3, 5]
 
     def test_a_count_holds_only_the_level_it_read(self):
         blocks = BlockSet.covering(POLY, 10**6)
         assert blocks.max_t == 4 and blocks._levels == {}
         count_b(10**6, blocks)
+        assert list(blocks._levels) == [4]
+        # both bounds take window 3's start from the schedule and d_3 from d_4, building no level
+        count_b_lower_bound(10**6, blocks)
+        s2_bound(10**6, blocks)
         assert list(blocks._levels) == [4]
 
     @staticmethod
@@ -362,8 +399,9 @@ class TestLevel:
         assert self._peak(2**20000, GrowthSchedule.custom(range(1, 20002))) < 16 * 2**20
 
     def test_polynomial_count_at_the_top_of_the_budget(self):
-        # the table of counts below 999 windows takes about 40 MiB; the boundaries as much again
-        assert self._peak(2**999999 - 1, POLY) < 64 * 2**20
+        # the carry across 999 windows holds one quotient and one count at a time, about
+        # 1 MiB at its peak; a table of every count below the top window took about 40 MiB
+        assert self._peak(2**999999 - 1, POLY) < 4 * 2**20
 
 
 class TestLowerBound:

@@ -749,7 +749,9 @@ class TestWhoseFault:
             (["sieve-count", "--limit", "1"], "sieve limit must be >= 2, got 1"),
             (["count-b", "--schedule", "paper", "--x", "1"], "x must be >= 2, got 1"),
             (["sumset", "--schedule", "paper", "--x", "0"], "x must be >= 1, got 0"),
-            (["mertens", "--j", "0"], "count must be >= 1, got 0"),
+            (["mertens", "--j", "0"], "j must be >= 1, got 0"),
+            (["mertens", "--j", "-5"], "j must be >= 1, got -5"),
+            (["chebyshev", "--j", "0"], "j must be >= 1, got 0"),
             (["depolignac", "scan", "--limit", "100", "--residue", "4", "--modulus", "9"],
              "certificate residue must be odd, got residue=4"),
             (["covering", "verify", "--system", "{truncated}"],
@@ -759,7 +761,8 @@ class TestWhoseFault:
             (["count-b", "--schedule", "paper", "--x", "10", "--out", "{dir}/a\0b"],
              "embedded null byte"),
         ],
-        ids=["sieve-limit", "count-b-x", "sumset-x", "mertens-j", "even-residue",
+        ids=["sieve-limit", "count-b-x", "sumset-x", "mertens-j", "mertens-negative-j",
+             "chebyshev-j", "even-residue",
              "truncated-json", "not-utf-8", "nul-in-out-path"],
     )
     def test_input_errors_exit_2_with_the_same_message(self, capsys, tmp_path, argv, err):

@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sumsetlab.arith as arith
@@ -40,6 +40,9 @@ def _smallest_witness(n, k_min):
 
 
 ERDOS_TRIPLES = [(0, 2, 3), (0, 3, 7), (1, 4, 5), (3, 8, 17), (7, 12, 13), (23, 24, 241)]
+# (q, the order of 2 mod q): any multiple of the order is a valid modulus for q
+ORDERS = [(3, 2), (7, 3), (5, 4), (31, 5), (127, 7), (17, 8), (73, 9), (11, 10), (23, 11),
+          (13, 12), (241, 24)]
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +78,18 @@ class TestCoveringVerify:
             for k in range(10 * system.lcm):
                 direct = any((k - e.residue) % e.modulus == 0 for e in system.entries)
                 assert direct == (k % system.lcm not in uncovered)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(ORDERS), st.integers(1, 3), st.integers(-30, 60)),
+                    max_size=6, unique_by=lambda pick: pick[0]))
+    def test_strided_marking_matches_a_scan_of_every_residue(self, picks):
+        system = CoveringSystem.from_entries((a, k * order, q) for (q, order), k, a in picks)
+        assume(system.lcm <= 50_000)
+        uncovered = tuple(r for r in range(system.lcm)
+                          if not any((r - e.residue) % e.modulus == 0 for e in system.entries))
+        check = covering_verify(system)
+        assert check.uncovered == uncovered
+        assert check.covers == (bool(picks) and not uncovered)
 
     @pytest.mark.parametrize(
         "triples",

@@ -17,8 +17,8 @@ CLAIMS = [
         "sl.count_b_lower_bound(100_000, blocks)",
         Fraction(120698, 5),
     ),
-    (0, "blocks.below[1]", "21844", "blocks.below[1]", 21844),
-    (0, "blocks.below[1]", "21844", "sl.count_b(2**16 - 1, blocks)", 21844),
+    (0, "blocks.level(2).below", "21844", "blocks.level(2).below", 21844),
+    (0, "blocks.level(2).below", "21844", "sl.count_b(2**16 - 1, blocks)", 21844),
     (0, "blocks.level(2).first", "65550", "blocks.level(2).first", 65550),
     (1, "cert = sl.crt_combine(system)", "residue 7629217", "cert.residue", 7629217),
     (1, "cert = sl.crt_combine(system)", "modulus 11184810", "cert.modulus", 11184810),
