@@ -28,6 +28,7 @@ from .errors import (
     CapacityError,
     ClaimError,
     ConfigError,
+    SumsetLabError,
     at_least,
     json_int,
     text_int,
@@ -38,18 +39,19 @@ if TYPE_CHECKING:
     from .blocks import GrowthSchedule
     from .depolignac import CoveringSystem
 
+
+class _UsageError(SumsetLabError):
+    exit_code, kind = 1, "usage"
+
+
 EXIT_OK = 0
-EXIT_USAGE = 1
+EXIT_USAGE = _UsageError.exit_code
 EXIT_CONFIG = ConfigError.exit_code
 EXIT_CAPACITY = CapacityError.exit_code
 EXIT_CLAIM = ClaimError.exit_code
 EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for a writer killed by SIGPIPE
 
 ENUM_CAP_ENV = "SUMSETLAB_ENUM_CAP"
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,8 +85,8 @@ def _read_json(value: str, rule: str):
     """The schedule, system or config file at ``value``, which must be a regular file.
 
     ``rule`` opens the message that refuses any other value, naming the argument;
-    an integer literal past the bit budget, text that is not UTF-8 and malformed
-    JSON are refused with ConfigError.
+    an integer literal past the bit budget, text that is not UTF-8, malformed
+    JSON and JSON nested too deeply to parse are refused with ConfigError.
     """
     import json
 
@@ -99,7 +101,7 @@ def _read_json(value: str, rule: str):
         return json.loads(path.read_text(),
                           parse_int=functools.partial(json_int, what="integer literal",
                                                       error=ConfigError))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -305,66 +307,52 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="sumsetlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sumsetlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    output = argparse.ArgumentParser(add_help=False)
+    output, at_x, budget, system, scan, j = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
     output.add_argument("--out", help="write the record to this path instead of stdout")
     output.add_argument("--format", choices=("json", "csv"), default="json")
+    at_x.add_argument("--schedule", required=True)
+    at_x.add_argument("--x", required=True)
+    budget.add_argument("--budget", type=_integer)
+    system.add_argument("--system", help="JSON file; defaults to the shipped system")
+    scan.add_argument("--limit", required=True)
+    scan.add_argument("--k-min", type=_integer, default=1)
+    j.add_argument("--j", type=_integer, required=True)
 
-    def add(subparsers, name: str, help_text: str) -> argparse.ArgumentParser:
-        return subparsers.add_parser(name, help=help_text, parents=[output])
+    def add(subparsers, name: str, help_text: str, *parents) -> argparse.ArgumentParser:
+        return subparsers.add_parser(name, help=help_text, parents=[output, *parents])
 
-    p = add(sub, "count-b", "exact block-set count at x")
-    p.add_argument("--schedule", required=True)
-    p.add_argument("--x", required=True)
+    add(sub, "count-b", "exact block-set count at x", at_x)
+    add(sub, "bounds", "analytic bound chain at x (no enumeration)", at_x)
+    add(sub, "sumset", "enumerate the sumset at x with the bound chain", at_x, budget)
 
-    p = add(sub, "bounds", "analytic bound chain at x (no enumeration)")
-    p.add_argument("--schedule", required=True)
-    p.add_argument("--x", required=True)
-
-    p = add(sub, "sumset", "enumerate the sumset at x with the bound chain")
-    p.add_argument("--schedule", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--budget", type=_integer)
-
-    p = add(sub, "ratio-scan", "c/b count ratios over a grid")
+    p = add(sub, "ratio-scan", "c/b count ratios over a grid", budget)
     p.add_argument("--schedule", required=True)
     p.add_argument("--grid", required=True, help="comma-separated x expressions")
-    p.add_argument("--budget", type=_integer)
 
     p = add(sub, "sieve-count", "count primes up to a limit")
     p.add_argument("--limit", required=True)
 
-    p = add(sub, "mertens", "exact odd-prime product of (1 - 1/p)")
-    p.add_argument("--j", type=_integer, required=True)
+    p = add(sub, "mertens", "exact odd-prime product of (1 - 1/p)", j)
     p.add_argument("--include-two", action="store_true")
-
-    p = add(sub, "chebyshev", "odd-prime log sum vs 2*j*log(j)")
-    p.add_argument("--j", type=_integer, required=True)
+    add(sub, "chebyshev", "odd-prime log sum vs 2*j*log(j)", j)
 
     cov = sub.add_parser("covering", help="covering-system operations")
     cov_sub = cov.add_subparsers(dest="action", required=True)
-    p = add(cov_sub, "verify", "check that a residue system covers")
-    p.add_argument("--system", help="JSON file; defaults to the shipped system")
-    p = add(cov_sub, "crt", "combine a covering system into a certificate")
-    p.add_argument("--system")
+    add(cov_sub, "verify", "check that a residue system covers", system)
+    add(cov_sub, "crt", "combine a covering system into a certificate", system)
 
     dep = sub.add_parser("depolignac", help="progression representation audits")
     dep_sub = dep.add_subparsers(dest="action", required=True)
-    p = add(dep_sub, "scan", "audit an arithmetic progression up to a limit")
-    p.add_argument("--system", help="JSON file; defaults to the shipped system")
+    p = add(dep_sub, "scan", "audit an arithmetic progression up to a limit", system, scan)
     p.add_argument("--residue", type=_integer)
     p.add_argument("--modulus", type=_integer)
-    p.add_argument("--limit", required=True)
-    p.add_argument("--k-min", type=_integer, default=1)
-
-    p = add(sub, "romanov-density", "density of odd n = p + 2^k")
-    p.add_argument("--limit", required=True)
-    p.add_argument("--k-min", type=_integer, default=1)
+    add(sub, "romanov-density", "density of odd n = p + 2^k", scan)
 
     exp = sub.add_parser("experiment", help="named reproducible experiments")
     exp_sub = exp.add_subparsers(dest="action", required=True)
-    p = add(exp_sub, "run", "run a built-in experiment or a config file")
+    p = add(exp_sub, "run", "run a built-in experiment or a config file", budget)
     p.add_argument("target")
-    p.add_argument("--budget", type=_integer)
     add(exp_sub, "list", "list built-in experiments")
 
     return parser
@@ -393,25 +381,19 @@ def run_command(argv: Sequence[str]) -> int:
         record = _handler(command)(args)
         record["timing"]["total"] = time.perf_counter() - started
         _write(record, args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except SumsetLabError as exc:
+        print(f"{exc.kind} error: {exc}", file=sys.stderr)
+        return exc.exit_code
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
     except BrokenPipeError:  # the reader closed stdout, also under --help: end quietly
         return EXIT_BROKEN_PIPE
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
     except MemoryError:
         print(f"capacity error: {command} ran out of memory", file=sys.stderr)
         return EXIT_CAPACITY
-    except ClaimError as exc:
-        print(f"claim error: {exc}", file=sys.stderr)
-        return EXIT_CLAIM
-    except (ConfigError, OSError) as exc:  # a closed stdout pipe (BrokenPipeError) is caught first
+    except OSError as exc:  # a closed stdout pipe (BrokenPipeError) is caught first
         message = str(exc)
-        if isinstance(exc, OSError) and exc.filename is not None:  # as str(exc), path shortened
+        if exc.filename is not None:  # as str(exc), path shortened
             message = f"[Errno {exc.errno}] {exc.strerror}: {text_name(exc.filename)}"
         print(f"config error: {message}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,10 +1,11 @@
 """Exception hierarchy, the bit budget, and integer checks and text shared across the package.
 
-Each error class carries the exit code the CLI ends with. A ConfigError
-(malformed input, an inapplicable operation, a bad covering system) exits
-with 2, a CapacityError (a budget or cap reached) with 3, and a
-ClaimError (a certified inequality or counting invariant that failed)
-with 4. Any other exception is a bug and keeps its traceback.
+Each error class carries the exit code the CLI ends with and the label of
+its stderr line. A ConfigError (malformed input, an inapplicable operation,
+a bad covering system) exits with 2 as "config error: ...", a CapacityError
+(a budget or cap reached) with 3 as "capacity error: ...", and a ClaimError
+(a certified inequality or counting invariant that failed) with 4 as
+"claim error: ...". Any other exception is a bug and keeps its traceback.
 """
 
 import re
@@ -24,7 +25,7 @@ class SumsetLabError(Exception):
 
 class ConfigError(SumsetLabError, ValueError):
     """Malformed input, expression or configuration; a ValueError, as the range checks were."""
-    exit_code = 2
+    exit_code, kind = 2, "config"
 
 
 class InapplicableError(ConfigError):
@@ -41,12 +42,12 @@ class NotCoveringError(ConfigError):
 
 class CapacityError(SumsetLabError):
     """A materialization depth, bit budget, or enumeration budget was exceeded."""
-    exit_code = 3
+    exit_code, kind = 3, "capacity"
 
 
 class ClaimError(SumsetLabError):
     """A certified inequality or a counting invariant failed: a refuted claim or a bug."""
-    exit_code = 4
+    exit_code, kind = 4, "claim"
 
 
 def at_least(name: str, value: int, minimum: int, shown: str | None = None) -> int:

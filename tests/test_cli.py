@@ -38,8 +38,11 @@ from sumsetlab.cli import (EXIT_CAPACITY, EXIT_CLAIM, EXIT_CONFIG, EXIT_OK, EXIT
 from sumsetlab.errors import (
     MAX_DECIMAL_DIGITS,
     CapacityError,
+    ClaimError,
     ConfigError,
+    InapplicableError,
     MalformedSystemError,
+    NotCoveringError,
     json_int,
     text_int,
 )
@@ -314,6 +317,8 @@ class TestExitCodes:
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert run_command(["count-b", "--x", "10"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: the following arguments are required: --schedule\n")
 
     def test_malformed_x_is_config_error(self, capsys):
         assert run_command(["count-b", "--schedule", "paper", "--x", "banana"]) == EXIT_CONFIG
@@ -539,11 +544,12 @@ class TestExitCodes:
             f"config error: bound chain needs block index >= 2, got 1 at {name}\n"
         )
 
-    def test_out_write_failure_is_config_error(self, capsys, tmp_path):
-        out = tmp_path / "missing" / "record.json"
-        argv = ["count-b", "--schedule", "paper", "--x", "100000", "--out", str(out)]
+    def test_out_write_failure_is_config_error(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        argv = ["count-b", "--schedule", "paper", "--x", "100000", "--out", "missing/record.json"]
         assert run_command(argv) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: ")
+        assert capsys.readouterr().err == (
+            "config error: [Errno 2] No such file or directory: 'missing/record.json'\n")
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
@@ -816,6 +822,45 @@ class TestWhoseFault:
         monkeypatch.setattr(cli, "_cmd_count_b", broken)
         with pytest.raises(ValueError, match="a bug"):
             run_command(["count-b", "--schedule", "paper", "--x", "10"])
+
+    @pytest.mark.parametrize(
+        "error,code,label",
+        [
+            (ConfigError, 2, "config"),
+            (InapplicableError, 2, "config"),
+            (MalformedSystemError, 2, "config"),
+            (NotCoveringError, 2, "config"),
+            (CapacityError, 3, "capacity"),
+            (ClaimError, 4, "claim"),
+        ],
+        ids=lambda value: value.__name__ if isinstance(value, type) else None,
+    )
+    def test_a_library_error_exits_with_its_code_and_label(self, capsys, monkeypatch, error,
+                                                           code, label):
+        def failing(args):
+            raise error("what went wrong at x=10")
+
+        monkeypatch.setattr(cli, "_cmd_count_b", failing)
+        assert run_command(["count-b", "--schedule", "paper", "--x", "10"]) == code
+        assert capsys.readouterr().err == f"{label} error: what went wrong at x=10\n"
+
+    @pytest.mark.parametrize("depth", [1000, 5000])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count-b", "--schedule", "{path}", "--x", "10"],
+            ["covering", "verify", "--system", "{path}"],
+            ["experiment", "run", "{path}"],
+        ],
+        ids=["schedule", "system", "config"],
+    )
+    def test_json_nested_too_deeply_is_config_error(self, capsys, tmp_path, argv, depth):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * depth + "]" * depth)
+        assert run_command([arg.replace("{path}", str(path)) for arg in argv]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: maximum recursion depth exceeded")
+        assert err.count("\n") == 1, err
 
 
 @dataclasses.dataclass(frozen=True)
