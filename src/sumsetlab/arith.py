@@ -4,7 +4,8 @@ Provides the prime table that backs all sieve work, the first odd
 primes as a tuple for block moduli and the bound chain, Möbius-signed
 squarefree divisor enumeration, Legendre-style coprime counting,
 Chebyshev and Mertens evaluations, and base-2 logarithms of
-arbitrary-precision integers.
+arbitrary-precision integers. One small bytearray sieve serves both the
+block primes and the base primes of the segmented table sieve.
 
 Everything here is a pure function of immutable inputs. A PrimeTable's
 flags are never mutated after construction, so a table may be shared
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, compress, islice
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_BIT_BUDGET, CapacityError, ConfigError, at_least, int_name, text_name
 
@@ -71,8 +72,7 @@ MR_BOUND = _MR_PSI[-1]  # is_prime decides every n below it
 SIEVE_LIMIT_BITS = 34
 
 # Odd slots per sieve segment: 1 MiB of flags, the fastest size measured
-# from 2^16 to 2^21 on a 4 MiB L2. The first segment must hold every base
-# prime, so 2 * SEGMENT > isqrt(2^SIEVE_LIMIT_BITS - 1).
+# from 2^16 to 2^21 on a 4 MiB L2.
 SEGMENT = 1 << 20
 
 
@@ -131,14 +131,25 @@ def check_sieve_limit(limit: int, what: str = "sieve limit") -> None:
         )
 
 
+def _odd_primes(limit: int) -> Iterator[int]:
+    """The odd primes up to ``limit`` >= 1, in order, from a numpy-free bytearray sieve."""
+    odd = bytearray([1]) * ((limit + 1) // 2)  # odd[i] stands for 2*i + 1
+    odd[0] = 0
+    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(odd), p)))
+    return compress(range(1, limit + 1, 2), odd)
+
+
 def sieve_primes(limit: int) -> PrimeTable:
     """Segmented odd-only sieve of Eratosthenes up to ``limit``.
 
     Keeps one byte per odd number, (limit + 1) // 2 bytes in all, and
     fills them in cache-sized segments of SEGMENT odd slots (Bays and
-    Hudson, 1977). The first segment is sieved by its own primes and
-    holds every base prime up to sqrt(limit); each later segment clears
-    the multiples of those base primes with one strided slice per prime.
+    Hudson, 1977). Each segment, the first included, clears the multiples
+    of the base primes up to sqrt(limit), which come from the small sieve
+    behind first_odd_primes, with one strided slice per prime.
 
     Args:
         limit: Inclusive upper bound, 2 <= limit < 2^SIEVE_LIMIT_BITS.
@@ -157,16 +168,9 @@ def sieve_primes(limit: int) -> PrimeTable:
     size = (limit + 1) // 2
     odd = np.ones(size, dtype=bool)  # odd[i] stands for 2*i + 1
     odd[0] = False
-    first = odd[:SEGMENT]  # a view: odd numbers below 2 * SEGMENT
-    for i in range(1, (math.isqrt(2 * first.size - 1) - 1) // 2 + 1):
-        if first[i]:
-            p = 2 * i + 1
-            first[p * p // 2 :: p] = False
-    # 2 * SEGMENT > sqrt(limit) below the cap, so the first segment holds
-    # every base prime; the odd multiples of p sit at slots p // 2 (mod p).
-    base = (2 * np.flatnonzero(first[: (math.isqrt(limit) + 1) // 2]) + 1).tolist()
-    next_slot = [max(p * p // 2, SEGMENT + (p // 2 - SEGMENT) % p) for p in base]
-    for lo in range(SEGMENT, size, SEGMENT):
+    base = list(_odd_primes(math.isqrt(limit)))
+    next_slot = [p * p // 2 for p in base]  # slot of p*p; odd multiples are p slots apart
+    for lo in range(0, size, SEGMENT):
         hi = min(lo + SEGMENT, size)
         for n, p in enumerate(base):
             # no early exit: on a short last segment a small prime's next
@@ -179,11 +183,11 @@ def sieve_primes(limit: int) -> PrimeTable:
 
 
 def first_odd_primes(count: int) -> tuple[int, ...]:
-    """The first ``count`` odd primes, 3, 5, 7, ..., from a bytearray sieve.
+    """The first ``count`` odd primes, 3, 5, 7, ..., from the small bytearray sieve.
 
-    The sieve keeps one byte per odd number up to the Rosser-Schoenfeld
-    bound p_n < n (ln n + ln ln n) on the n-th prime, n = count + 1, and
-    imports no numpy: block moduli and the bound chain read only a few.
+    The sieve runs to the Rosser-Schoenfeld bound p_n < n (ln n + ln ln n)
+    on the n-th prime, n = count + 1, and imports no numpy: block moduli
+    and the bound chain read only a few.
 
     Raises:
         ConfigError: count < 1.
@@ -195,13 +199,7 @@ def first_odd_primes(count: int) -> tuple[int, ...]:
     n = count + 1  # prime index including 2
     limit = 15 if n < 6 else int(n * (math.log(n) + math.log(math.log(n)))) + 10
     check_sieve_limit(limit)
-    odd = bytearray([1]) * ((limit + 1) // 2)  # odd[i] stands for 2*i + 1
-    odd[0] = 0
-    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
-        if odd[i]:
-            p = 2 * i + 1
-            odd[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(odd), p)))
-    return tuple(islice(compress(range(1, limit + 1, 2), odd), count))
+    return tuple(islice(_odd_primes(limit), count))
 
 
 def primorial_primes(count: int) -> tuple[int, ...]:

@@ -127,8 +127,7 @@ class TestSievePrimes:
     @example(2 * 64 * 39 - 1, 64)  # ends exactly on a segment boundary
     def test_matches_per_candidate_primality(self, limit, segment):
         # a tiny segment makes the limit cross many segments and usually end
-        # on a short one; the first segment must still hold the base primes
-        segment = max(segment, math.isqrt(limit) // 2 + 1)
+        # on a short one, and puts base primes past the first segment
         with mock.patch.object(arith, "SEGMENT", segment):
             table = sieve_primes(limit)
         expected = [n for n in range(limit + 1) if MR_PRIME[n]]
@@ -148,8 +147,16 @@ class TestSievePrimes:
         assert _primes(table) == [2, 3, 5]
         assert PrimeTable(limit=2, odd_flags=np.zeros(1, dtype=bool)).largest_prime == 2
 
-    def test_first_segment_holds_every_base_prime_below_the_cap(self):
-        assert 2 * arith.SEGMENT > math.isqrt(2**SIEVE_LIMIT_BITS - 1)
+    # where a first segment of 2^20 odd slots ends (2^21 - 1), and around the squares of
+    # the largest prime below its square root (1447) and the next prime (1451)
+    @pytest.mark.parametrize("limit", [
+        *(2**21 + d for d in (-1, 0, 1)),
+        *(p * p + d for p in (1447, 1451) for d in (-1, 0, 1)),
+    ])
+    def test_counts_around_the_default_first_segment_match_sympy(self, limit):
+        table = sieve_primes(limit)
+        assert table.odd_count + 1 == sympy.primepi(limit)
+        assert table.largest_prime == sympy.prevprime(limit + 1)
 
     def test_limit_cap_fires_before_allocating(self):
         check_sieve_limit(2**SIEVE_LIMIT_BITS - 1)

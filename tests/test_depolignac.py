@@ -239,7 +239,6 @@ class TestApScan:
             if k is not None:
                 expected.append((n, n - 2**k, k))
         # small sieve segments so the table crosses several of them
-        segment = max(segment, math.isqrt(limit) // 2 + 1)
         for slots in (FORCE_MILLER_RABIN, FORCE_SIEVE):
             with mock.patch.object(arith, "SEGMENT", segment), \
                     mock.patch.object(depolignac, "MR_TEST_SLOTS", slots):
@@ -295,7 +294,6 @@ class TestRomanovScan:
         odd = range(1, limit + 1, 2)
         hits = sum(1 for n in odd if _smallest_witness(n, k_min) is not None)
         # small sieve and marking segments so both passes cross several
-        segment = max(segment, math.isqrt(limit) // 2 + 1)
         with mock.patch.object(arith, "SEGMENT", segment), \
                 mock.patch.object(depolignac, "MARK_SEGMENT", mark_segment):
             report = romanov_density_scan(limit, k_min)
