@@ -6,79 +6,39 @@ inequality of the associated density bound chain with rational
 arithmetic, and runs covering-congruence and prime-plus-power-of-two
 scans.
 
-Each public name is imported from its home module on first access, so
-``import sumsetlab`` (and the CLI, which imports a layer only to run it)
-loads no layer it does not use.
+The package's public names are its layers' ``__all__`` lists, and no
+other list. A name is imported from the first layer in ``_LAYERS`` whose
+``__all__`` holds it, on first access, so ``import sumsetlab`` (and the
+CLI, which imports a layer only to run it) loads no layer it does not
+use. A ``_``-prefixed name is refused without importing any layer;
+``__all__`` and ``dir()`` import every layer.
 """
 
 import importlib
 
 from ._version import __version__
 
-# public name -> the module that defines it
-_HOMES = {
-    "ChebyshevCheck": "arith",
-    "PrimeTable": "arith",
-    "big_log2": "arith",
-    "check_chebyshev": "arith",
-    "first_odd_primes": "arith",
-    "is_prime": "arith",
-    "legendre_count": "arith",
-    "mertens_product": "arith",
-    "sieve_primes": "arith",
-    "squarefree_divisors_signed": "arith",
-    "Block": "blocks",
-    "BlockCountReport": "blocks",
-    "BlockSet": "blocks",
-    "GrowthSchedule": "blocks",
-    "WindowCheck": "blocks",
-    "b_member": "blocks",
-    "block_index": "blocks",
-    "conjecture_ratio": "blocks",
-    "count_b": "blocks",
-    "count_b_lower_bound": "blocks",
-    "grow": "blocks",
-    "j_window_check": "blocks",
-    "APCertificate": "depolignac",
-    "CoverCheck": "depolignac",
-    "CoveringEntry": "depolignac",
-    "CoveringSystem": "depolignac",
-    "ScanReport": "depolignac",
-    "ap_scan": "depolignac",
-    "covering_verify": "depolignac",
-    "crt_combine": "depolignac",
-    "default_covering_system": "depolignac",
-    "romanov_density_scan": "depolignac",
-    "CapacityError": "errors",
-    "ClaimError": "errors",
-    "ConfigError": "errors",
-    "InapplicableError": "errors",
-    "MalformedSystemError": "errors",
-    "NotCoveringError": "errors",
-    "SumsetLabError": "errors",
-    "RatioPoint": "sumset",
-    "SumsetReport": "sumset",
-    "bound_chain_point": "sumset",
-    "c_upper_report": "sumset",
-    "enumerate_c": "sumset",
-    "ratio_point": "sumset",
-    "s1_bound": "sumset",
-    "s2_bound": "sumset",
-    "split_s1_s2": "sumset",
-}
+# the layers that export public names, in import order
+_LAYERS = ("errors", "arith", "blocks", "sumset", "depolignac")
 
-__all__ = ["__version__", *_HOMES]
+
+def _layers():
+    return (importlib.import_module(f".{layer}", __name__) for layer in _LAYERS)
 
 
 def __getattr__(name: str):
-    try:
-        home = _HOMES[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    if name == "__all__":
+        value = ["__version__", *(public for layer in _layers() for public in layer.__all__)]
+    else:
+        # a _-prefixed name is never public, so no layer is imported to look for it
+        homes = () if name.startswith("_") else (m for m in _layers() if name in m.__all__)
+        home = next(iter(homes), None)
+        if home is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(home, name)
     globals()[name] = value  # later lookups skip this hook
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__getattr__("__all__")})

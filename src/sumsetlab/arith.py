@@ -32,12 +32,8 @@ if TYPE_CHECKING:
 __all__ = [
     "PrimeTable",
     "ChebyshevCheck",
-    "SIEVE_LIMIT_BITS",
-    "MR_BOUND",
-    "check_sieve_limit",
     "sieve_primes",
     "first_odd_primes",
-    "primorial_primes",
     "is_prime",
     "check_chebyshev",
     "mertens_product",

@@ -20,7 +20,6 @@ from .errors import (
     CapacityError,
     ClaimError,
     ConfigError,
-    InapplicableError,
     at_least,
     int_name,
     json_int,
@@ -62,7 +61,7 @@ class GrowthSchedule:
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown schedule kind {text_name(self.kind)}")
         if self.kind == "custom":
-            exps = tuple(json_int(e, "schedule exponent", ConfigError) for e in self.exponents)
+            exps = tuple(json_int(e, "schedule exponent") for e in self.exponents)
             if not exps:
                 raise ConfigError("custom schedule needs at least one exponent")
             if exps[0] < 1:
@@ -277,14 +276,12 @@ def count_b_lower_bound(x: int, blocks: BlockSet) -> Fraction:
     built: d_(j-1) = d_j / p_j, and G(j-1) comes from the schedule.
 
     Raises:
-        InapplicableError: block index of x is below 2.
+        ConfigError: block index of x is below 2.
     """
     x = int(x)
     j = blocks.index(x)
     if j < 2:
-        raise InapplicableError(
-            f"lower bound needs block index >= 2, got {j} at {int_name('x', x)}"
-        )
+        raise ConfigError(f"lower bound needs block index >= 2, got {j} at {int_name('x', x)}")
     top = blocks.level(j)
     return (Fraction(x - top.lo, top.modulus)
             + Fraction(top.lo - grow(blocks.schedule, j - 1), top.modulus // blocks.primes[j - 1])
@@ -356,11 +353,11 @@ def j_window_check(x: int, schedule: GrowthSchedule) -> WindowCheck:
     big_log2 so x may be thousands of bits wide.
 
     Raises:
-        InapplicableError: schedule is not the paper kind.
+        ConfigError: schedule is not the paper kind.
         ConfigError: x below G(1) = 4.
     """
     if schedule.kind != "paper":
-        raise InapplicableError("the block-index window applies to the paper schedule only")
+        raise ConfigError("the block-index window applies to the paper schedule only")
     x = at_least("x", int(x), 4, "G(1) = 4")
     ln_x = big_log2(x) * math.log(2.0)
     loglog = math.log(ln_x)

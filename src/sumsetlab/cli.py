@@ -99,8 +99,7 @@ def _read_json(value: str, rule: str):
         raise ConfigError(f"{rule}, got {text_name(value)}")
     try:
         return json.loads(path.read_text(),
-                          parse_int=functools.partial(json_int, what="integer literal",
-                                                      error=ConfigError))
+                          parse_int=functools.partial(json_int, what="integer literal"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -130,7 +129,7 @@ def _enum_budget(args: argparse.Namespace) -> int:
         env = os.environ.get(ENUM_CAP_ENV)
         if env is None:
             return DEFAULT_ENUM_BUDGET
-        budget = json_int(env, ENUM_CAP_ENV, ConfigError)
+        budget = json_int(env, ENUM_CAP_ENV)
     if budget < 1:
         raise ConfigError("budgets must be positive")
     return budget

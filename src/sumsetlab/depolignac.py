@@ -20,8 +20,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from .arith import MR_BOUND, SIEVE_LIMIT_BITS, check_sieve_limit, is_prime, sieve_primes
-from .errors import (ConfigError, MalformedSystemError, NotCoveringError, at_least, int_name,
-                     json_int)
+from .errors import ConfigError, at_least, int_name, json_int
 
 __all__ = [
     "CoveringEntry",
@@ -70,7 +69,7 @@ class CoveringSystem:
         return math.lcm(*(e.modulus for e in self.entries)) if self.entries else 1
 
     def validate(self) -> None:
-        """Structural audit; raises MalformedSystemError on any violation.
+        """Structural audit; raises ConfigError on any violation.
 
         Checks per entry: modulus >= 2, prime below MR_BOUND and actually
         prime, primes pairwise distinct, and 2^modulus == 1 (mod prime). Messages name
@@ -80,25 +79,21 @@ class CoveringSystem:
         for i, e in enumerate(self.entries):
             modulus, q = int_name("modulus", e.modulus), int_name("q", e.prime)
             if e.modulus < 2:
-                raise MalformedSystemError(f"{modulus} < 2 in entry {i}")
+                raise ConfigError(f"{modulus} < 2 in entry {i}")
             if e.prime >= MR_BOUND:
-                raise MalformedSystemError(f"{q} exceeds the deterministic Miller-Rabin bound "
-                                           f"in entry {i}")
+                raise ConfigError(f"{q} exceeds the deterministic Miller-Rabin bound in entry {i}")
             if e.prime < 2 or not is_prime(e.prime):
-                raise MalformedSystemError(f"{q} is not prime in entry {i}")
+                raise ConfigError(f"{q} is not prime in entry {i}")
             if e.prime in seen:
-                raise MalformedSystemError(f"duplicate prime {q} in entry {i}")
+                raise ConfigError(f"duplicate prime {q} in entry {i}")
             seen.add(e.prime)
             if pow(2, e.modulus, e.prime) != 1:
-                raise MalformedSystemError(
-                    f"{q} does not divide 2^modulus - 1 with {modulus} in entry {i}"
-                )
+                raise ConfigError(f"{q} does not divide 2^modulus - 1 with {modulus} in entry {i}")
 
     @classmethod
     def from_entries(cls, triples) -> "CoveringSystem":
         return cls(tuple(
-            CoveringEntry(*(json_int(v, "covering entry field", MalformedSystemError)
-                            for v in (a, m, q)))
+            CoveringEntry(*(json_int(v, "covering entry field") for v in (a, m, q)))
             for a, m, q in triples
         ))
 
@@ -107,18 +102,18 @@ class CoveringSystem:
         """Read ``{"entries": [{"residue", "modulus", "prime"}, ...]}``.
 
         Raises:
-            MalformedSystemError: any other shape, or an entry field that
+            ConfigError: any other shape, or an entry field that
                 is not an integer.
         """
         entries = obj.get("entries") if isinstance(obj, dict) else None
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-            raise MalformedSystemError(
+            raise ConfigError(
                 "covering system must be an object whose 'entries' is a list of objects"
             )
         try:
             return cls.from_entries((e["residue"], e["modulus"], e["prime"]) for e in entries)
         except KeyError as exc:
-            raise MalformedSystemError(f"covering entry missing {exc}") from None
+            raise ConfigError(f"covering entry missing {exc}") from None
 
 
 class CoverCheck(NamedTuple):
@@ -136,7 +131,7 @@ def covering_verify(system: CoveringSystem) -> CoverCheck:
     multiplied out.
 
     Raises:
-        MalformedSystemError: structural invariant violated.
+        ConfigError: structural invariant violated.
         CapacityError: a partial lcm >= 2^SIEVE_LIMIT_BITS; raised before the scan.
     """
     system.validate()
@@ -205,15 +200,12 @@ def crt_combine(system: CoveringSystem) -> APCertificate:
     system raises on every call.
 
     Raises:
-        MalformedSystemError: invalid entry data.
-        NotCoveringError: the system leaves some k uncovered.
+        ConfigError: invalid entry data, or the system leaves some k uncovered.
         CapacityError: the lcm of the moduli is at or past 2^SIEVE_LIMIT_BITS.
     """
     check = covering_verify(system)
     if not check.covers:
-        raise NotCoveringError(
-            f"system misses residues {check.uncovered[:8]} (mod {system.lcm})"
-        )
+        raise ConfigError(f"system misses residues {check.uncovered[:8]} (mod {system.lcm})")
     residues = [1] + [pow(2, e.residue, e.prime) for e in system.entries]
     moduli = [2] + [e.prime for e in system.entries]
     r, m = _crt(residues, moduli)

@@ -1,11 +1,11 @@
 """Exception hierarchy, the bit budget, and integer checks and text shared across the package.
 
-Each error class carries the exit code the CLI ends with and the label of
-its stderr line. A ConfigError (malformed input, an inapplicable operation,
-a bad covering system) exits with 2 as "config error: ...", a CapacityError
-(a budget or cap reached) with 3 as "capacity error: ...", and a ClaimError
-(a certified inequality or counting invariant that failed) with 4 as
-"claim error: ...". Any other exception is a bug and keeps its traceback.
+Each exit code has one error class, which carries that code and the label
+of the CLI's stderr line. A ConfigError (malformed input, an inapplicable
+operation, a bad covering system) exits with 2 as "config error: ...", a
+CapacityError (a budget or cap reached) with 3 as "capacity error: ...", and
+a ClaimError (a certified inequality or counting invariant that failed) with
+4 as "claim error: ...". Any other exception is a bug and keeps its traceback.
 """
 
 import re
@@ -18,26 +18,16 @@ MAX_DECIMAL_DIGITS = DEFAULT_BIT_BUDGET // 3 + 2
 _SPLIT_DIGITS = 1024  # integer text longer than this is read in pieces
 _INT_TEXT = re.compile(r"\s*([+-]?)(\d+(?:_\d+)*)\s*")  # what int() reads in base 10
 
+__all__ = ["SumsetLabError", "ConfigError", "CapacityError", "ClaimError"]
+
 
 class SumsetLabError(Exception):
     """Base class for all package-specific errors."""
 
 
 class ConfigError(SumsetLabError, ValueError):
-    """Malformed input, expression or configuration; a ValueError, as the range checks were."""
+    """Malformed input, an inapplicable operation or a bad covering system; a ValueError."""
     exit_code, kind = 2, "config"
-
-
-class InapplicableError(ConfigError):
-    """The operation's precondition (schedule kind, block index range) is not met."""
-
-
-class MalformedSystemError(ConfigError):
-    """A covering system violates its structural invariants."""
-
-
-class NotCoveringError(ConfigError):
-    """A residue system does not cover all integers, so no certificate exists."""
 
 
 class CapacityError(SumsetLabError):
@@ -57,20 +47,21 @@ def at_least(name: str, value: int, minimum: int, shown: str | None = None) -> i
     return value
 
 
-def json_int(value, what: str, error: type[SumsetLabError]) -> int:
-    """An int, or text that int() reads; anything else raises ``error`` naming the value.
+def json_int(value, what: str) -> int:
+    """An int, or text that int() reads; anything else raises ConfigError naming the value.
 
     Text longer than MAX_DECIMAL_DIGITS raises before ``text_int`` reads it; a bool,
     a float, null, a list, an object or other text raises through ``text_name``.
     """
     if isinstance(value, str) and len(value) > MAX_DECIMAL_DIGITS:
-        raise error(f"{what} of {len(value)} digits exceeds the {DEFAULT_BIT_BUDGET}-bit budget")
+        raise ConfigError(f"{what} of {len(value)} digits exceeds the "
+                          f"{DEFAULT_BIT_BUDGET}-bit budget")
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return text_int(value) if isinstance(value, str) else int(value)
         except ValueError:
             pass
-    raise error(f"{what} must be an integer, got {text_name(value)}")
+    raise ConfigError(f"{what} must be an integer, got {text_name(value)}")
 
 
 def _join(parts: list, power):

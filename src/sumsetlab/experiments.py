@@ -99,10 +99,9 @@ class ExperimentConfig:
             schedule=None if schedule is None else GrowthSchedule.from_json(schedule),
             x_grid=tuple(parse_power_expr(x) for x in x_grid),
             limit=None if limit is None else parse_power_expr(limit),
-            k_min=json_int(obj.get("k_min", 1), "k_min", ConfigError),
+            k_min=json_int(obj.get("k_min", 1), "k_min"),
             system=None if system is None else CoveringSystem.from_json(system),
-            enum_budget=json_int(budgets.get("enumeration", DEFAULT_ENUM_BUDGET), "enumeration",
-                                 ConfigError),
+            enum_budget=json_int(budgets.get("enumeration", DEFAULT_ENUM_BUDGET), "enumeration"),
         )
 
 

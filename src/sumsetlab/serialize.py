@@ -58,7 +58,7 @@ def parse_power_expr(text: str | int) -> int:
     """
     over = f"exceeds the {DEFAULT_BIT_BUDGET}-bit budget"
     if not isinstance(text, str):
-        value = json_int(text, "integer expression", ConfigError)
+        value = json_int(text, "integer expression")
         if value.bit_length() > DEFAULT_BIT_BUDGET:
             raise CapacityError(f"integer {over}")
         return value

@@ -20,6 +20,7 @@ alone), ``c_upper_report`` (exact counts with the chain) and
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from .arith import check_chebyshev, legendre_count, mertens_product
 from .blocks import BlockSet, block_index, conjecture_ratio, count_b, grow, j_window_check
-from .errors import CapacityError, ClaimError, InapplicableError, at_least, int_name
+from .errors import CapacityError, ClaimError, ConfigError, at_least, int_name
 
 # numpy is imported where an array is allocated, so a process that
 # counts nothing by bitmap never loads it.
@@ -35,7 +36,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "DEFAULT_ENUM_BUDGET",
     "SumsetReport",
     "RatioPoint",
     "enumerate_c",
@@ -49,6 +49,9 @@ __all__ = [
 
 # Enumeration and the s1/s2 split hold one bitmap of x + 1 bytes, no more.
 DEFAULT_ENUM_BUDGET = 10**8
+# Each pair (a, b) of SumsetReport fields claims a <= b; a pair with a bound left None is skipped.
+_ORDERED = (("s1_overlap", "s1_count"), ("s1_count", "c_count"), ("s1_count", "s1_legendre"),
+            ("s1_legendre", "s1_bound"), ("s2_count", "s2_bound"), ("c_count", "c_bound"))
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,10 @@ class SumsetReport:
     s2_count the rest; s1_overlap counts values having witnesses of both
     kinds, which is why the two raw classes only bound the total from
     above. The bound fields are filled by c_upper_report; split_s1_s2
-    counts only, so it leaves them None. Counts that are no partition
-    raise ClaimError.
+    counts only, so it leaves them None. Counts that are no partition, or
+    that break 0 <= s1_overlap <= s1_count <= c_count or a filled bound
+    (s1_count <= s1_legendre <= s1_bound, s2_count <= s2_bound,
+    c_count <= c_bound), raise ClaimError.
     """
 
     x: int
@@ -77,12 +82,24 @@ class SumsetReport:
     s1_legendre: int | None = None
 
     def __post_init__(self) -> None:
+        at_x = f"at {int_name('x', self.x)}"
         if self.s1_count + self.s2_count != self.c_count:
             raise ClaimError(
                 f"s1_count + s2_count must equal c_count: "
                 f"{int_name('s1_count + s2_count', self.s1_count + self.s2_count)} != "
-                f"{int_name('c_count', self.c_count)} at {int_name('x', self.x)}"
+                f"{int_name('c_count', self.c_count)} {at_x}"
             )
+        if self.s1_overlap < 0:
+            raise ClaimError(
+                f"s1_overlap must be >= 0: {int_name('s1_overlap', self.s1_overlap)} {at_x}"
+            )
+        for low, high in _ORDERED:
+            a, b = getattr(self, low), getattr(self, high)
+            if a is not None and b is not None and a > b:
+                # a count is an int, so it exceeds a bound exactly when it exceeds its floor
+                shown = high if isinstance(b, int) else f"floor({high})"
+                raise ClaimError(f"{low} must be <= {high}: {int_name(low, a)} > "
+                                 f"{int_name(shown, math.floor(b))} {at_x}")
 
 
 @dataclass(frozen=True)
@@ -230,13 +247,13 @@ def s2_bound(x: int, blocks: BlockSet) -> Fraction:
     G(j-1) comes from the schedule, so no block is built.
 
     Raises:
-        InapplicableError: block index below 2.
+        ConfigError: block index below 2.
         CapacityError: x lies above the top block.
     """
     x = int(x)
     j = blocks.index(x)
     if j < 2:
-        raise InapplicableError(f"s2 bound needs block index >= 2, got {j} at {int_name('x', x)}")
+        raise ConfigError(f"s2 bound needs block index >= 2, got {j} at {int_name('x', x)}")
     small_b_pairs = grow(blocks.schedule, j - 1) * (x.bit_length() - 1)
     return x * mertens_product(blocks.primes[: j - 1]) + (1 << (j - 1)) + small_b_pairs
 
@@ -290,14 +307,12 @@ def c_upper_report(x: int, blocks: BlockSet, budget: int = DEFAULT_ENUM_BUDGET) 
     the exact coprime count the s1 sieve bound dominates.
 
     Raises:
-        InapplicableError: block index below 2, checked before the budget.
+        ConfigError: block index below 2, checked before the budget.
     """
     x = at_least("x", int(x), 1)
     j = block_index(x, blocks.schedule)
     if j < 2:
-        raise InapplicableError(
-            f"bound chain needs block index >= 2, got {j} at {int_name('x', x)}"
-        )
+        raise ConfigError(f"bound chain needs block index >= 2, got {j} at {int_name('x', x)}")
     report = split_s1_s2(x, blocks, budget)
     legendre = legendre_count(x, blocks.primes[:j])
     return dataclasses.replace(report, **_sieve_bounds(x, blocks, j), s1_legendre=legendre)

@@ -14,7 +14,6 @@ from sumsetlab import (
     CapacityError,
     ConfigError,
     GrowthSchedule,
-    InapplicableError,
     b_member,
     block_index,
     conjecture_ratio,
@@ -143,7 +142,8 @@ class TestJWindow:
         assert check.holds
 
     def test_non_paper_schedule_rejected(self):
-        with pytest.raises(InapplicableError):
+        with pytest.raises(ConfigError, match="^the block-index window applies to the paper "
+                                              "schedule only$"):
             j_window_check(100, POLY)
 
     def test_below_first_boundary_rejected(self):
@@ -414,7 +414,8 @@ class TestLowerBound:
         assert count_b_lower_bound(511, poly_blocks) == Fraction(107, 3)
 
     def test_inapplicable_below_second_block(self, paper_blocks):
-        with pytest.raises(InapplicableError):
+        with pytest.raises(ConfigError,
+                           match="^lower bound needs block index >= 2, got 1 at x=100$"):
             count_b_lower_bound(100, paper_blocks)
 
     def test_count_dominates_bound_on_boundary_grid(self, poly_blocks):

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -41,9 +42,6 @@ from sumsetlab.errors import (
     CapacityError,
     ClaimError,
     ConfigError,
-    InapplicableError,
-    MalformedSystemError,
-    NotCoveringError,
     json_int,
     text_int,
 )
@@ -66,8 +64,7 @@ from sumsetlab.serialize import (
 
 def loads(text: str):
     """JSON text read back with integer literals of any size, as the CLI reads its files."""
-    return json.loads(text, parse_int=functools.partial(json_int, what="integer literal",
-                                                        error=ConfigError))
+    return json.loads(text, parse_int=functools.partial(json_int, what="integer literal"))
 
 
 def run_json(capsys, argv):
@@ -121,14 +118,14 @@ def int_reads(value) -> bool:
 
 
 class TestJsonInt:
-    @given(JSON_VALUES, st.sampled_from([ConfigError, MalformedSystemError]))
-    def test_an_int_or_integer_text_and_nothing_else(self, value, error):
+    @given(JSON_VALUES)
+    def test_an_int_or_integer_text_and_nothing_else(self, value):
         if int_reads(value):
-            assert json_int(value, "field", error) == int(value)
+            assert json_int(value, "field") == int(value)
             return
-        with pytest.raises(error) as caught:
-            json_int(value, "field", error)
-        assert type(caught.value) is error
+        with pytest.raises(ConfigError) as caught:
+            json_int(value, "field")
+        assert type(caught.value) is ConfigError
         assert len(str(caught.value)) < 200, str(caught.value)
 
 
@@ -159,6 +156,13 @@ class TestParsePowerExpr:
         with pytest.raises(CapacityError, match=r"^2\^e with e of 16610 bits exceeds"):
             parse_power_expr(f"2^{ones}")
         assert parse_power_expr("2^999999") == 1 << 999999
+        # an int past the budget, and a decimal literal of 301,031 digits inside the digit
+        # check whose value, 10^301030, needs 1,000,001 bits
+        with pytest.raises(CapacityError, match="^integer exceeds the 1000000-bit budget$"):
+            parse_power_expr(1 << 1_000_000)
+        with pytest.raises(CapacityError,
+                           match="^decimal literal exceeds the 1000000-bit budget$"):
+            parse_power_expr("1" + "0" * 301_030)
         assert parse_power_expr("2^(2^19)") == 1 << 2**19
         assert parse_power_expr("2^(2^9)") == 2**512
 
@@ -747,6 +751,16 @@ class TestExitCodes:
         assert "--system" in capsys.readouterr().err
 
 
+# experiment files that parse but that a check refuses, by the placeholder that names them
+INPUT_DOCUMENTS = {
+    "list": [],
+    "zero-budget": {"name": "z", "kind": "sumset", "schedule": {"kind": "polynomial"},
+                    "x_grid": [1000], "budgets": {"enumeration": 0}},
+    "empty-grid": {"name": "e", "kind": "bounds", "schedule": {"kind": "paper"}, "x_grid": []},
+    "no-limit": {"name": "r", "kind": "romanov"},
+}
+
+
 class TestWhoseFault:
     """The exit code says whose fault a failure is: 2 the input's, 3 the budget's, 4 a claim's."""
 
@@ -767,16 +781,26 @@ class TestWhoseFault:
              "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
             (["count-b", "--schedule", "paper", "--x", "10", "--out", "{dir}/a\0b"],
              "embedded null byte"),
+            (["depolignac", "scan", "--limit", "1000", "--residue", "7"],
+             "--residue and --modulus must be given together"),
+            (["experiment", "run", "{list}"], "experiment config must be a JSON object"),
+            (["experiment", "run", "{zero-budget}"], "budgets must be positive"),
+            (["experiment", "run", "{empty-grid}"], "experiment 'e' needs a non-empty x_grid"),
+            (["experiment", "run", "{no-limit}"], "experiment 'r' needs a limit"),
         ],
         ids=["sieve-limit", "count-b-x", "sumset-x", "mertens-j", "mertens-negative-j",
              "chebyshev-j", "even-residue",
-             "truncated-json", "not-utf-8", "nul-in-out-path"],
+             "truncated-json", "not-utf-8", "nul-in-out-path", "residue-without-modulus",
+             "config-list", "config-zero-budget", "config-empty-grid", "romanov-without-limit"],
     )
     def test_input_errors_exit_2_with_the_same_message(self, capsys, tmp_path, argv, err):
         (tmp_path / "truncated.json").write_text('{"entries": [')
         (tmp_path / "binary.json").write_bytes(b"\xff\xfe garbage")
         paths = {"{truncated}": str(tmp_path / "truncated.json"),
                  "{binary}": str(tmp_path / "binary.json")}
+        for name, document in INPUT_DOCUMENTS.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(document))
+            paths[f"{{{name}}}"] = str(tmp_path / f"{name}.json")
         argv = [paths.get(arg, arg.replace("{dir}", str(tmp_path))) for arg in argv]
         assert run_command(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {err}\n"
@@ -789,6 +813,25 @@ class TestWhoseFault:
         err = capsys.readouterr().err
         assert err.startswith("claim error: b_count fell below its certified lower bound: ")
         assert err.count("\n") == 1 and len(err.encode()) < 200, err
+
+    @pytest.mark.parametrize(
+        "shift,err",
+        [
+            (10**6, "s1_count must be <= c_count: s1_count=1000395 > c_count=9017"),
+            (-81, "s1_overlap must be >= 0: s1_overlap=-1"),  # the true overlap is 80
+        ],
+        ids=["s1-overcount", "s1-undercount"],
+    )
+    def test_a_sumset_chain_out_of_order_exits_4_on_one_line(self, capsys, monkeypatch, shift,
+                                                              err):
+        from sumsetlab import sumset
+
+        count_top_sums = sumset._count_top_sums
+        monkeypatch.setattr(sumset, "_count_top_sums",
+                            lambda x, blocks, j: count_top_sums(x, blocks, j) + shift)
+        argv = ["sumset", "--schedule", "polynomial", "--x", "100000"]
+        assert run_command(argv) == EXIT_CLAIM
+        assert capsys.readouterr().err == f"claim error: {err} at x=100000\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -828,9 +871,6 @@ class TestWhoseFault:
         "error,code,label",
         [
             (ConfigError, 2, "config"),
-            (InapplicableError, 2, "config"),
-            (MalformedSystemError, 2, "config"),
-            (NotCoveringError, 2, "config"),
             (CapacityError, 3, "capacity"),
             (ClaimError, 4, "claim"),
         ],
@@ -994,8 +1034,175 @@ def record_members(text: str) -> dict:
 SHIPPED_COVERING = Path(__file__).resolve().parents[1] / "src/sumsetlab/data/erdos_covering.json"
 
 
+def _oracle_int(text: str) -> int:
+    """Decimal text as an int, read through Decimal past 4000 digits (under the digit limit)."""
+    return int(text) if len(text) <= 4000 else int(Decimal(text))
+
+
+def _oracle_loads(text: str):
+    return json.loads(text, parse_int=_oracle_int)
+
+
+def _oracle_fraction(obj: dict | None) -> Fraction | None:
+    return None if obj is None else Fraction(_oracle_int(obj["num"]), _oracle_int(obj["den"]))
+
+
 def _sympy_odd_primes(j: int) -> list[int]:
     return [sympy.prime(i) for i in range(2, j + 2)]
+
+
+def _shipped_entries() -> list[dict]:
+    return json.loads(SHIPPED_COVERING.read_text())["entries"]
+
+
+def _windows(exponent, x: int) -> list[tuple[int, int, int]]:
+    """(G(t), last, d_t) for each window t = 1..j with G(t) = 2^e(t) <= x.
+
+    A window runs from G(t) to G(t + 1) - 1, the top one to x; d_t multiplies
+    the first t odd primes.
+    """
+    log2x, windows, t = x.bit_length() - 1, [], 1
+    while exponent(t) <= log2x:
+        last = x if exponent(t + 1) > log2x else 2 ** exponent(t + 1) - 1
+        windows.append((2 ** exponent(t), last, math.prod(_sympy_odd_primes(t))))
+        t += 1
+    return windows
+
+
+def _paper(t: int) -> int:
+    return 2 ** (t * t)
+
+
+def _polynomial(t: int) -> int:
+    return t * t
+
+
+def _b_count(windows) -> int:
+    """Members of B: the multiples of d_t between G(t) and each window's last value."""
+    return sum(last // d - (lo - 1) // d for lo, last, d in windows)
+
+
+def _mertens(j: int) -> Fraction:
+    return math.prod((1 - Fraction(1, p) for p in _sympy_odd_primes(j)), start=Fraction(1))
+
+
+def _sieve_bounds(x: int, windows) -> dict:
+    """The s1, s2 and c bounds at x from their formulas, with j = len(windows) >= 2."""
+    j = len(windows)
+    s1 = x * _mertens(j) + 2**j
+    s2 = x * _mertens(j - 1) + 2 ** (j - 1) + windows[j - 2][0] * (x.bit_length() - 1)
+    return {"s1_bound": s1, "s2_bound": s2, "c_bound": s1 + s2}
+
+
+def _sums(x: int, windows) -> tuple[set, set]:
+    """The sums 2^a + b <= x (a >= 1) with b in the top window, and those with b below it."""
+    top, lower = set(), set()
+    for t, (lo, last, d) in enumerate(windows, 1):
+        for power in (2**a for a in range(1, x.bit_length())):
+            members = range(-(-lo // d) * d, min(last, x - power) + 1, d)
+            (top if t == len(windows) else lower).update(power + b for b in members)
+    return top, lower
+
+
+def _count_report(x: int, windows, count: dict) -> None:
+    j, b, a = len(windows), _b_count(windows), x.bit_length() - 1
+    (lo, _, d), (lo_below, _, d_below) = windows[-1], windows[-2]
+    assert {**count, "b_lower_bound": _oracle_fraction(count["b_lower_bound"]),
+            "ratio_exact": _oracle_fraction(count["ratio_exact"])} == {
+        "x": x, "j": j, "b_count": b, "a_count": a,
+        "b_lower_bound": Fraction(x - lo, d) + Fraction(lo - lo_below, d_below) - 2,
+        "ratio_exact": Fraction(a * b, x), "conjecture_ratio": a * b / x}
+
+
+def _count_b_oracle(x: int):
+    def check(payload):
+        windows = _windows(_paper, x)
+        if x == 10**5:
+            assert _b_count(windows) == 24141
+        _count_report(x, windows, payload)
+    return check
+
+
+def _bounds_oracle(x: int):
+    def check(payload):
+        windows = _windows(_paper, x)
+        j = len(windows)
+        _count_report(x, windows, payload["count"])
+        loglog = math.log((x.bit_length() - 1) * math.log(2))
+        lower, upper = math.sqrt(loglog), 2 * math.sqrt(loglog) / math.sqrt(math.log(2))
+        theta, bound = math.fsum(math.log(p) for p in _sympy_odd_primes(j)), 2 * j * math.log(j)
+        window, chebyshev = payload["window"], payload["chebyshev"]
+        assert (window["j"], window["holds"]) == (j, lower < j <= upper)
+        assert math.isclose(window["lower"], lower) and math.isclose(window["upper"], upper)
+        assert math.isclose(chebyshev["theta"], theta)
+        assert (chebyshev["bound"], chebyshev["holds"]) == (bound, theta <= bound)
+        bounds = {key: _oracle_fraction(payload[key]) for key in ("s1_bound", "s2_bound",
+                                                                   "c_bound")}
+        assert bounds == _sieve_bounds(x, windows)
+        assert (payload["x"], payload["j"], payload["sqrt_check"], payload["b_lower_holds"]) == (
+            x, j, 4**j <= x, True)
+    return check
+
+
+def _sumset_oracle(payload):
+    x = 10**5
+    windows = _windows(_polynomial, x)
+    j, top, lower = len(windows), *_sums(x, windows)
+    c = len(top | lower)
+    assert (c, len(top), len(top & lower)) == (9017, 395, 80)
+    d = windows[-1][2]
+    coprime = sum(math.gcd(n, d) == 1 for n in range(1, x + 1))
+    assert {**payload, **{key: _oracle_fraction(payload[key]) for key in
+                          ("s1_bound", "s2_bound", "c_bound")}} == {
+        "x": x, "j": j, "c_count": c, "s1_count": len(top), "s2_count": c - len(top),
+        "s1_overlap": len(top & lower), "s1_legendre": coprime, "density": c / x,
+        "sqrt_check": 4**j <= x, **_sieve_bounds(x, windows)}
+
+
+def _ratio_scan_oracle(payload):
+    points = []
+    for x in (1000, 10_000, 100_000):
+        windows = _windows(_polynomial, x)
+        b, c = _b_count(windows), len(set.union(*_sums(x, windows)))
+        ratio = Fraction(c, b)
+        points.append({"x": x, "b_count": b, "c_count": c,
+                       "ratio": {"num": str(ratio.numerator), "den": str(ratio.denominator)}})
+    assert payload == {"points": points, "schedule": {"kind": "polynomial"}}
+
+
+def _uncovered(entries: list[dict]) -> tuple[int, list[int]]:
+    """The lcm of the moduli, and each k below it that no class k = r (mod m) holds."""
+    period = math.lcm(*(e["modulus"] for e in entries))
+    return period, [k for k in range(period)
+                    if not any(k % e["modulus"] == e["residue"] for e in entries)]
+
+
+def _covering_verify_oracle(payload):
+    entries = _shipped_entries()
+    period, uncovered = _uncovered(entries)
+    for e in entries:
+        assert sympy.isprime(e["prime"]) and pow(2, e["modulus"], e["prime"]) == 1
+    assert payload == {"covers": not uncovered, "lcm": period, "system": {"entries": entries},
+                       "uncovered": uncovered}
+    assert (period, uncovered) == (24, [])
+
+
+def _check_certificate(entries: list[dict], residue: int, modulus: int) -> None:
+    # every k falls in a class k = r (mod m) whose prime q divides 2^m - 1, so with
+    # n = 2^r (mod q) each n - 2^k has the factor q; n odd keeps n - 2^k odd
+    assert _uncovered(entries)[1] == []
+    for e in entries:
+        assert pow(2, e["modulus"], e["prime"]) == 1
+        assert pow(2, e["residue"], e["prime"]) == residue % e["prime"]
+    assert residue % 2 == 1 and modulus == 2 * math.prod(e["prime"] for e in entries)
+    assert 0 < residue < modulus
+
+
+def _covering_crt_oracle(payload):
+    entries = _shipped_entries()
+    _check_certificate(entries, payload["residue"], payload["modulus"])
+    assert payload == {"residue": payload["residue"], "modulus": payload["modulus"],
+                       "source": {"entries": entries}}
 
 
 def _sieve_count_oracle(payload):
@@ -1034,23 +1241,23 @@ def _romanov_oracle(payload):
 
 
 def _depolignac_scan_oracle(payload):
-    entries = json.loads(SHIPPED_COVERING.read_text())["entries"]
     residue, modulus = payload["certificate"]["residue"], payload["certificate"]["modulus"]
-    # every k falls in a class k = r (mod m) whose prime q divides 2^m - 1, so with
-    # n = 2^r (mod q) each n - 2^k has the factor q; n odd keeps n - 2^k odd
-    period = math.lcm(*(e["modulus"] for e in entries))
-    assert all(any(k % e["modulus"] == e["residue"] for e in entries) for k in range(period))
-    for e in entries:
-        assert pow(2, e["modulus"], e["prime"]) == 1
-        assert pow(2, e["residue"], e["prime"]) == residue % e["prime"]
-    assert residue % 2 == 1 and modulus == 2 * math.prod(e["prime"] for e in entries)
-    assert 10**6 < residue < modulus  # the first member lies past the limit
+    _check_certificate(_shipped_entries(), residue, modulus)
+    assert 10**6 < residue  # the first member lies past the limit
     assert payload == {"certificate": {"residue": residue, "modulus": modulus}, "k_min": 1,
                        "scan": {"exceptions": [], "limit": 10**6, "members_scanned": 0,
                                 "representable_fraction": None}}
 
 
 FROZEN_ORACLES = {
+    "count-b --schedule paper --x 100000": _count_b_oracle(10**5),
+    "count-b --schedule paper --x 2^70000": _count_b_oracle(2**70000),
+    "bounds --schedule paper --x 2^600": _bounds_oracle(2**600),
+    "bounds --schedule paper --x 2^70000": _bounds_oracle(2**70000),
+    "sumset --schedule polynomial --x 100000": _sumset_oracle,
+    "ratio-scan --schedule polynomial --grid 1000,10000,100000": _ratio_scan_oracle,
+    "covering verify": _covering_verify_oracle,
+    "covering crt": _covering_crt_oracle,
     "sieve-count --limit 1000000": _sieve_count_oracle,
     "mertens --j 200 --include-two": _mertens_oracle,
     "chebyshev --j 100": _chebyshev_oracle,
@@ -1123,7 +1330,7 @@ class TestOutputContract:
     def test_frozen_payloads_match_independent_oracles(self, capsys, command):
         assert command in FROZEN_OUTPUT
         assert run_command(command.split()) == EXIT_OK
-        FROZEN_ORACLES[command](json.loads(capsys.readouterr().out)["payload"])
+        FROZEN_ORACLES[command](_oracle_loads(capsys.readouterr().out)["payload"])
 
     def test_result_record_encodes_library_objects(self):
         report = _Report(x=10, ratio=Fraction(3, 7), bound=None)
@@ -1392,6 +1599,12 @@ class TestExperimentConfigs:
         with pytest.raises(ConfigError):
             ExperimentConfig(name="x", kind="nonsense")
 
+    def test_unknown_builtin_rejected(self):
+        with pytest.raises(ConfigError, match="^unknown experiment 'nope'; built-ins: "
+                                              "depolignac-audit, desk-density, open-question, "
+                                              "paper-chain$"):
+            builtin_experiment("nope")
+
     def test_descending_grid_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(
@@ -1582,6 +1795,41 @@ def test_each_module_imports_first_and_the_lazy_package_is_complete(module):
     assert set(facts["homes"]) <= {f"sumsetlab.{m}" for m in _MODULES}
     assert facts["not_home"] == [] and facts["not_in_dir"] == []
     assert not facts["unknown_found"]
+
+
+_LOOKUP_PROBE = """
+import json, sys
+import sumsetlab
+try:
+    getattr(sumsetlab, sys.argv[1])
+except AttributeError:
+    found = False
+else:
+    found = True
+print(json.dumps([found, sorted(m for m in sys.modules if m.startswith("sumsetlab."))]))
+"""
+
+_ERRORS = ["sumsetlab._version", "sumsetlab.errors"]
+_BLOCKS = sorted([*_ERRORS, "sumsetlab.arith", "sumsetlab.blocks"])
+_ALL_LAYERS = sorted([*_BLOCKS, "sumsetlab.depolignac", "sumsetlab.sumset"])
+
+
+@pytest.mark.parametrize(
+    "name,found,loaded",
+    [
+        ("ConfigError", True, _ERRORS),
+        ("count_b", True, _BLOCKS),
+        ("split_s1_s2", True, sorted([*_BLOCKS, "sumsetlab.sumset"])),
+        ("ap_scan", True, _ALL_LAYERS),
+        ("_private", False, ["sumsetlab._version"]),
+        ("__wrapped__", False, ["sumsetlab._version"]),
+        ("no_such_name", False, _ALL_LAYERS),
+    ],
+)
+def test_a_lookup_imports_the_layers_up_to_the_one_that_exports_the_name(name, found, loaded):
+    # the layers are searched in import order, and a _-prefixed name in none of them
+    done = _fresh_python("-c", _LOOKUP_PROBE, name, capture_output=True, check=True)
+    assert json.loads(done.stdout) == [found, loaded]
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])

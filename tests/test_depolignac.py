@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -11,9 +12,8 @@ import sumsetlab.arith as arith
 import sumsetlab.depolignac as depolignac
 from sumsetlab import (
     APCertificate,
+    ConfigError,
     CoveringSystem,
-    MalformedSystemError,
-    NotCoveringError,
     ap_scan,
     covering_verify,
     crt_combine,
@@ -48,6 +48,15 @@ ORDERS = [(3, 2), (7, 3), (5, 4), (31, 5), (127, 7), (17, 8), (73, 9), (11, 10),
 @pytest.fixture(scope="module")
 def erdos():
     return CoveringSystem.from_entries(ERDOS_TRIPLES)
+
+
+# each malformed system, by its (residue, modulus, prime) triples, and the message it earns
+MALFORMED = {
+    ((0, 3, 5),): "q=5 does not divide 2^modulus - 1 with modulus=3 in entry 0",
+    ((0, 1, 1),): "modulus=1 < 2 in entry 0",  # q = 1 is not prime either
+    ((0, 2, 3), (0, 4, 3)): "duplicate prime q=3 in entry 1",
+    ((0, 2, 9),): "q=9 is not prime in entry 0",
+}
 
 
 class TestCoveringVerify:
@@ -91,17 +100,9 @@ class TestCoveringVerify:
         assert check.uncovered == uncovered
         assert check.covers == (bool(picks) and not uncovered)
 
-    @pytest.mark.parametrize(
-        "triples",
-        [
-            [(0, 3, 5)],  # 5 does not divide 2^3 - 1 = 7
-            [(0, 1, 1)],  # q = 1 is not prime (and modulus < 2)
-            [(0, 2, 3), (0, 4, 3)],  # duplicate prime
-            [(0, 2, 9)],  # q composite
-        ],
-    )
+    @pytest.mark.parametrize("triples", list(MALFORMED))
     def test_malformed_systems(self, triples):
-        with pytest.raises(MalformedSystemError):
+        with pytest.raises(ConfigError, match=f"^{re.escape(MALFORMED[triples])}$"):
             covering_verify(CoveringSystem.from_entries(triples))
 
 
@@ -119,11 +120,11 @@ class TestCrtCombine:
 
     def test_not_covering_rejected(self):
         system = CoveringSystem.from_entries([(0, 2, 3)])
-        with pytest.raises(NotCoveringError):
+        with pytest.raises(ConfigError, match=r"^system misses residues \(1,\) \(mod 2\)$"):
             crt_combine(system)
 
     def test_malformed_rejected(self):
-        with pytest.raises(MalformedSystemError):
+        with pytest.raises(ConfigError, match="^modulus=1 < 2 in entry 0$"):
             crt_combine(CoveringSystem.from_entries([(0, 1, 1)]))
 
     def test_shipped_certificate_is_built_once(self, erdos):
@@ -139,9 +140,9 @@ class TestCrtCombine:
         not_covering = CoveringSystem.from_entries([(0, 2, 3)])
         malformed = CoveringSystem.from_entries([(0, 1, 1)])
         for _ in range(3):
-            with pytest.raises(NotCoveringError):
+            with pytest.raises(ConfigError, match=r"^system misses residues \(1,\) \(mod 2\)$"):
                 crt_combine(not_covering)
-            with pytest.raises(MalformedSystemError):
+            with pytest.raises(ConfigError, match="^modulus=1 < 2 in entry 0$"):
                 crt_combine(malformed)
 
     def test_certificate_validation(self, erdos):

@@ -1,6 +1,7 @@
 """The error classes, the range-check helper, and what the integer entry points may raise."""
 
 import random
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -17,9 +18,6 @@ from sumsetlab import (
     ClaimError,
     ConfigError,
     GrowthSchedule,
-    InapplicableError,
-    MalformedSystemError,
-    NotCoveringError,
     SumsetLabError,
     SumsetReport,
     ap_scan,
@@ -52,10 +50,6 @@ from sumsetlab.serialize import decimal15, int_decimal
 class TestHierarchy:
     def test_each_kind_carries_its_exit_code(self):
         assert (ConfigError.exit_code, CapacityError.exit_code, ClaimError.exit_code) == (2, 3, 4)
-
-    @pytest.mark.parametrize("error", [InapplicableError, MalformedSystemError, NotCoveringError])
-    def test_input_errors_are_config_errors(self, error):
-        assert issubclass(error, ConfigError) and error.exit_code == 2
 
     def test_a_config_error_is_still_a_value_error(self):
         assert issubclass(ConfigError, ValueError) and issubclass(ConfigError, SumsetLabError)
@@ -99,6 +93,35 @@ class TestReportInvariants:
                                              r"s1_count \+ s2_count=9 != c_count=10 at x=100$"):
             SumsetReport(x=100, j=3, c_count=10, s1_count=4, s2_count=5, s1_overlap=0,
                          density=0.1, sqrt_check=True)
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"s1_overlap": -1}, "s1_overlap must be >= 0: s1_overlap=-1"),
+            ({"s1_overlap": 5}, "s1_overlap must be <= s1_count: s1_overlap=5 > s1_count=4"),
+            ({"s1_count": 11, "s2_count": -1},
+             "s1_count must be <= c_count: s1_count=11 > c_count=10"),
+            ({"s1_legendre": 3}, "s1_count must be <= s1_legendre: s1_count=4 > s1_legendre=3"),
+            ({"s1_bound": Fraction(99, 2)},
+             "s1_legendre must be <= s1_bound: s1_legendre=50 > floor(s1_bound)=49"),
+            ({"s2_bound": Fraction(11, 2)},
+             "s2_count must be <= s2_bound: s2_count=6 > floor(s2_bound)=5"),
+            ({"c_bound": Fraction(19, 2)},
+             "c_count must be <= c_bound: c_count=10 > floor(c_bound)=9"),
+        ],
+        ids=["overlap-negative", "overlap", "s1-above-c", "legendre", "s1-bound", "s2-bound",
+             "c-bound"],
+    )
+    def test_a_report_out_of_order_is_a_claim_error(self, fields, message):
+        # 0 <= s1_overlap <= s1_count <= c_count, and each count under the bounds filled in
+        sound = {"x": 100, "j": 3, "c_count": 10, "s1_count": 4, "s2_count": 6, "s1_overlap": 1,
+                 "density": 0.1, "sqrt_check": True, "s1_bound": Fraction(50),
+                 "s2_bound": Fraction(6), "c_bound": Fraction(10), "s1_legendre": 50}
+        SumsetReport(**sound)
+        SumsetReport(**{**sound, "s1_bound": None, "s2_bound": None, "c_bound": None,
+                        "s1_legendre": None, "s1_overlap": 4})
+        with pytest.raises(ClaimError, match=f"^{re.escape(message)} at x=100$"):
+            SumsetReport(**{**sound, **fields})
 
 
 # Draws stay small enough that no call allocates more than a few MB: sieve and scan

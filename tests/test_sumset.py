@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from sumsetlab import (
     BlockSet,
     CapacityError,
+    ConfigError,
     GrowthSchedule,
-    InapplicableError,
     b_member,
     block_index,
     c_upper_report,
@@ -198,7 +198,7 @@ class TestBounds:
                 bound(10**6, shallow)
 
     def test_s2_bound_inapplicable(self, poly_blocks):
-        with pytest.raises(InapplicableError):
+        with pytest.raises(ConfigError, match="^s2 bound needs block index >= 2, got 1 at x=5$"):
             s2_bound(5, poly_blocks)
 
     def test_counts_below_bounds(self, poly_blocks):
@@ -210,7 +210,8 @@ class TestBounds:
             assert Fraction(report.s1_count) <= Fraction(report.s1_legendre)
 
     def test_report_inapplicable_below_second_block(self, poly_blocks):
-        with pytest.raises(InapplicableError):
+        with pytest.raises(ConfigError,
+                           match="^bound chain needs block index >= 2, got 1 at x=5$"):
             c_upper_report(5, poly_blocks)
 
     def test_report_checks_block_index_before_enumerating(self, monkeypatch):
@@ -223,7 +224,8 @@ class TestBounds:
         monkeypatch.setattr(sumset, "split_s1_s2", no_enumeration)
         blocks = BlockSet.covering(GrowthSchedule.custom([20, 40]), 2 * 10**8)
         for x in (10**8, 2 * 10**8):
-            with pytest.raises(InapplicableError, match=f"got 1 at x={x}$"):
+            with pytest.raises(ConfigError, match=f"^bound chain needs block index >= 2, "
+                                                  f"got 1 at x={x}$"):
                 c_upper_report(x, blocks)
         with pytest.raises(ValueError, match="^x must be >= 1, got 0$"):
             c_upper_report(0, blocks)
