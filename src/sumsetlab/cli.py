@@ -23,14 +23,13 @@ from typing import TYPE_CHECKING, Sequence
 
 from ._version import __version__
 from .errors import (
-    DEFAULT_BIT_BUDGET,
-    MAX_DECIMAL_DIGITS,
     CapacityError,
     ClaimError,
     ConfigError,
     SumsetLabError,
     at_least,
     json_int,
+    parse_power_expr,
     text_int,
     text_name,
 )
@@ -66,17 +65,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _integer(text: str) -> int:
-    """``text_int(text)`` for every integer option, at any length up to MAX_DECIMAL_DIGITS.
-
-    Longer text is refused before it is read, as for --x; the value itself is judged by
-    the handler that uses it.
-    """
-    if len(text) > MAX_DECIMAL_DIGITS:
-        raise CapacityError(
-            f"integer option of {len(text)} digits exceeds the {DEFAULT_BIT_BUDGET}-bit budget"
-        )
+    """``text_int`` for every integer option; the handler that uses the value judges it."""
     try:
-        return text_int(text)
+        return text_int(text, "integer option")
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text_name(text)}") from None
 
@@ -85,8 +76,8 @@ def _read_json(value: str, rule: str):
     """The schedule, system or config file at ``value``, which must be a regular file.
 
     ``rule`` opens the message that refuses any other value, naming the argument;
-    an integer literal past the bit budget, text that is not UTF-8, malformed
-    JSON and JSON nested too deeply to parse are refused with ConfigError.
+    an integer literal past the bit budget is refused with CapacityError, and text
+    that is not UTF-8, malformed JSON and JSON nested too deeply to parse with ConfigError.
     """
     import json
 
@@ -144,7 +135,7 @@ def _record_at_x(name: str, args, point) -> dict:
     A command with --budget (sumset) passes its enumeration budget on as a third argument.
     """
     from .blocks import BlockSet
-    from .serialize import parse_power_expr, result_record
+    from .serialize import result_record
 
     schedule = _schedule_from_arg(args.schedule)
     x = parse_power_expr(args.x)
@@ -173,7 +164,6 @@ def _cmd_sumset(args) -> dict:
 
 def _cmd_ratio_scan(args) -> dict:
     from .experiments import ExperimentConfig, run_experiment
-    from .serialize import parse_power_expr
 
     schedule = _schedule_from_arg(args.schedule)
     grid = tuple(parse_power_expr(part) for part in args.grid.split(","))
@@ -185,7 +175,7 @@ def _cmd_ratio_scan(args) -> dict:
 
 def _cmd_sieve_count(args) -> dict:
     from .arith import sieve_primes
-    from .serialize import parse_power_expr, result_record
+    from .serialize import result_record
 
     limit = parse_power_expr(args.limit)
     table = sieve_primes(limit)
@@ -241,7 +231,7 @@ def _cmd_covering_crt(args) -> dict:
 
 def _cmd_depolignac_scan(args) -> dict:
     from .depolignac import APCertificate, ap_scan, crt_combine
-    from .serialize import parse_power_expr, result_record
+    from .serialize import result_record
 
     limit = parse_power_expr(args.limit)
     if args.residue is not None or args.modulus is not None:
@@ -261,7 +251,7 @@ def _cmd_depolignac_scan(args) -> dict:
 
 def _cmd_romanov_density(args) -> dict:
     from .depolignac import romanov_density_scan
-    from .serialize import parse_power_expr, result_record
+    from .serialize import result_record
 
     limit = parse_power_expr(args.limit)
     payload = {"scan": romanov_density_scan(limit, args.k_min), "k_min": args.k_min}
@@ -361,7 +351,7 @@ def _write(record: dict, args: argparse.Namespace) -> None:
     from .serialize import payload_csv, payload_json
 
     text = payload_csv(record["payload"]) if args.format == "csv" else payload_json(record)
-    if args.out:
+    if args.out is not None:
         try:
             Path(args.out).write_text(text)
         except ValueError as exc:  # a path holding a NUL byte, refused before any system call

@@ -1,4 +1,9 @@
-"""Exception hierarchy, the bit budget, and integer checks and text shared across the package.
+"""Exception hierarchy, the bit budget, and the one reader of integer text from outside.
+
+Every integer written as text outside the package (an option, ``--x``, a grid
+entry, a JSON number or string, an environment variable) is read here, by
+``text_int`` through ``json_int`` or ``parse_power_expr``, and text longer than
+the bit budget allows is refused before it is read. ``serialize`` only writes.
 
 Each exit code has one error class, which carries that code and the label
 of the CLI's stderr line. A ConfigError (malformed input, an inapplicable
@@ -17,6 +22,7 @@ DEFAULT_BIT_BUDGET = 1_000_000
 MAX_DECIMAL_DIGITS = DEFAULT_BIT_BUDGET // 3 + 2
 _SPLIT_DIGITS = 1024  # integer text longer than this is read in pieces
 _INT_TEXT = re.compile(r"\s*([+-]?)(\d+(?:_\d+)*)\s*")  # what int() reads in base 10
+_EXPR_RE = re.compile(r"^\s*(?:(\d+)|2\^(\d+)|2\^\(2\^(\d+)\))\s*$")  # parse_power_expr's forms
 
 __all__ = ["SumsetLabError", "ConfigError", "CapacityError", "ClaimError"]
 
@@ -48,20 +54,48 @@ def at_least(name: str, value: int, minimum: int, shown: str | None = None) -> i
 
 
 def json_int(value, what: str) -> int:
-    """An int, or text that int() reads; anything else raises ConfigError naming the value.
+    """An int, or text that ``text_int`` reads; anything else raises ConfigError naming the value.
 
-    Text longer than MAX_DECIMAL_DIGITS raises before ``text_int`` reads it; a bool,
+    Text past MAX_DECIMAL_DIGITS raises CapacityError through ``text_int``; a bool,
     a float, null, a list, an object or other text raises through ``text_name``.
     """
-    if isinstance(value, str) and len(value) > MAX_DECIMAL_DIGITS:
-        raise ConfigError(f"{what} of {len(value)} digits exceeds the "
-                          f"{DEFAULT_BIT_BUDGET}-bit budget")
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
-            return text_int(value) if isinstance(value, str) else int(value)
+            return text_int(value, what) if isinstance(value, str) else int(value)
         except ValueError:
             pass
     raise ConfigError(f"{what} must be an integer, got {text_name(value)}")
+
+
+def parse_power_expr(text: str | int) -> int:
+    """Parse "12345", "2^k", or "2^(2^k)" into an exact integer; other values go to ``json_int``.
+
+    Raises:
+        ConfigError: the text matches none of the three forms, or the value is no integer.
+        CapacityError: the digits or the value would exceed DEFAULT_BIT_BUDGET bits.
+    """
+    over = f"exceeds the {DEFAULT_BIT_BUDGET}-bit budget"
+    if not isinstance(text, str):
+        value = json_int(text, "integer expression")
+        if value.bit_length() > DEFAULT_BIT_BUDGET:
+            raise CapacityError(f"integer {over}")
+        return value
+    match = _EXPR_RE.match(text)
+    if not match:
+        raise ConfigError(f"cannot parse integer expression {text_name(text)}")
+    decimal, single, tower = match.groups()
+    value = text_int(decimal or single or tower, "decimal literal")
+    if decimal is not None:
+        if value.bit_length() > DEFAULT_BIT_BUDGET:
+            raise CapacityError(f"decimal literal {over}")
+        return value
+    if single is not None:
+        if value >= DEFAULT_BIT_BUDGET:
+            raise CapacityError(f"2^e with {int_name('e', value)} {over}")
+        return 1 << value
+    if value > 60 or (1 << value) >= DEFAULT_BIT_BUDGET:
+        raise CapacityError(f"2^(2^e) with {int_name('e', value)} {over}")
+    return 1 << (1 << value)
 
 
 def _join(parts: list, power):
@@ -72,8 +106,14 @@ def _join(parts: list, power):
     return parts[0]
 
 
-def text_int(text: str) -> int:
-    """int(text) in base 10 at any length, in quasi-linear time; ValueError where int() fails."""
+def text_int(text: str, what: str) -> int:
+    """int(text) in base 10 at any length, in quasi-linear time; ValueError where int() fails.
+
+    Text longer than MAX_DECIMAL_DIGITS raises CapacityError naming ``what`` before it is read.
+    """
+    if len(text) > MAX_DECIMAL_DIGITS:
+        raise CapacityError(f"{what} of {len(text)} digits exceeds the "
+                            f"{DEFAULT_BIT_BUDGET}-bit budget")
     match = len(text) > _SPLIT_DIGITS and _INT_TEXT.fullmatch(text)
     if not match:
         return int(text)

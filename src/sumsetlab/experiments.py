@@ -25,8 +25,8 @@ from .depolignac import (
     default_covering_system,
     romanov_density_scan,
 )
-from .errors import ConfigError, json_int, text_name
-from .serialize import covering_payload, parse_power_expr, report_payload, result_record
+from .errors import ConfigError, json_int, parse_power_expr, text_name
+from .serialize import covering_payload, report_payload, result_record
 from .sumset import DEFAULT_ENUM_BUDGET, bound_chain_point, c_upper_report, ratio_point
 
 __all__ = [

@@ -1,11 +1,11 @@
 """Report serialization: deterministic JSON payloads and lossy-marked CSV.
 
+This module only writes; ``errors`` reads every integer text from outside.
 Pipelines return library objects (reports, Fractions, covering systems,
 certificates) in plain dicts, and ``result_record`` keeps them as they
 are until the record is written: ``payload_json`` encodes the record
 through ``report_payload``, and ``payload_csv`` reads the objects
-directly. ``parse_power_expr`` reads integer arguments under the
-library's bit budget.
+directly.
 
 Exact rationals always serialize as {"num": ..., "den": ...} decimal
 strings, so no precision is laundered through floats; integers stay
@@ -21,21 +21,17 @@ import dataclasses
 import io
 import json
 import os
-import re
 from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable
 
 from ._version import __version__
-from .errors import (DEFAULT_BIT_BUDGET, MAX_DECIMAL_DIGITS, CapacityError, ConfigError, _join,
-                     int_name, json_int, text_int, text_name)
+from .errors import _join
 
 if TYPE_CHECKING:
     from .depolignac import CoverCheck, CoveringSystem
 
 __all__ = [
-    "DEFAULT_BIT_BUDGET",
-    "parse_power_expr",
     "result_record",
     "fraction_payload",
     "decimal15",
@@ -45,42 +41,7 @@ __all__ = [
     "payload_csv",
 ]
 
-_EXPR_RE = re.compile(r"^\s*(?:(\d+)|2\^(\d+)|2\^\(2\^(\d+)\))\s*$")
 _SPLIT_BITS = 4096  # an integer past this size is written in pieces
-
-
-def parse_power_expr(text: str | int) -> int:
-    """Parse "12345", "2^k", or "2^(2^k)" into an exact integer; other values go to ``json_int``.
-
-    Raises:
-        ConfigError: the text matches none of the three forms, or the value is no integer.
-        CapacityError: the value would exceed DEFAULT_BIT_BUDGET bits.
-    """
-    over = f"exceeds the {DEFAULT_BIT_BUDGET}-bit budget"
-    if not isinstance(text, str):
-        value = json_int(text, "integer expression")
-        if value.bit_length() > DEFAULT_BIT_BUDGET:
-            raise CapacityError(f"integer {over}")
-        return value
-    match = _EXPR_RE.match(text)
-    if not match:
-        raise ConfigError(f"cannot parse integer expression {text_name(text)}")
-    decimal, single, tower = match.groups()
-    digits = decimal or single or tower
-    if len(digits) > MAX_DECIMAL_DIGITS:
-        raise CapacityError(f"decimal literal {over}")
-    value = text_int(digits)
-    if decimal is not None:
-        if value.bit_length() > DEFAULT_BIT_BUDGET:
-            raise CapacityError(f"decimal literal {over}")
-        return value
-    if single is not None:
-        if value >= DEFAULT_BIT_BUDGET:
-            raise CapacityError(f"2^e with {int_name('e', value)} {over}")
-        return 1 << value
-    if value > 60 or (1 << value) >= DEFAULT_BIT_BUDGET:
-        raise CapacityError(f"2^(2^e) with {int_name('e', value)} {over}")
-    return 1 << (1 << value)
 
 
 def int_decimal(n: int) -> Decimal:

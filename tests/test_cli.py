@@ -43,6 +43,7 @@ from sumsetlab.errors import (
     ClaimError,
     ConfigError,
     json_int,
+    parse_power_expr,
     text_int,
 )
 from sumsetlab.experiments import (
@@ -54,7 +55,6 @@ from sumsetlab.experiments import (
 from sumsetlab.serialize import (
     fraction_payload,
     int_decimal,
-    parse_power_expr,
     payload_csv,
     payload_json,
     report_payload,
@@ -81,7 +81,7 @@ def written(record: dict) -> dict:
 
 def rational(obj: dict) -> Fraction:
     """The Fraction a {"num", "den"} pair of JSON strings spells."""
-    return Fraction(text_int(obj["num"]), text_int(obj["den"]))
+    return Fraction(text_int(obj["num"], "num"), text_int(obj["den"], "den"))
 
 
 def leaf_parsers(parser, path=()):
@@ -155,6 +155,9 @@ class TestParsePowerExpr:
             assert len(str(refused.value)) < 200
         with pytest.raises(CapacityError, match=r"^2\^e with e of 16610 bits exceeds"):
             parse_power_expr(f"2^{ones}")
+        with pytest.raises(CapacityError, match=r"^decimal literal of 333336 digits exceeds "
+                                                r"the 1000000-bit budget$"):
+            parse_power_expr(f"2^(2^{long})")
         assert parse_power_expr("2^999999") == 1 << 999999
         # an int past the budget, and a decimal literal of 301,031 digits inside the digit
         # check whose value, 10^301030, needs 1,000,001 bits
@@ -555,6 +558,14 @@ class TestExitCodes:
         assert run_command(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == (
             "config error: [Errno 2] No such file or directory: 'missing/record.json'\n")
+
+    def test_empty_out_path_is_config_error(self, capsys, monkeypatch, tmp_path):
+        # Path("") is Path("."), a directory, as for every other file argument; an empty
+        # --out is no request to print the record
+        monkeypatch.chdir(tmp_path)
+        argv = ["count-b", "--schedule", "paper", "--x", "100000", "--out", ""]
+        assert run_command(argv) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "config error: [Errno 21] Is a directory: '.'\n")
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
@@ -1144,30 +1155,42 @@ def _bounds_oracle(x: int):
     return check
 
 
-def _sumset_oracle(payload):
-    x = 10**5
-    windows = _windows(_polynomial, x)
-    j, top, lower = len(windows), *_sums(x, windows)
-    c = len(top | lower)
-    assert (c, len(top), len(top & lower)) == (9017, 395, 80)
-    d = windows[-1][2]
-    coprime = sum(math.gcd(n, d) == 1 for n in range(1, x + 1))
-    assert {**payload, **{key: _oracle_fraction(payload[key]) for key in
-                          ("s1_bound", "s2_bound", "c_bound")}} == {
-        "x": x, "j": j, "c_count": c, "s1_count": len(top), "s2_count": c - len(top),
-        "s1_overlap": len(top & lower), "s1_legendre": coprime, "density": c / x,
-        "sqrt_check": 4**j <= x, **_sieve_bounds(x, windows)}
+def _sumset_oracle(x: int):
+    def check(payload):
+        windows = _windows(_polynomial, x)
+        j, top, lower = len(windows), *_sums(x, windows)
+        c = len(top | lower)
+        if x == 10**5:
+            assert (c, len(top), len(top & lower)) == (9017, 395, 80)
+        d = windows[-1][2]
+        coprime = sum(math.gcd(n, d) == 1 for n in range(1, x + 1))
+        assert {**payload, **{key: _oracle_fraction(payload[key]) for key in
+                              ("s1_bound", "s2_bound", "c_bound")}} == {
+            "x": x, "j": j, "c_count": c, "s1_count": len(top), "s2_count": c - len(top),
+            "s1_overlap": len(top & lower), "s1_legendre": coprime, "density": c / x,
+            "sqrt_check": 4**j <= x, **_sieve_bounds(x, windows)}
+    return check
 
 
-def _ratio_scan_oracle(payload):
-    points = []
-    for x in (1000, 10_000, 100_000):
+def _ratio_oracle(x: int):
+    def check(point):
         windows = _windows(_polynomial, x)
         b, c = _b_count(windows), len(set.union(*_sums(x, windows)))
         ratio = Fraction(c, b)
-        points.append({"x": x, "b_count": b, "c_count": c,
-                       "ratio": {"num": str(ratio.numerator), "den": str(ratio.denominator)}})
-    assert payload == {"points": points, "schedule": {"kind": "polynomial"}}
+        assert point == {"x": x, "b_count": b, "c_count": c,
+                         "ratio": {"num": str(ratio.numerator), "den": str(ratio.denominator)}}
+    return check
+
+
+def _grid_oracle(point_oracle, kind: str, grid: tuple[int, ...]):
+    """A grid run's payload: its schedule, and one point per x, each checked by its oracle."""
+    def check(payload):
+        points = payload["points"]
+        assert payload == {"points": points, "schedule": {"kind": kind}}
+        assert len(points) == len(grid)
+        for x, point in zip(grid, points):
+            point_oracle(x)(point)
+    return check
 
 
 def _uncovered(entries: list[dict]) -> tuple[int, list[int]]:
@@ -1249,13 +1272,35 @@ def _depolignac_scan_oracle(payload):
                                 "representable_fraction": None}}
 
 
+def _depolignac_audit_oracle(payload):
+    # the shipped system covers, its certificate holds, and no member n <= 3*10^7 of the
+    # progression is p + 2^k with k >= 1
+    _covering_verify_oracle(payload["covering"])
+    _covering_crt_oracle(payload["certificate"])
+    residue, modulus = payload["certificate"]["residue"], payload["certificate"]["modulus"]
+    members = range(residue, 30_000_000 + 1, modulus)
+    assert len(members) == 3
+    assert not any(sympy.isprime(n - 2**k) for n in members for k in range(1, n.bit_length()))
+    assert payload == {"certificate": payload["certificate"], "covering": payload["covering"],
+                       "k_min": 1, "scan": {"exceptions": [], "limit": 30_000_000,
+                                            "members_scanned": len(members),
+                                            "representable_fraction": None}}
+
+
+def _experiment_list_oracle(payload):
+    names = ["paper-chain", "desk-density", "depolignac-audit", "open-question"]
+    assert payload == {"experiments": sorted(names)}
+
+
+DECADES = (10**3, 10**4, 10**5, 10**6)
 FROZEN_ORACLES = {
     "count-b --schedule paper --x 100000": _count_b_oracle(10**5),
     "count-b --schedule paper --x 2^70000": _count_b_oracle(2**70000),
     "bounds --schedule paper --x 2^600": _bounds_oracle(2**600),
     "bounds --schedule paper --x 2^70000": _bounds_oracle(2**70000),
-    "sumset --schedule polynomial --x 100000": _sumset_oracle,
-    "ratio-scan --schedule polynomial --grid 1000,10000,100000": _ratio_scan_oracle,
+    "sumset --schedule polynomial --x 100000": _sumset_oracle(10**5),
+    "ratio-scan --schedule polynomial --grid 1000,10000,100000":
+        _grid_oracle(_ratio_oracle, "polynomial", DECADES[:3]),
     "covering verify": _covering_verify_oracle,
     "covering crt": _covering_crt_oracle,
     "sieve-count --limit 1000000": _sieve_count_oracle,
@@ -1263,6 +1308,12 @@ FROZEN_ORACLES = {
     "chebyshev --j 100": _chebyshev_oracle,
     "romanov-density --limit 100000 --k-min 0": _romanov_oracle,
     "depolignac scan --limit 1000000": _depolignac_scan_oracle,
+    "experiment list": _experiment_list_oracle,
+    "experiment run paper-chain":
+        _grid_oracle(_bounds_oracle, "paper", (2**20, 2**100, 2**600, 2**1000)),
+    "experiment run desk-density": _grid_oracle(_sumset_oracle, "polynomial", DECADES),
+    "experiment run depolignac-audit": _depolignac_audit_oracle,
+    "experiment run open-question": _grid_oracle(_ratio_oracle, "polynomial", DECADES),
 }
 
 
@@ -1326,9 +1377,11 @@ class TestOutputContract:
         assert run_command([*command.split(), "--format", "csv"]) == EXIT_OK
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == csv_digest
 
+    def test_every_frozen_call_has_an_oracle(self):
+        assert set(FROZEN_ORACLES) == set(FROZEN_OUTPUT)
+
     @pytest.mark.parametrize("command", FROZEN_ORACLES)
     def test_frozen_payloads_match_independent_oracles(self, capsys, command):
-        assert command in FROZEN_OUTPUT
         assert run_command(command.split()) == EXIT_OK
         FROZEN_ORACLES[command](_oracle_loads(capsys.readouterr().out)["payload"])
 
@@ -1472,17 +1525,19 @@ class TestContractSizes:
         assert capsys.readouterr().out == payload_csv(report)
 
     @pytest.mark.parametrize(
-        "flag,template",
+        "flag,template,what",
         [
-            ("schedule", '{"kind": "custom", "exponents": [1, %s]}'),
-            ("schedule", '{"kind": "custom", "exponents": [1, "%s"]}'),
-            ("system", '{"entries": [{"residue": %s, "modulus": 2, "prime": 3}]}'),
-            ("config", '{"name": "x", "kind": "romanov", "limit": 1000, "k_min": %s}'),
+            ("schedule", '{"kind": "custom", "exponents": [1, %s]}', "integer literal"),
+            ("schedule", '{"kind": "custom", "exponents": [1, "%s"]}', "schedule exponent"),
+            ("system", '{"entries": [{"residue": %s, "modulus": 2, "prime": 3}]}',
+             "integer literal"),
+            ("config", '{"name": "x", "kind": "romanov", "limit": 1000, "k_min": %s}',
+             "integer literal"),
         ],
         ids=["schedule", "schedule-string", "system", "config"],
     )
-    def test_integer_past_the_budget_in_a_file_is_config_error(self, capsys, tmp_path, flag,
-                                                               template):
+    def test_integer_past_the_budget_in_a_file_is_capacity_error(self, capsys, tmp_path, flag,
+                                                                 template, what):
         # refused by its length, before int() reads its 333,336 digits
         path = tmp_path / "input.json"
         path.write_text(template % ("9" * (MAX_DECIMAL_DIGITS + 1)))
@@ -1491,10 +1546,66 @@ class TestContractSizes:
             "system": ["covering", "verify", "--system", str(path)],
             "schedule": ["count-b", "--schedule", str(path), "--x", "1000"],
         }[flag]
-        assert run_command(argv) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"of {MAX_DECIMAL_DIGITS + 1} digits exceeds the 1000000-bit budget" in err
-        assert len(err) < 200, err
+        assert run_command(argv) == EXIT_CAPACITY
+        assert capsys.readouterr().err == (
+            f"capacity error: {what} of 333336 digits exceeds the 1000000-bit budget\n")
+
+    @pytest.mark.parametrize(
+        "argv,source,what",
+        [
+            (["mertens", "--j", "DIGITS"], None, "integer option"),
+            (["romanov-density", "--limit", "1000", "--k-min", "DIGITS"], None, "integer option"),
+            (["sumset", "--schedule", "polynomial", "--x", "1000", "--budget", "DIGITS"], None,
+             "integer option"),
+            (["depolignac", "scan", "--limit", "1000", "--residue", "DIGITS", "--modulus", "3"],
+             None, "integer option"),
+            (["depolignac", "scan", "--limit", "1000", "--residue", "1", "--modulus", "DIGITS"],
+             None, "integer option"),
+            (["count-b", "--schedule", "paper", "--x", "DIGITS"], None, "decimal literal"),
+            (["ratio-scan", "--schedule", "polynomial", "--grid", "1000,DIGITS"], None,
+             "decimal literal"),
+            (["sieve-count", "--limit", "DIGITS"], None, "decimal literal"),
+            (["experiment", "run", "FILE"],
+             '{"name": "g", "kind": "bounds", "schedule": {"kind": "paper"}, "x_grid": [DIGITS]}',
+             "integer literal"),
+            (["experiment", "run", "FILE"],
+             '{"name": "g", "kind": "bounds", "schedule": {"kind": "paper"}, '
+             '"x_grid": ["DIGITS"]}', "decimal literal"),
+            (["experiment", "run", "FILE"], '{"name": "l", "kind": "romanov", "limit": DIGITS}',
+             "integer literal"),
+            (["experiment", "run", "FILE"], '{"name": "l", "kind": "romanov", "limit": "DIGITS"}',
+             "decimal literal"),
+            (["experiment", "run", "FILE"],
+             '{"name": "k", "kind": "romanov", "limit": 1000, "k_min": "DIGITS"}', "k_min"),
+            (["experiment", "run", "FILE"],
+             '{"name": "e", "kind": "romanov", "limit": 1000, '
+             '"budgets": {"enumeration": "DIGITS"}}', "enumeration"),
+            (["count-b", "--schedule", "FILE", "--x", "1000"],
+             '{"kind": "custom", "exponents": [1, DIGITS]}', "integer literal"),
+            (["count-b", "--schedule", "FILE", "--x", "1000"],
+             '{"kind": "custom", "exponents": [1, "DIGITS"]}', "schedule exponent"),
+            (["covering", "verify", "--system", "FILE"],
+             '{"entries": [{"residue": "DIGITS", "modulus": 2, "prime": 3}]}',
+             "covering entry field"),
+            (["sumset", "--schedule", "polynomial", "--x", "1000"], "env", "SUMSETLAB_ENUM_CAP"),
+        ],
+        ids=["j", "k-min", "budget", "residue", "modulus", "x", "grid", "limit",
+             "config-x-grid", "config-x-grid-string", "config-limit", "config-limit-string",
+             "config-k-min", "config-enumeration", "schedule-exponent",
+             "schedule-exponent-string", "covering-entry-field", "enum-cap-env"],
+    )
+    def test_integer_text_past_the_budget_exits_3_wherever_it_is_written(
+            self, capsys, tmp_path, monkeypatch, argv, source, what):
+        # one rule, in errors.text_int: text of more than MAX_DECIMAL_DIGITS is never read
+        digits, path = "9" * (MAX_DECIMAL_DIGITS + 1), tmp_path / "input.json"
+        if source == "env":
+            monkeypatch.setenv(cli.ENUM_CAP_ENV, digits)
+        elif source is not None:
+            path.write_text(source.replace("DIGITS", digits))
+        argv = [str(path) if arg == "FILE" else arg.replace("DIGITS", digits) for arg in argv]
+        assert run_command(argv) == EXIT_CAPACITY
+        assert capsys.readouterr() == ("", f"capacity error: {what} of 333336 digits exceeds "
+                                           "the 1000000-bit budget\n")
 
     @pytest.mark.parametrize(
         "residue,modulus,prime",

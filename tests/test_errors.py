@@ -43,7 +43,7 @@ from sumsetlab import (
     sieve_primes,
     split_s1_s2,
 )
-from sumsetlab.errors import at_least, text_int
+from sumsetlab.errors import MAX_DECIMAL_DIGITS, at_least, text_int
 from sumsetlab.serialize import decimal15, int_decimal
 
 
@@ -227,7 +227,7 @@ class TestIntegerText:
         if grouped:
             digits = "_".join(digits[i : i + 3] for i in range(0, len(digits), 3))
         text = f"{pad}{'-' if n < 0 else '+' if plus else ''}{digits}{pad}"
-        assert text_int(text) == int(Decimal(text)) == n
+        assert text_int(text, "n") == int(Decimal(text)) == n
 
     @pytest.mark.parametrize("form", ["", "-", "{}_", "_{}", "{}__1", "{} {}", "+-{}", "{}.0",
                                       "{}e5", "{}x", "0x{}"])
@@ -237,18 +237,27 @@ class TestIntegerText:
         with pytest.raises(ValueError):
             int(text.replace(digits, "12"))
         with pytest.raises(ValueError):
-            text_int(text)
+            text_int(text, "n")
+
+    def test_text_int_refuses_text_past_the_digit_bound_before_reading_it(self):
+        # the length alone decides: text that int() would refuse is refused as too long
+        for text in ("9" * (MAX_DECIMAL_DIGITS + 1), "x" * (MAX_DECIMAL_DIGITS + 1)):
+            with pytest.raises(CapacityError, match=r"^field of 333336 digits exceeds the "
+                                                    r"1000000-bit budget$"):
+                text_int(text, "field")
+        assert text_int("1" + "0" * (MAX_DECIMAL_DIGITS - 1), "field") == 10 ** 333334
 
     def test_text_int_reads_any_decimal_digit(self):
-        assert text_int("\u0663" * 5000) == text_int("3" * 5000) == int(Decimal("3" * 5000))
+        threes = text_int("3" * 5000, "n")
+        assert text_int("\u0663" * 5000, "n") == threes == int(Decimal("3" * 5000))
 
     def test_the_top_of_the_budget(self):
         n = 2**999_999
         text = str(int_decimal(n))
         assert text == str(Decimal(n)) and len(text) == 301_030
         assert str(int_decimal(-n)) == "-" + text
-        assert text_int(text) == n and text_int("-" + text) == -n
-        assert text_int(str(int_decimal(n - 1))) == n - 1
+        assert text_int(text, "n") == n and text_int("-" + text, "n") == -n
+        assert text_int(str(int_decimal(n - 1)), "n") == n - 1
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(
