@@ -30,7 +30,6 @@ from .errors import (
     at_least,
     json_int,
     parse_power_expr,
-    text_int,
     text_name,
 )
 
@@ -65,9 +64,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _integer(text: str) -> int:
-    """``text_int`` for every integer option; the handler that uses the value judges it."""
+    """``json_int`` for every integer option; the handler that uses the value judges it."""
     try:
-        return text_int(text, "integer option")
+        return json_int(text, "integer option")
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text_name(text)}") from None
 

@@ -2,8 +2,8 @@
 
 Every integer written as text outside the package (an option, ``--x``, a grid
 entry, a JSON number or string, an environment variable) is read here, by
-``text_int`` through ``json_int`` or ``parse_power_expr``, and text longer than
-the bit budget allows is refused before it is read. ``serialize`` only writes.
+``json_int``, and text past the bit budget is refused before it is read, a value
+past it once it is read. ``serialize`` only writes.
 
 Each exit code has one error class, which carries that code and the label
 of the CLI's stderr line. A ConfigError (malformed input, an inapplicable
@@ -56,14 +56,19 @@ def at_least(name: str, value: int, minimum: int, shown: str | None = None) -> i
 def json_int(value, what: str) -> int:
     """An int, or text that ``text_int`` reads; anything else raises ConfigError naming the value.
 
-    Text past MAX_DECIMAL_DIGITS raises CapacityError through ``text_int``; a bool,
-    a float, null, a list, an object or other text raises through ``text_name``.
+    Text past MAX_DECIMAL_DIGITS or a value past DEFAULT_BIT_BUDGET bits raises CapacityError;
+    a bool, a float, null, a list, an object or other text raises through ``text_name``.
     """
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
-            return text_int(value, what) if isinstance(value, str) else int(value)
+            number = text_int(value, what) if isinstance(value, str) else int(value)
         except ValueError:
             pass
+        else:
+            if number.bit_length() > DEFAULT_BIT_BUDGET:
+                raise CapacityError(f"{what} of {number.bit_length()} bits exceeds the "
+                                    f"{DEFAULT_BIT_BUDGET}-bit budget")
+            return number
     raise ConfigError(f"{what} must be an integer, got {text_name(value)}")
 
 
@@ -72,22 +77,17 @@ def parse_power_expr(text: str | int) -> int:
 
     Raises:
         ConfigError: the text matches none of the three forms, or the value is no integer.
-        CapacityError: the digits or the value would exceed DEFAULT_BIT_BUDGET bits.
+        CapacityError: the digits, the value or the power would exceed DEFAULT_BIT_BUDGET bits.
     """
     over = f"exceeds the {DEFAULT_BIT_BUDGET}-bit budget"
     if not isinstance(text, str):
-        value = json_int(text, "integer expression")
-        if value.bit_length() > DEFAULT_BIT_BUDGET:
-            raise CapacityError(f"integer {over}")
-        return value
+        return json_int(text, "integer expression")
     match = _EXPR_RE.match(text)
     if not match:
         raise ConfigError(f"cannot parse integer expression {text_name(text)}")
     decimal, single, tower = match.groups()
-    value = text_int(decimal or single or tower, "decimal literal")
+    value = json_int(decimal or single or tower, "decimal literal")
     if decimal is not None:
-        if value.bit_length() > DEFAULT_BIT_BUDGET:
-            raise CapacityError(f"decimal literal {over}")
         return value
     if single is not None:
         if value >= DEFAULT_BIT_BUDGET:

@@ -150,22 +150,23 @@ def _count_top_sums(x: int, blocks: BlockSet, j: int) -> int:
 
     For one power p the top-block sums are the values congruent to p mod
     d_j from p + first up to x (``first`` is the block's first member, a
-    multiple of d_j). Two powers with equal residues give nested
-    runs and different residues give disjoint ones, so the smallest power
-    of each residue counts its whole class: O(log x) steps, no array.
+    multiple of d_j). Two powers with equal residues give nested runs and
+    different residues give disjoint ones, so the smallest power of each
+    residue counts its whole class. d_j is odd, so 2^a mod d_j has period
+    ord_{d_j}(2) and 2 is the first residue to recur: the walk stops there,
+    after min(floor(log2(x - first)), ord_{d_j}(2)) steps, with no array.
     """
     if j == 0:
         return 0
     blk = blocks.level(j)
     d = blk.modulus
-    seen = set()
     count = 0
     power = 2
     while power + blk.first <= x:
-        if power % d not in seen:
-            seen.add(power % d)
-            count += (x - power - blk.first) // d + 1
+        count += (x - power - blk.first) // d + 1
         power <<= 1
+        if power % d == 2:
+            break
     return count
 
 

@@ -161,10 +161,11 @@ class TestParsePowerExpr:
         assert parse_power_expr("2^999999") == 1 << 999999
         # an int past the budget, and a decimal literal of 301,031 digits inside the digit
         # check whose value, 10^301030, needs 1,000,001 bits
-        with pytest.raises(CapacityError, match="^integer exceeds the 1000000-bit budget$"):
+        with pytest.raises(CapacityError, match="^integer expression of 1000001 bits exceeds "
+                                                "the 1000000-bit budget$"):
             parse_power_expr(1 << 1_000_000)
-        with pytest.raises(CapacityError,
-                           match="^decimal literal exceeds the 1000000-bit budget$"):
+        with pytest.raises(CapacityError, match="^decimal literal of 1000001 bits exceeds "
+                                                "the 1000000-bit budget$"):
             parse_power_expr("1" + "0" * 301_030)
         assert parse_power_expr("2^(2^19)") == 1 << 2**19
         assert parse_power_expr("2^(2^9)") == 2**512
@@ -1550,61 +1551,68 @@ class TestContractSizes:
         assert capsys.readouterr().err == (
             f"capacity error: {what} of 333336 digits exceeds the 1000000-bit budget\n")
 
+    READERS = (
+        (["mertens", "--j", "DIGITS"], None, "integer option"),
+        (["romanov-density", "--limit", "1000", "--k-min", "DIGITS"], None, "integer option"),
+        (["sumset", "--schedule", "polynomial", "--x", "1000", "--budget", "DIGITS"], None,
+         "integer option"),
+        (["depolignac", "scan", "--limit", "1000", "--residue", "DIGITS", "--modulus", "3"],
+         None, "integer option"),
+        (["depolignac", "scan", "--limit", "1000", "--residue", "1", "--modulus", "DIGITS"],
+         None, "integer option"),
+        (["count-b", "--schedule", "paper", "--x", "DIGITS"], None, "decimal literal"),
+        (["ratio-scan", "--schedule", "polynomial", "--grid", "1000,DIGITS"], None,
+         "decimal literal"),
+        (["sieve-count", "--limit", "DIGITS"], None, "decimal literal"),
+        (["experiment", "run", "FILE"],
+         '{"name": "g", "kind": "bounds", "schedule": {"kind": "paper"}, "x_grid": [DIGITS]}',
+         "integer literal"),
+        (["experiment", "run", "FILE"],
+         '{"name": "g", "kind": "bounds", "schedule": {"kind": "paper"}, '
+         '"x_grid": ["DIGITS"]}', "decimal literal"),
+        (["experiment", "run", "FILE"], '{"name": "l", "kind": "romanov", "limit": DIGITS}',
+         "integer literal"),
+        (["experiment", "run", "FILE"], '{"name": "l", "kind": "romanov", "limit": "DIGITS"}',
+         "decimal literal"),
+        (["experiment", "run", "FILE"],
+         '{"name": "k", "kind": "romanov", "limit": 1000, "k_min": "DIGITS"}', "k_min"),
+        (["experiment", "run", "FILE"],
+         '{"name": "e", "kind": "romanov", "limit": 1000, '
+         '"budgets": {"enumeration": "DIGITS"}}', "enumeration"),
+        (["count-b", "--schedule", "FILE", "--x", "1000"],
+         '{"kind": "custom", "exponents": [1, DIGITS]}', "integer literal"),
+        (["count-b", "--schedule", "FILE", "--x", "1000"],
+         '{"kind": "custom", "exponents": [1, "DIGITS"]}', "schedule exponent"),
+        (["covering", "verify", "--system", "FILE"],
+         '{"entries": [{"residue": "DIGITS", "modulus": 2, "prime": 3}]}',
+         "covering entry field"),
+        (["sumset", "--schedule", "polynomial", "--x", "1000"], "env", "SUMSETLAB_ENUM_CAP"),
+    )
+    READER_IDS = ("j", "k-min", "budget", "residue", "modulus", "x", "grid", "limit",
+                  "config-x-grid", "config-x-grid-string", "config-limit", "config-limit-string",
+                  "config-k-min", "config-enumeration", "schedule-exponent",
+                  "schedule-exponent-string", "covering-entry-field", "enum-cap-env")
+
     @pytest.mark.parametrize(
-        "argv,source,what",
-        [
-            (["mertens", "--j", "DIGITS"], None, "integer option"),
-            (["romanov-density", "--limit", "1000", "--k-min", "DIGITS"], None, "integer option"),
-            (["sumset", "--schedule", "polynomial", "--x", "1000", "--budget", "DIGITS"], None,
-             "integer option"),
-            (["depolignac", "scan", "--limit", "1000", "--residue", "DIGITS", "--modulus", "3"],
-             None, "integer option"),
-            (["depolignac", "scan", "--limit", "1000", "--residue", "1", "--modulus", "DIGITS"],
-             None, "integer option"),
-            (["count-b", "--schedule", "paper", "--x", "DIGITS"], None, "decimal literal"),
-            (["ratio-scan", "--schedule", "polynomial", "--grid", "1000,DIGITS"], None,
-             "decimal literal"),
-            (["sieve-count", "--limit", "DIGITS"], None, "decimal literal"),
-            (["experiment", "run", "FILE"],
-             '{"name": "g", "kind": "bounds", "schedule": {"kind": "paper"}, "x_grid": [DIGITS]}',
-             "integer literal"),
-            (["experiment", "run", "FILE"],
-             '{"name": "g", "kind": "bounds", "schedule": {"kind": "paper"}, '
-             '"x_grid": ["DIGITS"]}', "decimal literal"),
-            (["experiment", "run", "FILE"], '{"name": "l", "kind": "romanov", "limit": DIGITS}',
-             "integer literal"),
-            (["experiment", "run", "FILE"], '{"name": "l", "kind": "romanov", "limit": "DIGITS"}',
-             "decimal literal"),
-            (["experiment", "run", "FILE"],
-             '{"name": "k", "kind": "romanov", "limit": 1000, "k_min": "DIGITS"}', "k_min"),
-            (["experiment", "run", "FILE"],
-             '{"name": "e", "kind": "romanov", "limit": 1000, '
-             '"budgets": {"enumeration": "DIGITS"}}', "enumeration"),
-            (["count-b", "--schedule", "FILE", "--x", "1000"],
-             '{"kind": "custom", "exponents": [1, DIGITS]}', "integer literal"),
-            (["count-b", "--schedule", "FILE", "--x", "1000"],
-             '{"kind": "custom", "exponents": [1, "DIGITS"]}', "schedule exponent"),
-            (["covering", "verify", "--system", "FILE"],
-             '{"entries": [{"residue": "DIGITS", "modulus": 2, "prime": 3}]}',
-             "covering entry field"),
-            (["sumset", "--schedule", "polynomial", "--x", "1000"], "env", "SUMSETLAB_ENUM_CAP"),
-        ],
-        ids=["j", "k-min", "budget", "residue", "modulus", "x", "grid", "limit",
-             "config-x-grid", "config-x-grid-string", "config-limit", "config-limit-string",
-             "config-k-min", "config-enumeration", "schedule-exponent",
-             "schedule-exponent-string", "covering-entry-field", "enum-cap-env"],
+        "argv,source,what,digits,size",
+        [pytest.param(*reader, "9" * (MAX_DECIMAL_DIGITS + 1), "333336 digits", id=name)
+         for reader, name in zip(READERS, READER_IDS)]
+        # 301,031 digits pass the length rule, but 10^301030 needs 1,000,001 bits
+        + [pytest.param(*reader, "1" + "0" * 301_030, "1000001 bits", id=f"{name}-bits")
+           for reader, name in zip(READERS, READER_IDS)],
     )
     def test_integer_text_past_the_budget_exits_3_wherever_it_is_written(
-            self, capsys, tmp_path, monkeypatch, argv, source, what):
-        # one rule, in errors.text_int: text of more than MAX_DECIMAL_DIGITS is never read
-        digits, path = "9" * (MAX_DECIMAL_DIGITS + 1), tmp_path / "input.json"
+            self, capsys, tmp_path, monkeypatch, argv, source, what, digits, size):
+        # one rule, in errors.json_int: text of more than MAX_DECIMAL_DIGITS is never read,
+        # and a value of more than DEFAULT_BIT_BUDGET bits is never kept
+        path = tmp_path / "input.json"
         if source == "env":
             monkeypatch.setenv(cli.ENUM_CAP_ENV, digits)
         elif source is not None:
             path.write_text(source.replace("DIGITS", digits))
         argv = [str(path) if arg == "FILE" else arg.replace("DIGITS", digits) for arg in argv]
         assert run_command(argv) == EXIT_CAPACITY
-        assert capsys.readouterr() == ("", f"capacity error: {what} of 333336 digits exceeds "
+        assert capsys.readouterr() == ("", f"capacity error: {what} of {size} exceeds "
                                            "the 1000000-bit budget\n")
 
     @pytest.mark.parametrize(

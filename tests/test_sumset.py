@@ -1,9 +1,11 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,6 +173,41 @@ class TestSplit:
         finally:
             tracemalloc.stop()
         assert peak <= 1.05 * (x + 1) + 65536
+
+
+def paper_s1_oracle(x):
+    """s1 on the paper schedule from its definition alone: no block set, no library code.
+
+    Window j is the last with G(j) = 2^(2^(j*j)) <= x, d_j the product of the first j
+    odd primes, and ``first`` the first multiple of d_j from G(j) on. Power 2^a gives
+    the class 2^a mod d_j from 2^a + first up to x; those classes are distinct for the
+    first ord_{d_j}(2) powers and repeat after, so only the first M powers count.
+    """
+    j = 1
+    while 1 << (j + 1) ** 2 <= x.bit_length() - 1:
+        j += 1
+    d = math.prod(sympy.prime(i) for i in range(2, j + 2))
+    first = -(-(1 << (1 << j * j)) // d) * d
+    powers = min((x - first).bit_length() - 1, sympy.n_order(2, d))
+    return sum((x - (1 << a) - first) // d + 1 for a in range(1, powers + 1))
+
+
+class TestTopSumsAtPaperScale:
+    # one step per residue class of 2^a mod d_j, never one per power: 12 steps at
+    # 2^65535 - 1 (d_3 = 105) and 60 at 2^999999 - 1 (d_4 = 1155)
+    @pytest.mark.parametrize("bits,seconds", [(65535, 0.1), (999_999, 1.0)])
+    def test_s1_matches_the_oracle_in_bounded_time(self, bits, seconds):
+        from sumsetlab.sumset import _count_top_sums
+
+        x = (1 << bits) - 1
+        blocks = BlockSet.covering(PAPER, x)
+        j = blocks.index(x)
+        blocks.level(j)  # the block is built outside the measurement
+        start = time.perf_counter()
+        s1 = _count_top_sums(x, blocks, j)
+        elapsed = time.perf_counter() - start
+        assert s1 == paper_s1_oracle(x)
+        assert elapsed < seconds, elapsed
 
 
 class TestBounds:
