@@ -1,11 +1,11 @@
 """Exact integer and rational arithmetic primitives.
 
 Provides the prime table that backs all sieve work, the first odd
-primes as a tuple for block moduli and the bound chain, Möbius-signed
-squarefree divisor enumeration, Legendre-style coprime counting,
-Chebyshev and Mertens evaluations, and base-2 logarithms of
-arbitrary-precision integers. One small bytearray sieve serves both the
-block primes and the base primes of the segmented table sieve.
+primes as a tuple for block moduli and the bound chain, Legendre-style
+coprime counting, Chebyshev and Mertens evaluations, and base-2
+logarithms of arbitrary-precision integers. One small bytearray sieve
+serves both the block primes and the base primes of the segmented table
+sieve.
 
 Everything here is a pure function of immutable inputs. A PrimeTable's
 flags are never mutated after construction, so a table may be shared
@@ -37,7 +37,6 @@ __all__ = [
     "is_prime",
     "check_chebyshev",
     "mertens_product",
-    "squarefree_divisors_signed",
     "legendre_count",
     "big_log2",
 ]
@@ -294,35 +293,26 @@ def mertens_product(primes: Sequence[int], include_two: bool = False) -> Fractio
     return product / 2 if include_two else product
 
 
-def squarefree_divisors_signed(modulus_primes: Iterable[int]) -> list[tuple[int, int]]:
-    """All squarefree divisors of the product of distinct primes, with Möbius signs.
+def legendre_count(x: int, modulus_primes: Iterable[int]) -> int:
+    """Exact count of 1 <= c <= x coprime to the product of the given distinct primes.
 
-    Returns the 2^k pairs (divisor, mu(divisor)) where mu is (-1)^(number
-    of prime factors). The empty input yields [(1, +1)].
+    Evaluates sum over squarefree divisors l <= x of mu(l) * floor(x / l);
+    a divisor past x adds 0. The (l, mu(l)) pairs grow one prime at a time
+    and keep only l <= x, and every divisor of a kept l is smaller, so the
+    list is exactly the squarefree divisors up to x, never all 2^j of them.
+    Pure integer arithmetic, valid for x of any bit length.
 
     Raises:
-        ConfigError: the input contains duplicates.
+        ConfigError: x < 0, or the primes are not distinct.
     """
+    x = at_least("x", int(x), 0)
     primes = sorted(int(p) for p in modulus_primes)
     if len(primes) != len(set(primes)):
         raise ConfigError(f"modulus primes must be distinct, got {primes}")
     divisors = [(1, 1)]
     for p in primes:
-        divisors.extend([(d * p, -sign) for d, sign in divisors])
-    return divisors
-
-
-def legendre_count(x: int, modulus_primes: Iterable[int]) -> int:
-    """Exact count of 1 <= c <= x coprime to the product of the given primes.
-
-    Evaluates sum over squarefree divisors l of mu(l) * floor(x / l); pure
-    integer arithmetic, valid for x of any bit length.
-
-    Raises:
-        ConfigError: x < 0.
-    """
-    x = at_least("x", int(x), 0)
-    return sum(sign * (x // d) for d, sign in squarefree_divisors_signed(modulus_primes))
+        divisors += [(d * p, -sign) for d, sign in divisors if d * p <= x]
+    return sum(sign * (x // d) for d, sign in divisors)
 
 
 def big_log2(x: int) -> float:

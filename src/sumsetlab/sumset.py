@@ -148,26 +148,34 @@ def _mark_sums(members: np.ndarray, blocks: BlockSet, j: int, levels: range) -> 
 def _count_top_sums(x: int, blocks: BlockSet, j: int) -> int:
     """Number of distinct sums 2^a + b <= x with b in the top block j.
 
-    For one power p the top-block sums are the values congruent to p mod
-    d_j from p + first up to x (``first`` is the block's first member, a
-    multiple of d_j). Two powers with equal residues give nested runs and
-    different residues give disjoint ones, so the smallest power of each
-    residue counts its whole class. d_j is odd, so 2^a mod d_j has period
-    ord_{d_j}(2) and 2 is the first residue to recur: the walk stops there,
-    after min(floor(log2(x - first)), ord_{d_j}(2)) steps, with no array.
+    For one power 2^a the top-block sums are the values congruent to 2^a
+    mod d_j from 2^a + first up to x (``first`` is the block's first
+    member, a multiple of d_j). Equal residues give nested runs and
+    different ones disjoint runs, so the smallest power of each residue
+    counts its whole class. d_j is odd, so 2^a mod d_j has period
+    ord_{d_j}(2): the first M = min(floor(log2(x - first)), ord_{d_j}(2))
+    powers count. With x - first = q*d_j + s and r_a = 2^a mod d_j, kept
+    by r <- 2r mod d_j, their classes hold M*(q + 1) - #{a <= M : r_a > s}
+    - (2^(M+1) - 2 - sum r_a) / d_j sums: two big divisions, no array.
     """
     if j == 0:
         return 0
     blk = blocks.level(j)
-    d = blk.modulus
-    count = 0
-    power = 2
-    while power + blk.first <= x:
-        count += (x - power - blk.first) // d + 1
-        power <<= 1
-        if power % d == 2:
+    d, room = blk.modulus, x - blk.first
+    q, s = divmod(room, d)
+    powers = max(room, 1).bit_length() - 1  # floor(log2 room), 0 where not even 2 + first fits
+    m = residue_sum = above = 0
+    r = 2
+    while m < powers:
+        m += 1
+        residue_sum += r
+        above += r > s
+        r <<= 1
+        if r >= d:
+            r -= d
+        if r == 2:  # 2^(m+1) repeats 2^1: the period ends at m = ord_{d_j}(2)
             break
-    return count
+    return m * (q + 1) - above - ((1 << (m + 1)) - 2 - residue_sum) // d
 
 
 def enumerate_c(

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -23,7 +24,6 @@ from sumsetlab import (
     legendre_count,
     mertens_product,
     sieve_primes,
-    squarefree_divisors_signed,
 )
 from sumsetlab import arith
 from sumsetlab.arith import SIEVE_LIMIT_BITS, check_sieve_limit
@@ -285,31 +285,6 @@ class TestMertensProduct:
             mertens_product(())
 
 
-class TestSquarefreeDivisors:
-    def test_empty(self):
-        assert squarefree_divisors_signed(()) == [(1, 1)]
-
-    def test_single(self):
-        assert sorted(squarefree_divisors_signed({3})) == [(1, 1), (3, -1)]
-
-    def test_pair(self):
-        got = set(squarefree_divisors_signed({3, 5}))
-        assert got == {(1, 1), (3, -1), (5, -1), (15, 1)}
-
-    def test_subset_count_and_signs(self):
-        primes = (3, 5, 7, 11, 13)
-        divs = squarefree_divisors_signed(primes)
-        assert len(divs) == 2 ** len(primes)
-        assert len({d for d, _ in divs}) == len(divs)
-        for d, sign in divs:
-            factors = sum(1 for p in primes if d % p == 0)
-            assert sign == (-1) ** factors
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
-            squarefree_divisors_signed([3, 3])
-
-
 class TestLegendreCount:
     @pytest.mark.parametrize(
         "x,primes,expected", [(10, {3}, 7), (100, {3, 5}, 53), (0, {3, 5, 7}, 0)]
@@ -329,8 +304,9 @@ class TestLegendreCount:
                 for x in range(0, 2001, 7):
                     assert legendre_count(x, subset) == int(scan[x])
 
+    # subsets of the first 30 odd primes, where most squarefree divisors exceed x
     @given(
-        st.sets(st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23, 29, 31))),
+        st.sets(st.sampled_from([sympy.prime(i) for i in range(2, 32)])),
         st.integers(min_value=0, max_value=5000),
     )
     def test_matches_gcd_scan_on_random_subsets(self, primes, x):
@@ -349,6 +325,25 @@ class TestLegendreCount:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             legendre_count(-1, {3})
+
+    def test_duplicates_rejected(self):
+        with pytest.raises(ValueError, match=r"^modulus primes must be distinct, got \[3, 3\]$"):
+            legendre_count(10, [3, 3])
+
+    # j primes whose product passes x by far: 2^26 squarefree divisors at j = 26, of which
+    # 69,295 lie at or below x = 2^26, and 2^40 at j = 40, of which 82,582 lie below 10^7
+    @pytest.mark.parametrize("j,x", [(22, 2**22), (26, 2**26), (40, 10**7)])
+    def test_matches_a_sieve_mask_with_many_primes(self, j, x):
+        primes = [sympy.prime(i) for i in range(2, j + 2)]
+        mask = np.ones(x + 1, dtype=bool)
+        mask[0] = False
+        for p in primes:
+            mask[::p] = False
+        start = time.perf_counter()
+        got = legendre_count(x, primes)
+        elapsed = time.perf_counter() - start
+        assert got == int(np.count_nonzero(mask))
+        assert elapsed < 1.0, elapsed
 
 
 class TestBigLog2:

@@ -161,52 +161,68 @@ class TestSplit:
             ), x
             assert enumerate_c(x, blocks)[0] == c
 
-    @pytest.mark.parametrize("fixture", ["paper_blocks", "poly_blocks"])
-    def test_split_holds_one_byte_per_value(self, request, fixture):
-        blocks = request.getfixturevalue(fixture)
-        x = 10**6
-        split_s1_s2(1000, blocks)  # first-call set-up stays outside the measurement
+    # c_upper_report adds the bound chain to the split: at custom 1..23, x = 2^22 lies in
+    # window 22, whose modulus d_22 has 2^22 squarefree divisors, 13,942 of them up to x
+    @pytest.mark.parametrize(
+        "report,schedule,x",
+        [(split_s1_s2, PAPER, 10**6), (split_s1_s2, POLY, 10**6),
+         (c_upper_report, GrowthSchedule.custom(range(1, 24)), 2**22)],
+        ids=["paper_blocks", "poly_blocks", "c_upper_report-custom-1-23"],
+    )
+    def test_split_holds_one_byte_per_value(self, report, schedule, x):
+        blocks = BlockSet.covering(schedule, x)
+        report(1000, blocks)  # first-call set-up stays outside the measurement
         tracemalloc.start()
         try:
-            split_s1_s2(x, blocks)
+            report(x, blocks)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 1.05 * (x + 1) + 65536
 
 
-def paper_s1_oracle(x):
-    """s1 on the paper schedule from its definition alone: no block set, no library code.
+def s1_oracle(x, kind):
+    """s1 on the paper or polynomial schedule from its definition alone: no block set, no
+    library code.
 
-    Window j is the last with G(j) = 2^(2^(j*j)) <= x, d_j the product of the first j
-    odd primes, and ``first`` the first multiple of d_j from G(j) on. Power 2^a gives
-    the class 2^a mod d_j from 2^a + first up to x; those classes are distinct for the
-    first ord_{d_j}(2) powers and repeat after, so only the first M powers count.
+    Window j is the last with G(j) = 2^e(j) <= x, where e(t) = 2^(t*t) on paper and t*t on
+    polynomial; d_j is the product of the first j odd primes, and ``first`` the first multiple
+    of d_j from G(j) on. Power 2^a gives the class 2^a mod d_j from 2^a + first up to x; those
+    classes are distinct for the first ord_{d_j}(2) powers and repeat after, so only the first
+    M powers count.
     """
+    e = (lambda t: 1 << t * t) if kind == "paper" else (lambda t: t * t)
     j = 1
-    while 1 << (j + 1) ** 2 <= x.bit_length() - 1:
+    while e(j + 1) <= x.bit_length() - 1:
         j += 1
     d = math.prod(sympy.prime(i) for i in range(2, j + 2))
-    first = -(-(1 << (1 << j * j)) // d) * d
+    first = -(-(1 << e(j)) // d) * d
     powers = min((x - first).bit_length() - 1, sympy.n_order(2, d))
     return sum((x - (1 << a) - first) // d + 1 for a in range(1, powers + 1))
 
 
-class TestTopSumsAtPaperScale:
-    # one step per residue class of 2^a mod d_j, never one per power: 12 steps at
-    # 2^65535 - 1 (d_3 = 105) and 60 at 2^999999 - 1 (d_4 = 1155)
-    @pytest.mark.parametrize("bits,seconds", [(65535, 0.1), (999_999, 1.0)])
-    def test_s1_matches_the_oracle_in_bounded_time(self, bits, seconds):
+class TestTopSumsAtScale:
+    # one step per power up to the period of 2^a mod d_j: 12 at paper 2^65535 - 1 (d_3 = 105)
+    # and 60 at paper 2^999999 - 1 (d_4 = 1155); on polynomial ord_{d_j}(2) exceeds
+    # floor(log2 x), so 9,999 at 2^10000 - 1 (d_99) and 999,998 at 2^999999 - 1 (d_999), where
+    # the oracle's one division per power would take minutes and only the time is checked
+    @pytest.mark.parametrize(
+        "kind,bits,seconds",
+        [("paper", 65535, 0.1), ("paper", 999_999, 1.0), ("polynomial", 10_000, 1.0),
+         ("polynomial", 999_999, 10.0)],
+    )
+    def test_s1_matches_the_oracle_in_bounded_time(self, kind, bits, seconds):
         from sumsetlab.sumset import _count_top_sums
 
         x = (1 << bits) - 1
-        blocks = BlockSet.covering(PAPER, x)
+        blocks = BlockSet.covering(GrowthSchedule(kind), x)
         j = blocks.index(x)
         blocks.level(j)  # the block is built outside the measurement
         start = time.perf_counter()
         s1 = _count_top_sums(x, blocks, j)
         elapsed = time.perf_counter() - start
-        assert s1 == paper_s1_oracle(x)
+        if (kind, bits) != ("polynomial", 999_999):
+            assert s1 == s1_oracle(x, kind)
         assert elapsed < seconds, elapsed
 
 
