@@ -97,6 +97,10 @@ class CoveringSystem:
             for a, m, q in triples
         ))
 
+    def to_json(self) -> dict:
+        return {"entries": [{"residue": e.residue, "modulus": e.modulus, "prime": e.prime}
+                            for e in self.entries]}
+
     @classmethod
     def from_json(cls, obj: dict) -> "CoveringSystem":
         """Read ``{"entries": [{"residue", "modulus", "prime"}, ...]}``.

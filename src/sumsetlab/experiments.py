@@ -26,7 +26,7 @@ from .depolignac import (
     romanov_density_scan,
 )
 from .errors import ConfigError, json_int, parse_power_expr, text_name
-from .serialize import covering_payload, report_payload, result_record
+from .serialize import covering_payload, result_record
 from .sumset import DEFAULT_ENUM_BUDGET, bound_chain_point, c_upper_report, ratio_point
 
 __all__ = [
@@ -71,7 +71,7 @@ class ExperimentConfig:
             "x_grid": list(self.x_grid),
             "limit": self.limit,
             "k_min": self.k_min,
-            "system": report_payload(self.system),
+            "system": None if self.system is None else self.system.to_json(),
             "budgets": {"enumeration": self.enum_budget},
         }
 

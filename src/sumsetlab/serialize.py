@@ -6,13 +6,16 @@ certificates) in plain dicts, and ``result_record`` keeps them as they
 are until the record is written, in one pass: ``payload_json`` walks the
 record once and appends each value's text as it goes, and ``payload_csv``
 reads the objects directly and writes a nested report or list in its
-cell the same way, compact. The bytes are those of
-``json.dumps(report_payload(record), sort_keys=True, indent=2)`` plus a
-newline, and for a CSV cell of ``json.dumps(report_payload(value),
-sort_keys=True)`` with each "," turned into ";". What json refuses, such
-as a set or an object, the writer refuses with the same TypeError.
-``report_payload`` builds that encoded tree as plain dicts and lists; an
-experiment's config file (``ExperimentConfig.to_json``) is written from it.
+cell the same way, compact. The writer accepts exactly the types records
+hold: dicts with text keys, lists, tuples, Fractions, ints, strs, None,
+bools and floats, and dataclass and named tuple instances. Anything else,
+a subclass of one of these or a key that is not text included, raises a
+TypeError. The bytes are those of ``json.dumps(reference(record),
+sort_keys=True, indent=2)`` plus a newline, where the reference turns
+each Fraction into its {"num", "den"} pair, each dataclass or named tuple
+into an object of its fields and each tuple into a list; a CSV cell holds
+``json.dumps(reference(value), sort_keys=True)`` with each "," turned
+into ";".
 
 Exact rationals always serialize as {"num": ..., "den": ...} decimal
 strings, so no precision is laundered through floats; integers stay
@@ -39,10 +42,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "result_record",
-    "fraction_payload",
     "decimal15",
     "payload_json",
-    "report_payload",
     "covering_payload",
     "payload_csv",
 ]
@@ -80,10 +81,6 @@ def result_record(name: str, config: dict, payload, timing: dict | None = None) 
     }
 
 
-def fraction_payload(value: Fraction) -> dict:
-    return {"num": int_text(value.numerator), "den": int_text(value.denominator)}
-
-
 def decimal15(value: Fraction | int | float) -> str:
     """Decimal rendering at 15 significant digits (CSV only; lossy)."""
     if isinstance(value, int):
@@ -104,7 +101,7 @@ def payload_json(record: Any) -> str:
 
 
 def _compact(obj: Any) -> str:
-    """The encoded value as ``json.dumps(report_payload(obj), sort_keys=True)`` writes it."""
+    """The compact JSON a CSV cell holds: ``json.dumps(reference(obj), sort_keys=True)``."""
     out: list[str] = []
     _encode(obj, out, None)
     return "".join(out)
@@ -121,26 +118,10 @@ def _fields(obj: Any) -> dict | None:
     return None
 
 
-def report_payload(obj: Any) -> Any:
-    """Encode a report for JSON, recursing into its fields.
-
-    A Fraction becomes ``fraction_payload``, ``_fields`` keep their order and
-    a tuple or list becomes a list. Other values come back unchanged, so an
-    already encoded payload comes back equal.
-    """
-    if isinstance(obj, Fraction):
-        return fraction_payload(obj)
-    fields = _fields(obj)
-    if fields is not None:
-        return {key: report_payload(value) for key, value in fields.items()}
-    if isinstance(obj, (tuple, list)):
-        return [report_payload(value) for value in obj]
-    return obj
-
-
-_INFINITY = float("inf")
 # each dataclass or named tuple type written so far: its field names, sorted
 _SORTED_FIELDS: dict[type, tuple[str, ...]] = {}
+# the floats json writes by name
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _int(n: int) -> str:
@@ -148,49 +129,22 @@ def _int(n: int) -> str:
     return int.__repr__(n) if n.bit_length() <= _SPLIT_BITS else int_text(n)
 
 
-def _float(value: float) -> str:
-    """A float as json writes it: NaN and the infinities by name, any other by its repr."""
-    if value != value:
-        return "NaN"
-    if value == _INFINITY:
-        return "Infinity"
-    if value == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _key(key: Any) -> str:
-    """A dict key's JSON text, converted as json converts a key that is not a str."""
-    if isinstance(key, str):
-        return _string(key)
-    if isinstance(key, float):
-        return _string(_float(key))
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return _string(int.__repr__(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _encode(obj: Any, out: list[str], pad: str | None) -> None:
-    """Append the JSON text of ``report_payload(obj)`` to ``out``, keys sorted.
+    """Append the JSON text of ``obj`` to ``out``, keys sorted.
 
     ``pad`` is the line break and indent of obj's own line, as
     ``json.dumps(indent=2)`` writes them, or None for the compact form.
     """
     kind = type(obj)
     if kind is dict:
-        _object(sorted(obj.items()), out, pad)
+        _container(sorted(obj.items()), True, out, pad)
     elif kind is list or kind is tuple:
-        _array(obj, out, pad)
+        _container(obj, False, out, pad)
     elif kind in _SORTED_FIELDS:
-        _object([(name, getattr(obj, name)) for name in _SORTED_FIELDS[kind]], out, pad)
+        _container([(name, getattr(obj, name)) for name in _SORTED_FIELDS[kind]], True, out, pad)
     elif kind is Fraction:
-        _object([("den", _int(obj.denominator)), ("num", _int(obj.numerator))], out, pad)
+        pair = (("den", _int(obj.denominator)), ("num", _int(obj.numerator)))
+        _container(pair, True, out, pad)
     elif kind is int:
         out.append(_int(obj))
     elif kind is str:
@@ -200,47 +154,38 @@ def _encode(obj: Any, out: list[str], pad: str | None) -> None:
     elif kind is bool:
         out.append("true" if obj else "false")
     elif kind is float:
-        out.append(_float(obj))
+        text = float.__repr__(obj)
+        out.append(_FLOAT_NAMES.get(text, text))
     else:
-        _encode_other(obj, out, pad)
+        fields = None if isinstance(obj, (dict, type)) else _fields(obj)
+        if fields is None:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        _SORTED_FIELDS[kind] = tuple(sorted(fields))  # a dataclass or named tuple instance
+        _encode(obj, out, pad)
 
 
-def _encode_other(obj: Any, out: list[str], pad: str | None) -> None:
-    """The types ``_encode`` does not name, tested as report_payload and json test them."""
-    if isinstance(obj, Fraction):
-        _encode(Fraction(obj), out, pad)
-        return
-    fields = _fields(obj)
-    if fields is not None:
-        if not isinstance(obj, (dict, type)):  # a dataclass or named tuple instance
-            _SORTED_FIELDS[type(obj)] = tuple(sorted(fields))
-        _object(sorted(fields.items()), out, pad)
-    elif isinstance(obj, (tuple, list)):
-        _array(obj, out, pad)
-    elif isinstance(obj, str):
-        out.append(_string(obj))
-    elif isinstance(obj, int):
-        out.append(_int(obj))
-    elif isinstance(obj, float):
-        out.append(_float(obj))
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+def _container(members: Any, keyed: bool, out: list[str], pad: str | None) -> None:
+    """A JSON object of the (key, value) pairs if ``keyed``, else an array of the values; in order.
 
-
-# Each container writes its int and str members itself, the commonest values, without a call.
-
-def _object(members: list[tuple[Any, Any]], out: list[str], pad: str | None) -> None:
-    """A JSON object of the (key, value) pairs, in the order given."""
+    Its int and str values, the commonest, are written without a call.
+    """
+    opener, closer = ("{", "}") if keyed else ("[", "]")
     if not members:
-        out.append("{}")
+        out.append(opener + closer)
         return
     if pad is None:
-        inner, lead, sep = None, "{", ", "
+        inner, lead, sep = None, opener, ", "
     else:
         inner = pad + "  "
-        lead, sep = "{" + inner, "," + inner
-    for key, value in members:
-        out.append(lead + (_string(key) if type(key) is str else _key(key)) + ": ")
+        lead, sep = opener + inner, "," + inner
+    for value in members:
+        if keyed:
+            key, value = value
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(lead + _string(key) + ": ")
+        else:
+            out.append(lead)
         lead = sep
         kind = type(value)
         if kind is int and value.bit_length() <= _SPLIT_BITS:
@@ -249,30 +194,7 @@ def _object(members: list[tuple[Any, Any]], out: list[str], pad: str | None) -> 
             out.append(_string(value))
         else:
             _encode(value, out, inner)
-    out.append("}" if pad is None else pad + "}")
-
-
-def _array(values: list | tuple, out: list[str], pad: str | None) -> None:
-    """A JSON array of the values, in order."""
-    if not values:
-        out.append("[]")
-        return
-    if pad is None:
-        inner, lead, sep = None, "[", ", "
-    else:
-        inner = pad + "  "
-        lead, sep = "[" + inner, "," + inner
-    for value in values:
-        out.append(lead)
-        lead = sep
-        kind = type(value)
-        if kind is int and value.bit_length() <= _SPLIT_BITS:
-            out.append(int.__repr__(value))
-        elif kind is str:
-            out.append(_string(value))
-        else:
-            _encode(value, out, inner)
-    out.append("]" if pad is None else pad + "]")
+    out.append(closer if pad is None else pad + closer)
 
 
 def covering_payload(system: CoveringSystem, check: CoverCheck) -> dict:

@@ -282,9 +282,10 @@ def bound_chain_point(x: int, blocks: BlockSet) -> dict:
     """All analytic checks at one x: window, Chebyshev, count bound, sieve bounds.
 
     Pure floor/rational arithmetic end to end, so paper-scale x is fine.
-    The reports and Fractions are returned as they are; ``report_payload``
-    encodes the point. ``b_lower_holds`` is None below block index 2 and
-    never False: a count below its certified bound raises ClaimError first.
+    The reports and Fractions are returned as they are; ``payload_json``
+    encodes the point when its record is written. ``b_lower_holds`` is None
+    below block index 2 and never False: a count below its certified bound
+    raises ClaimError first.
     """
     report = conjecture_ratio(x, blocks)
     j = report.j

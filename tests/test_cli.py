@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from sumsetlab import (
     BlockSet,
+    CoveringSystem,
     GrowthSchedule,
     bound_chain_point,
     cli,
@@ -52,14 +53,8 @@ from sumsetlab.experiments import (
     builtin_experiment,
     run_experiment,
 )
-from sumsetlab.serialize import (
-    fraction_payload,
-    int_decimal,
-    payload_csv,
-    payload_json,
-    report_payload,
-    result_record,
-)
+from reference_encoder import fraction_payload, report_payload
+from sumsetlab.serialize import int_decimal, payload_csv, payload_json, result_record
 
 
 def loads(text: str):
@@ -1698,9 +1693,11 @@ class TestContractSizes:
 
 class TestExperimentConfigs:
     def test_config_json_round_trip(self):
-        config = builtin_experiment("paper-chain")
-        again = ExperimentConfig.from_json(config.to_json())
-        assert again == config
+        custom = ExperimentConfig(
+            name="custom-system", kind="depolignac", limit=10**6, k_min=3,
+            system=CoveringSystem.from_entries([(1, 2, 3), (2**70, 4, 5), (-7, 3, 7)]))
+        for config in [*map(builtin_experiment, BUILTIN_EXPERIMENTS), custom]:
+            assert ExperimentConfig.from_json(config.to_json()) == config
 
     def test_config_file_with_power_expressions(self, capsys, tmp_path):
         spec = {

@@ -69,6 +69,12 @@ class TestCoveringVerify:
     def test_shipped_default_matches_classical(self, erdos):
         assert default_covering_system() == erdos
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(), st.integers(), st.integers()), max_size=6))
+    def test_json_round_trip(self, triples):
+        system = CoveringSystem.from_entries(triples)
+        assert CoveringSystem.from_json(system.to_json()) == system
+
     def test_partial_system(self):
         system = CoveringSystem.from_entries([(0, 2, 3), (1, 4, 5)])
         check = covering_verify(system)
