@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
-from importlib import resources
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arith import MR_BOUND, SIEVE_LIMIT_BITS, check_sieve_limit, is_prime, sieve_primes
@@ -60,7 +58,7 @@ class CoveringEntry:
 
 @dataclass(frozen=True)
 class CoveringSystem:
-    """A finite family of residue classes with order-of-2 witnesses."""
+    """A finite family of residue classes with order-of-2 witnesses, checked when built."""
 
     entries: tuple[CoveringEntry, ...]
 
@@ -68,7 +66,7 @@ class CoveringSystem:
     def lcm(self) -> int:
         return math.lcm(*(e.modulus for e in self.entries)) if self.entries else 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Structural audit; raises ConfigError on any violation.
 
         Checks per entry: modulus >= 2, prime below MR_BOUND and actually
@@ -135,10 +133,8 @@ def covering_verify(system: CoveringSystem) -> CoverCheck:
     multiplied out.
 
     Raises:
-        ConfigError: structural invariant violated.
         CapacityError: a partial lcm >= 2^SIEVE_LIMIT_BITS; raised before the scan.
     """
-    system.validate()
     L = 1
     for e in system.entries:
         L = math.lcm(L, e.modulus)
@@ -150,7 +146,7 @@ def covering_verify(system: CoveringSystem) -> CoverCheck:
         start = e.residue % e.modulus
         left[start :: e.modulus] = bytes(len(range(start, L, e.modulus)))
     uncovered = tuple(itertools.compress(range(L), left))
-    return CoverCheck(covers=bool(system.entries) and not uncovered, uncovered=uncovered)
+    return CoverCheck(covers=not uncovered, uncovered=uncovered)
 
 
 @dataclass(frozen=True)
@@ -199,12 +195,12 @@ def crt_combine(system: CoveringSystem) -> APCertificate:
     n - 2^k: pick the entry covering k, then 2^k == 2^a_i (mod q_i).
 
     Memoized: a system hashes by value, so each distinct system is
-    validated, covers-checked and combined once per process, and repeat
-    calls return the same certificate. An error is not cached; a bad
-    system raises on every call.
+    covers-checked and combined once per process, and repeat calls return
+    the same certificate. An error is not cached; a system that does not
+    cover raises on every call.
 
     Raises:
-        ConfigError: invalid entry data, or the system leaves some k uncovered.
+        ConfigError: the system leaves some k uncovered.
         CapacityError: the lcm of the moduli is at or past 2^SIEVE_LIMIT_BITS.
     """
     check = covering_verify(system)
@@ -327,8 +323,11 @@ def romanov_density_scan(limit: int, k_min: int = 1) -> ScanReport:
     )
 
 
+# Erdős's covering system as (residue, modulus, prime) triples; each prime divides 2^modulus - 1
+_ERDOS_ENTRIES = ((0, 2, 3), (0, 3, 7), (1, 4, 5), (3, 8, 17), (7, 12, 13), (23, 24, 241))
+
+
 @functools.cache
 def default_covering_system() -> CoveringSystem:
-    """The classical six-entry covering system shipped with the package, read once per process."""
-    data = resources.files("sumsetlab.data").joinpath("erdos_covering.json")
-    return CoveringSystem.from_json(json.loads(data.read_text()))
+    """The classical six-entry covering system shipped with the package, built once per process."""
+    return CoveringSystem.from_entries(_ERDOS_ENTRIES)

@@ -41,7 +41,8 @@ class ExperimentConfig:
     """Serializable run description for one experiment pipeline.
 
     x_grid entries and limits accept power expressions in JSON form
-    ("2^1000"); they are parsed to exact integers on load.
+    ("2^1000"); they are parsed to exact integers on load. A config is checked
+    when built: grid kinds need a schedule and an x_grid, the others a limit.
     """
 
     name: str
@@ -62,6 +63,13 @@ class ExperimentConfig:
             raise ConfigError("x_grid must be strictly ascending")
         if self.enum_budget < 1:
             raise ConfigError("budgets must be positive")
+        if self.kind in _GRID_POINTS:
+            if self.schedule is None:
+                raise ConfigError(f"experiment {text_name(self.name)} needs a schedule")
+            if not self.x_grid:
+                raise ConfigError(f"experiment {text_name(self.name)} needs a non-empty x_grid")
+        elif self.limit is None:
+            raise ConfigError(f"experiment {text_name(self.name)} needs a limit")
 
     def to_json(self) -> dict:
         return {
@@ -105,15 +113,6 @@ class ExperimentConfig:
         )
 
 
-def _blocks_for_grid(config: ExperimentConfig) -> BlockSet:
-    if config.schedule is None:
-        raise ConfigError(f"experiment {text_name(config.name)} needs a schedule")
-    if not config.x_grid:
-        raise ConfigError(f"experiment {text_name(config.name)} needs a non-empty x_grid")
-    # the grid ascends and block_index is monotone, so its last x needs the deepest blocks
-    return BlockSet.covering(config.schedule, config.x_grid[-1])
-
-
 # One grid point per kind. The lambdas look the functions up when called, so a
 # wrapper installed on this module's names (a tracer's, say) sees every point.
 _GRID_POINTS: dict[str, Callable] = {
@@ -124,7 +123,8 @@ _GRID_POINTS: dict[str, Callable] = {
 
 
 def _run_grid(config: ExperimentConfig, timing: dict) -> dict:
-    blocks = _blocks_for_grid(config)
+    # the grid ascends and block_index is monotone, so its last x needs the deepest blocks
+    blocks = BlockSet.covering(config.schedule, config.x_grid[-1])
     point = _GRID_POINTS[config.kind]
     points = []
     for i, x in enumerate(config.x_grid):
@@ -135,8 +135,6 @@ def _run_grid(config: ExperimentConfig, timing: dict) -> dict:
 
 
 def _run_depolignac(config: ExperimentConfig, timing: dict) -> dict:
-    if config.limit is None:
-        raise ConfigError(f"experiment {text_name(config.name)} needs a limit")
     system = config.system if config.system is not None else default_covering_system()
     start = time.perf_counter()
     cert = crt_combine(system)  # scans the system once, and refuses it unless it covers
@@ -153,8 +151,6 @@ def _run_depolignac(config: ExperimentConfig, timing: dict) -> dict:
 
 
 def _run_romanov(config: ExperimentConfig, timing: dict) -> dict:
-    if config.limit is None:
-        raise ConfigError(f"experiment {text_name(config.name)} needs a limit")
     start = time.perf_counter()
     scan = romanov_density_scan(config.limit, config.k_min)
     timing["scan"] = time.perf_counter() - start

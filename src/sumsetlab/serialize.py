@@ -63,8 +63,8 @@ def int_decimal(n: int) -> Decimal:
 
 
 def int_text(n: int) -> str:
-    """str(n) at any length: plain str() up to _SPLIT_BITS bits, then str(int_decimal(n))."""
-    return str(n) if n.bit_length() <= _SPLIT_BITS else str(int_decimal(n))
+    """str(n) at any length: int.__repr__ up to _SPLIT_BITS bits, then str(int_decimal(n))."""
+    return int.__repr__(n) if n.bit_length() <= _SPLIT_BITS else str(int_decimal(n))
 
 
 def result_record(name: str, config: dict, payload, timing: dict | None = None) -> dict:
@@ -124,11 +124,6 @@ _SORTED_FIELDS: dict[type, tuple[str, ...]] = {}
 _FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _int(n: int) -> str:
-    """``int_text(n)``, with no call for an int of up to _SPLIT_BITS bits."""
-    return int.__repr__(n) if n.bit_length() <= _SPLIT_BITS else int_text(n)
-
-
 def _encode(obj: Any, out: list[str], pad: str | None) -> None:
     """Append the JSON text of ``obj`` to ``out``, keys sorted.
 
@@ -143,10 +138,10 @@ def _encode(obj: Any, out: list[str], pad: str | None) -> None:
     elif kind in _SORTED_FIELDS:
         _container([(name, getattr(obj, name)) for name in _SORTED_FIELDS[kind]], True, out, pad)
     elif kind is Fraction:
-        pair = (("den", _int(obj.denominator)), ("num", _int(obj.numerator)))
+        pair = (("den", int_text(obj.denominator)), ("num", int_text(obj.numerator)))
         _container(pair, True, out, pad)
     elif kind is int:
-        out.append(_int(obj))
+        out.append(int_text(obj))
     elif kind is str:
         out.append(_string(obj))
     elif obj is None:

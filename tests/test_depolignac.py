@@ -43,6 +43,8 @@ ERDOS_TRIPLES = [(0, 2, 3), (0, 3, 7), (1, 4, 5), (3, 8, 17), (7, 12, 13), (23, 
 # (q, the order of 2 mod q): any multiple of the order is a valid modulus for q
 ORDERS = [(3, 2), (7, 3), (5, 4), (31, 5), (127, 7), (17, 8), (73, 9), (11, 10), (23, 11),
           (13, 12), (241, 24)]
+# the same pairs for every odd prime below 300
+ODD_PRIME_ORDERS = [(q, sympy.n_order(2, q)) for q in sympy.primerange(3, 300)]
 
 
 @pytest.fixture(scope="module")
@@ -70,9 +72,11 @@ class TestCoveringVerify:
         assert default_covering_system() == erdos
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(st.integers(), st.integers(), st.integers()), max_size=6))
-    def test_json_round_trip(self, triples):
-        system = CoveringSystem.from_entries(triples)
+    @given(st.lists(st.tuples(st.sampled_from(ODD_PRIME_ORDERS), st.integers(min_value=1),
+                              st.integers()),
+                    max_size=6, unique_by=lambda pick: pick[0]))
+    def test_json_round_trip(self, picks):
+        system = CoveringSystem.from_entries((a, k * order, q) for (q, order), k, a in picks)
         assert CoveringSystem.from_json(system.to_json()) == system
 
     def test_partial_system(self):
@@ -107,7 +111,7 @@ class TestCoveringVerify:
         assert check.covers == (bool(picks) and not uncovered)
 
     @pytest.mark.parametrize("triples", list(MALFORMED))
-    def test_malformed_systems(self, triples):
+    def test_constructor_refuses_malformed_systems(self, triples):
         with pytest.raises(ConfigError, match=f"^{re.escape(MALFORMED[triples])}$"):
             covering_verify(CoveringSystem.from_entries(triples))
 
@@ -129,7 +133,7 @@ class TestCrtCombine:
         with pytest.raises(ConfigError, match=r"^system misses residues \(1,\) \(mod 2\)$"):
             crt_combine(system)
 
-    def test_malformed_rejected(self):
+    def test_constructor_refuses_malformed_before_crt(self):
         with pytest.raises(ConfigError, match="^modulus=1 < 2 in entry 0$"):
             crt_combine(CoveringSystem.from_entries([(0, 1, 1)]))
 
@@ -144,12 +148,11 @@ class TestCrtCombine:
 
     def test_errors_are_not_cached(self):
         not_covering = CoveringSystem.from_entries([(0, 2, 3)])
-        malformed = CoveringSystem.from_entries([(0, 1, 1)])
         for _ in range(3):
             with pytest.raises(ConfigError, match=r"^system misses residues \(1,\) \(mod 2\)$"):
                 crt_combine(not_covering)
             with pytest.raises(ConfigError, match="^modulus=1 < 2 in entry 0$"):
-                crt_combine(malformed)
+                CoveringSystem.from_entries([(0, 1, 1)])
 
     def test_certificate_validation(self, erdos):
         with pytest.raises(ValueError):

@@ -1,11 +1,16 @@
-"""README's two library-tour blocks run as written and give the values their comments state."""
+"""README's two library-tour blocks run as written and give the values their comments state,
+and its custom-experiment file runs as written."""
 
+import json
 import re
 from fractions import Fraction
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+from sumsetlab.experiments import ExperimentConfig, run_experiment
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+BLOCKS = re.findall(r"```python\n(.*?)```", README, flags=re.S)
+CONFIGS = re.findall(r"```json\n(.*?)```", README, flags=re.S)
 
 # (block, a line's code, text in that line's comment, expression checked, its value)
 CLAIMS = [
@@ -47,3 +52,9 @@ def test_blocks_give_the_stated_values():
             for line_code, comment in commented_lines(BLOCKS[index])
         ), f"README no longer states {stated!r} on {code!r}"
         assert eval(expression, namespace) == value, expression
+
+
+def test_custom_experiment_runs_as_written():
+    (config,) = CONFIGS
+    record = run_experiment(ExperimentConfig.from_json(json.loads(config)))
+    assert [point.x for point in record["payload"]["points"]] == [2**10, 2**14, 100_000]
